@@ -1,16 +1,24 @@
 """Minimal reverse-mode autodiff over numpy arrays, scoped to the taggers' needs.
 
 Values are computed eagerly; every operation records a backward closure on a
-:class:`Tape`. Activations are rank-1 vectors and weights rank-2 matrices;
-there is no broadcasting. Calling :meth:`Tape.backward` on a scalar loss
-returns per-parameter gradients with row-level sparsity for embedding-table
-lookups, so the optimizer can skip rows that never appeared in a batch.
+:class:`Tape`. Activations are whole sequences, ``(T, d)`` matrices with one
+row per position, or single ``(d,)`` vectors; weights are matrices, and no op
+broadcasts beyond what its docstring says. The recurrent layers (:meth:`Tape.lstm`,
+:meth:`Tape.gru`) and the CRF (:meth:`Tape.crf_nll`) are each one fused op
+over a sequence with a hand-written backward: the input projection is one
+GEMM ahead of the recurrence, and a weight's gradient is one ``Xᵀ·G``
+product over every sequence of a batch instead of one outer product per
+token. Calling
+:meth:`Tape.backward` on a scalar loss returns per-parameter gradients with
+row-level sparsity for embedding-table lookups, so the optimizer can skip
+rows that never appeared in a batch.
 
 Parameters must not be mutated while a tape built on them is still in use.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,13 +132,53 @@ class Var:
         return self.value.shape
 
 
+class _Partials(list):
+    """The gradient reaching each tape node during one backward pass, by index.
+
+    Weight gradients ``xᵀ·g`` are queued per node by :func:`_acc_product`
+    and summed as one GEMM over every queued row when :meth:`total` needs
+    the node's gradient: one product per batch instead of one per call.
+    """
+
+    def __init__(self, n: int):
+        super().__init__([None] * n)
+        self.products: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def total(self, var: Var) -> np.ndarray | None:
+        queued = self.products.pop(var.idx, None)
+        if queued:
+            xs, gs = zip(*queued)
+            _acc(self, var, np.concatenate(xs).T @ np.concatenate(gs))
+        return self[var.idx]
+
+
 def _acc(grads: list, var: Var, g: np.ndarray) -> None:
     cur = grads[var.idx]
     grads[var.idx] = g if cur is None else cur + g
 
 
+def _acc_product(grads: _Partials, w: Var, x: np.ndarray, g: np.ndarray) -> None:
+    """Add ``xᵀ·g``, the gradient of ``x @ w``, to ``w``'s gradient."""
+    grads.products.setdefault(w.idx, []).append(
+        (x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1]))
+    )
+
+
+def _add_row(table: dict[int, np.ndarray], row: int, g: np.ndarray) -> None:
+    table[row] = g if row not in table else table[row] + g
+
+
+def _ids(rows) -> int | np.ndarray:
+    return int(rows) if isinstance(rows, (int, np.integer)) else np.asarray(rows, dtype=np.intp)
+
+
 class Tape:
-    """Records a computation over `params` for one backward pass."""
+    """Records a computation over `params` for one backward pass.
+
+    Backward closures hold the Vars and arrays they need but never the tape,
+    so a finished graph has no reference cycle and is freed as soon as its
+    last Var is dropped.
+    """
 
     def __init__(self, params: Parameters):
         self.params = params
@@ -138,11 +186,40 @@ class Tape:
         self.nodes: list[Var] = []
         self._param_vars: dict[str, Var] = {}
         self._lookup_vars: dict[tuple[str, int], Var] = {}
+        self._gathers: list[tuple[str, np.ndarray, Var]] = []
 
     def _new(self, value: np.ndarray, back: Callable | None) -> Var:
         var = Var(value, len(self.nodes), back)
         self.nodes.append(var)
         return var
+
+    def _new_multi(self, values: Sequence[np.ndarray], back: Callable) -> list[Var]:
+        """One node per output of an op whose backward needs all their gradients.
+
+        ``back(gs, grads)`` runs once, when backward reaches the first output,
+        with each output's gradient (None where it received none). The other
+        outputs are recorded after the first, so their gradients are final
+        by then.
+        """
+        pending: list = [None] * len(values)
+
+        def back_first(g, grads):
+            pending[0] = g
+            gs = list(pending)
+            pending[:] = [None] * len(values)
+            back(gs, grads)
+
+        first = self._new(values[0], back_first)
+
+        def back_other(i):
+            def stash(g, grads):
+                pending[i] = g
+                if grads[first.idx] is None:
+                    grads[first.idx] = np.zeros_like(first.value)
+
+            return stash
+
+        return [first] + [self._new(v, back_other(i)) for i, v in enumerate(values) if i]
 
     # ------------------------------------------------------------------ leaves
 
@@ -158,12 +235,18 @@ class Tape:
             self._param_vars[name] = var
         return var
 
-    def lookup(self, name: str, row: int) -> Var:
-        """One row of a named table (row-sparse gradient)."""
-        var = self._lookup_vars.get((name, row))
-        if var is None:
-            var = self._new(self.params[name][row], None)
-            self._lookup_vars[(name, row)] = var
+    def lookup(self, name: str, rows) -> Var:
+        """Rows of a named table with a row-sparse gradient: one row as a
+        vector for an int, a (len(rows), d) matrix for a sequence of ints."""
+        ids = _ids(rows)
+        if isinstance(ids, int):
+            var = self._lookup_vars.get((name, ids))
+            if var is None:
+                var = self._new(self.params[name][ids], None)
+                self._lookup_vars[(name, ids)] = var
+            return var
+        var = self._new(self.params[name][ids], None)
+        self._gathers.append((name, ids, var))
         return var
 
     # -------------------------------------------------------------- arithmetic
@@ -212,31 +295,24 @@ class Tape:
 
         return self._new(a.value * k, back)
 
-    def add_const(self, a: Var, c: float) -> Var:
-        def back(g, grads):
-            _acc(grads, a, g)
-
-        return self._new(a.value + c, back)
-
     def matvec(self, x: Var, w: Var) -> Var:
-        """(d,) @ (d, k) -> (k,)"""
-        assert x.value.ndim == 1 and w.value.ndim == 2 and x.shape[0] == w.shape[0]
+        """x @ w with x (d,) or (T, d) and w (d, k)."""
+        assert w.value.ndim == 2 and x.shape[-1] == w.shape[0]
 
         def back(g, grads):
-            _acc(grads, x, w.value @ g)
-            _acc(grads, w, np.outer(x.value, g))
+            _acc(grads, x, g @ w.value.T)
+            _acc_product(grads, w, x.value, g)
 
         return self._new(x.value @ w.value, back)
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:
-        """x @ w + b with x (d,), w (d, k), b (k,)."""
-        assert x.value.ndim == 1 and w.value.ndim == 2
-        assert x.shape[0] == w.shape[0] and b.shape == (w.shape[1],)
+        """x @ w + b with x (d,) or (T, d), w (d, k), b (k,)."""
+        assert w.value.ndim == 2 and x.shape[-1] == w.shape[0] and b.shape == (w.shape[1],)
 
         def back(g, grads):
-            _acc(grads, x, w.value @ g)
-            _acc(grads, w, np.outer(x.value, g))
-            _acc(grads, b, g)
+            _acc(grads, x, g @ w.value.T)
+            _acc_product(grads, w, x.value, g)
+            _acc(grads, b, g if g.ndim == 1 else g.sum(axis=0))
 
         return self._new(x.value @ w.value + b.value, back)
 
@@ -259,85 +335,49 @@ class Tape:
 
         return self._new(y, back)
 
-    # ------------------------------------------------------- shape and slicing
+    # ---------------------------------------------------------- shape and rows
 
     def concat(self, items: Sequence[Var]) -> Var:
-        assert all(v.value.ndim == 1 for v in items)
-        offsets = np.cumsum([0] + [v.shape[0] for v in items])
+        """Join along the last axis: vectors end to end, (T, d_i) matrices side by side."""
+        offsets = list(itertools.accumulate((v.shape[-1] for v in items), initial=0))
 
         def back(g, grads):
             for v, start, stop in zip(items, offsets, offsets[1:]):
-                _acc(grads, v, g[start:stop])
+                _acc(grads, v, g[..., start:stop])
 
-        return self._new(np.concatenate([v.value for v in items]), back)
+        return self._new(np.concatenate([v.value for v in items], axis=-1), back)
 
-    def narrow(self, a: Var, start: int, stop: int) -> Var:
-        assert a.value.ndim == 1 and 0 <= start < stop <= a.shape[0]
+    def stack(self, items: Sequence[Var]) -> Var:
+        """(d,) vectors as the rows of a (len(items), d) matrix."""
 
         def back(g, grads):
-            full = np.zeros(a.shape, dtype=self.dtype)
-            full[start:stop] = g
-            _acc(grads, a, full)
+            for v, row in zip(items, g):
+                _acc(grads, v, row)
 
-        return self._new(a.value[start:stop], back)
+        return self._new(np.stack([v.value for v in items]), back)
 
-    def row(self, m: Var, i: int) -> Var:
+    def gather(self, m: Var, rows) -> Var:
+        """Rows of a (T, d) matrix: a vector for an int, a matrix for a
+        sequence of ints (repeats allowed)."""
         assert m.value.ndim == 2
+        ids = _ids(rows)
 
         def back(g, grads):
-            full = np.zeros(m.shape, dtype=self.dtype)
-            full[i] = g
+            full = np.zeros(m.shape, dtype=g.dtype)
+            np.add.at(full, ids, g)
             _acc(grads, m, full)
 
-        return self._new(m.value[i], back)
-
-    def col(self, m: Var, j: int) -> Var:
-        assert m.value.ndim == 2
-
-        def back(g, grads):
-            full = np.zeros(m.shape, dtype=self.dtype)
-            full[:, j] = g
-            _acc(grads, m, full)
-
-        return self._new(m.value[:, j].copy(), back)
-
-    def block(self, m: Var, r0: int, r1: int, c0: int, c1: int) -> Var:
-        assert m.value.ndim == 2
-
-        def back(g, grads):
-            full = np.zeros(m.shape, dtype=self.dtype)
-            full[r0:r1, c0:c1] = g
-            _acc(grads, m, full)
-
-        return self._new(m.value[r0:r1, c0:c1], back)
-
-    def pick(self, a: Var, i: int) -> Var:
-        assert a.value.ndim == 1
-
-        def back(g, grads):
-            full = np.zeros(a.shape, dtype=self.dtype)
-            full[i] = g
-            _acc(grads, a, full)
-
-        return self._new(a.value[i], back)
-
-    def pick2(self, m: Var, i: int, j: int) -> Var:
-        assert m.value.ndim == 2
-
-        def back(g, grads):
-            full = np.zeros(m.shape, dtype=self.dtype)
-            full[i, j] = g
-            _acc(grads, m, full)
-
-        return self._new(m.value[i, j], back)
+        return self._new(m.value[ids], back)
 
     # -------------------------------------------------------------- reductions
 
     def sum(self, a: Var) -> Var:
-        def back(g, grads):
-            _acc(grads, a, np.full(a.shape, g, dtype=self.dtype))
+        dtype = self.dtype
 
-        return self._new(np.asarray(a.value.sum(), dtype=self.dtype), back)
+        def back(g, grads):
+            _acc(grads, a, np.full(a.shape, g, dtype=dtype))
+
+        return self._new(np.asarray(a.value.sum(), dtype=dtype), back)
 
     def logsumexp(self, a: Var) -> Var:
         """Max-shifted log-sum-exp of a vector; overflow-safe."""
@@ -350,17 +390,21 @@ class Tape:
 
         return self._new(np.asarray(y, dtype=self.dtype), back)
 
-    def softmax_cross_entropy(self, logits: Var, target: int) -> Var:
-        """-log softmax(logits)[target], fused for stability."""
-        assert logits.value.ndim == 1
-        m = np.max(logits.value)
-        lse = m + np.log(np.sum(np.exp(logits.value - m)))
-        loss = lse - logits.value[target]
+    def softmax_cross_entropy(self, logits: Var, targets) -> Var:
+        """Summed -log softmax(row)[target], fused for stability: over the rows
+        of (T, k) logits with T targets, or over one (k,) vector with one."""
+        z = logits.value.reshape(-1, logits.shape[-1])
+        target = np.reshape(targets, -1)
+        assert len(target) == z.shape[0]
+        rows = np.arange(len(target))
+        m = z.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+        loss = (lse - z[rows, target]).sum()
 
         def back(g, grads):
-            p = np.exp(logits.value - lse)
-            p[target] -= 1.0
-            _acc(grads, logits, g * p)
+            p = np.exp(z - lse[:, None])
+            p[rows, target] -= 1.0
+            _acc(grads, logits, (g * p).reshape(logits.shape))
 
         return self._new(np.asarray(loss, dtype=self.dtype), back)
 
@@ -372,6 +416,8 @@ class Tape:
             _acc(grads, a, g * mask)
 
         return self._new(a.value * mask, back)
+
+    # --------------------------------------------------------------------- CRF
 
     def crf_step(self, alpha: Var, trans: Var) -> Var:
         """One forward-algorithm step: out[j] = logsumexp_i(alpha[i] + trans[i, j])."""
@@ -388,73 +434,282 @@ class Tape:
 
         return self._new(out, back)
 
+    def crf_nll(self, emissions: Var, trans: Var, path: Sequence[int] | None = None) -> Var:
+        """Negative log-likelihood of ``path`` under a linear-chain CRF, or log Z
+        when no path is given.
+
+        ``emissions`` is (T, k) and ``trans`` (k+2, k+2): row k holds start
+        transitions and column k+1 stop transitions. Each forward step is
+        one k x k matrix-vector product in exp space, shifted per column so
+        nothing overflows. Backward runs the backward algorithm and takes
+        the gradient from the marginals; the expected transition counts of
+        all steps are one (k, T) x (T, k) GEMM, so no per-token k x k
+        scores are kept.
+        """
+        e = emissions.value
+        a = trans.value
+        n, k = e.shape
+        assert n >= 1 and a.shape == (k + 2, k + 2)
+        inner = a[:k, :k]
+        col_max = inner.max(axis=0)
+        exp_cols = np.exp(inner - col_max)
+        alpha = np.empty_like(e)
+        alpha[0] = e[0] + a[k, :k]
+        for t in range(1, n):
+            m = alpha[t - 1].max()
+            alpha[t] = np.log(np.exp(alpha[t - 1] - m) @ exp_cols) + (m + col_max) + e[t]
+        last = alpha[-1] + a[:k, k + 1]
+        m = last.max()
+        log_z = m + np.log(np.exp(last - m).sum())
+        value = log_z
+        if path is not None:
+            p = np.asarray(path, dtype=np.intp)
+            assert p.shape == (n,)
+            value = log_z - (
+                a[k, p[0]] + e[np.arange(n), p].sum() + inner[p[:-1], p[1:]].sum() + a[p[-1], k + 1]
+            )
+
+        def back(g, grads):
+            row_max = inner.max(axis=1)
+            exp_rows = np.exp(inner - row_max[:, None])
+            beta = np.empty_like(alpha)
+            beta[-1] = a[:k, k + 1]
+            for t in range(n - 2, -1, -1):
+                v = e[t + 1] + beta[t + 1]
+                m = v.max()
+                beta[t] = np.log(exp_rows @ np.exp(v - m)) + (m + row_max)
+            d_e = np.exp(alpha + beta - log_z)
+            d_a = np.zeros_like(a)
+            d_a[k, :k] = d_e[0]
+            d_a[:k, k + 1] = d_e[-1]
+            if n > 1:
+                # sum_t exp(alpha[t-1, i] + inner[i, j] + v[t, j] - log_z), v = e + beta,
+                # with every factor shifted to at most 1
+                prev = alpha[:-1]
+                nxt = e[1:] + beta[1:]
+                m_prev = prev.max(axis=1, keepdims=True)
+                m_next = nxt.max(axis=1, keepdims=True)
+                shift = m_prev + m_next
+                top = shift.max()
+                counts = np.exp(prev - m_prev).T @ (np.exp(nxt - m_next) * np.exp(shift - top))
+                d_a[:k, :k] = np.exp(inner + (top - log_z)) * counts
+            if path is not None:
+                d_e[np.arange(n), p] -= 1.0
+                d_a[k, p[0]] -= 1.0
+                np.add.at(d_a, (p[:-1], p[1:]), -1.0)
+                d_a[p[-1], k + 1] -= 1.0
+            _acc(grads, emissions, g * d_e)
+            _acc(grads, trans, g * d_a)
+
+        return self._new(np.asarray(value, dtype=self.dtype), back)
+
+    # --------------------------------------------------------------- recurrent
+
+    def lstm(
+        self,
+        x: Var,
+        wx: Var,
+        wh: Var,
+        b: Var,
+        h0: Var | None = None,
+        c0: Var | None = None,
+        reverse: bool = False,
+    ) -> tuple[Var, tuple[Var, Var]]:
+        """An LSTM over the rows of ``x`` (T, d); a (d,) vector is one step.
+
+        Gate layout along the 4*hidden axis is [input|forget|cell|output].
+        The input projection ``x @ wx + b`` is one GEMM ahead of the
+        recurrence, so only ``h @ wh`` runs per step. Backward finds the gate
+        pre-activation gradients ``dP`` of the whole sequence, then
+        ``db = ΣdP`` and the products ``dwx = xᵀ·dP`` and
+        ``dwh = H_prevᵀ·dP``, which are queued so every sequence in a batch
+        shares one GEMM. The state starts at ``(h0, c0)``, zeros where
+        omitted. With ``reverse`` the rows are read last to first; row t of
+        the output is still the state after reading row t. Returns
+        ``(H, (h, c))``: the (T, hidden) states and the final state.
+        """
+        hidden = wh.shape[0]
+        cell = slice(2 * hidden, 3 * hidden)
+        xs = x.value.reshape(-1, wx.shape[0])
+        n = xs.shape[0]
+        order = np.arange(n)[::-1] if reverse else np.arange(n)
+        proj = xs @ wx.value + b.value
+        dtype = proj.dtype
+        # sigmoid(a) = 0.5 * tanh(a / 2) + 0.5 on the gates, plain tanh on the cell input
+        scale = np.full(4 * hidden, 0.5, dtype=dtype)
+        scale[cell] = 1.0
+        shift = np.full(4 * hidden, 0.5, dtype=dtype)
+        shift[cell] = 0.0
+        # states in reading order: hs[s + 1] is the state after reading row order[s]
+        hs = np.zeros((n + 1, hidden), dtype=dtype)
+        cs = np.zeros((n + 1, hidden), dtype=dtype)
+        if h0 is not None:
+            hs[0] = h0.value.reshape(hidden)
+        if c0 is not None:
+            cs[0] = c0.value.reshape(hidden)
+        acts = np.empty((n, 4 * hidden), dtype=dtype)
+        tanh_c = np.empty((n, hidden), dtype=dtype)
+        w_h = wh.value
+        for s, row in enumerate(order):
+            act = acts[s]
+            np.tanh((proj[row] + hs[s] @ w_h) * scale, out=act)
+            act *= scale
+            act += shift
+            c = cs[s + 1]
+            np.multiply(act[hidden : 2 * hidden], cs[s], out=c)
+            c += act[:hidden] * act[cell]
+            np.tanh(c, out=tanh_c[s])
+            np.multiply(act[3 * hidden :], tanh_c[s], out=hs[s + 1])
+
+        def back(gs, grads):
+            g_out, g_h, g_c = gs
+            g_rows = None if g_out is None else g_out[order]
+            dh = np.zeros(hidden, dtype=dtype) if g_h is None else g_h
+            dc = np.zeros(hidden, dtype=dtype) if g_c is None else g_c
+            deriv = acts * (1.0 - acts)
+            deriv[:, cell] = 1.0 - acts[:, cell] ** 2
+            out_deriv = acts[:, 3 * hidden :] * (1.0 - tanh_c * tanh_c)
+            d_pre = np.empty((n, 4 * hidden), dtype=dtype)
+            w_h_t = w_h.T
+            for s in range(n - 1, -1, -1):
+                if g_rows is not None:
+                    dh = dh + g_rows[s]
+                act = acts[s]
+                dc = dc + dh * out_deriv[s]
+                dp = d_pre[s]
+                np.multiply(dc, act[cell], out=dp[:hidden])
+                np.multiply(dc, cs[s], out=dp[hidden : 2 * hidden])
+                np.multiply(dc, act[:hidden], out=dp[cell])
+                np.multiply(dh, tanh_c[s], out=dp[3 * hidden :])
+                dp *= deriv[s]
+                dc = dc * act[hidden : 2 * hidden]
+                dh = dp @ w_h_t
+            d_rows = d_pre[order]
+            _acc(grads, x, (d_rows @ wx.value.T).reshape(x.shape))
+            _acc_product(grads, wx, xs, d_rows)
+            _acc_product(grads, wh, hs[:n], d_pre)
+            _acc(grads, b, d_pre.sum(axis=0))
+            if h0 is not None:
+                _acc(grads, h0, dh.reshape(h0.shape))
+            if c0 is not None:
+                _acc(grads, c0, dc.reshape(c0.shape))
+
+        out, h_last, c_last = self._new_multi((hs[1:][order], hs[n], cs[n]), back)
+        return out, (h_last, c_last)
+
+    def gru(
+        self, x: Var, wx: Var, wh: Var, b: Var, h0: Var | None = None, reverse: bool = False
+    ) -> Var:
+        """A GRU over the rows of ``x`` (T, d); returns the final state.
+
+        Gate layout along the 3*hidden axis is [update|reset|candidate] and
+        h' = z*h + (1-z)*n, so a saturated update gate keeps the old state.
+        The input projection is hoisted out of the recurrence and the weight
+        gradients are queued products, as in :meth:`lstm`. The state
+        starts at ``h0``, zeros when omitted; ``reverse`` reads the rows last
+        to first.
+        """
+        hidden = wh.shape[0]
+        gates = slice(0, 2 * hidden)
+        cand = slice(2 * hidden, 3 * hidden)
+        xs = x.value.reshape(-1, wx.shape[0])
+        n = xs.shape[0]
+        order = np.arange(n)[::-1] if reverse else np.arange(n)
+        proj = xs @ wx.value + b.value
+        dtype = proj.dtype
+        hs = np.zeros((n + 1, hidden), dtype=dtype)
+        if h0 is not None:
+            hs[0] = h0.value.reshape(hidden)
+        zr = np.empty((n, 2 * hidden), dtype=dtype)  # update | reset gates
+        cands = np.empty((n, hidden), dtype=dtype)
+        phs = np.empty((n, 3 * hidden), dtype=dtype)  # h @ wh at each step
+        w_h = wh.value
+        for s, row in enumerate(order):
+            p = proj[row]
+            ph = np.matmul(hs[s], w_h, out=phs[s])
+            gate = zr[s]
+            np.tanh(0.5 * (p[gates] + ph[gates]), out=gate)
+            gate += 1.0
+            gate *= 0.5
+            np.tanh(p[cand] + gate[hidden:] * ph[cand], out=cands[s])
+            z = gate[:hidden]
+            np.multiply(z, hs[s], out=hs[s + 1])
+            hs[s + 1] += (1.0 - z) * cands[s]
+
+        def back(g, grads):
+            dh = g
+            gate_deriv = zr * (1.0 - zr)
+            cand_deriv = (1.0 - zr[:, :hidden]) * (1.0 - cands * cands)
+            keep_minus_cand = hs[:n] - cands
+            d_px = np.empty((n, 3 * hidden), dtype=dtype)
+            d_ph = np.empty((n, 3 * hidden), dtype=dtype)
+            w_h_t = w_h.T
+            for s in range(n - 1, -1, -1):
+                dpx, dph = d_px[s], d_ph[s]
+                np.multiply(dh, cand_deriv[s], out=dpx[cand])
+                np.multiply(dpx[cand], zr[s, hidden:], out=dph[cand])
+                np.multiply(dh, keep_minus_cand[s], out=dpx[:hidden])
+                np.multiply(dpx[cand], phs[s, cand], out=dpx[hidden : 2 * hidden])
+                dpx[gates] *= gate_deriv[s]
+                dph[gates] = dpx[gates]
+                dh = dh * zr[s, :hidden] + dph @ w_h_t
+            d_rows = d_px[order]
+            _acc(grads, x, (d_rows @ wx.value.T).reshape(x.shape))
+            _acc_product(grads, wx, xs, d_rows)
+            _acc_product(grads, wh, hs[:n], d_ph)
+            _acc(grads, b, d_px.sum(axis=0))
+            if h0 is not None:
+                _acc(grads, h0, dh.reshape(h0.shape))
+
+        return self._new(hs[n], back)
+
     # ---------------------------------------------------------------- backward
 
     def backward(self, loss: Var) -> Gradients:
         """Reverse-mode gradients of a scalar loss over this tape."""
         assert loss.value.shape == (), "loss must be a scalar"
-        partials: list = [None] * len(self.nodes)
+        partials = _Partials(len(self.nodes))
         partials[loss.idx] = np.asarray(1.0, dtype=self.dtype)
         for var in reversed(self.nodes):
-            g = partials[var.idx]
-            if g is None or var._back is None:
+            if var._back is None:
                 continue
-            var._back(g, partials)
+            g = partials.total(var)
+            if g is not None:
+                var._back(g, partials)
         grads = Gradients()
         for name, var in self._param_vars.items():
-            g = partials[var.idx]
+            g = partials.total(var)
             if g is not None:
                 grads.dense[name] = g
         for (name, r), var in self._lookup_vars.items():
-            g = partials[var.idx]
+            g = partials.total(var)
             if g is not None:
-                grads.rows.setdefault(name, {})[r] = g
+                _add_row(grads.rows.setdefault(name, {}), r, g)
+        gathered: dict[str, tuple[list, list]] = {}
+        for name, ids, var in self._gathers:
+            g = partials.total(var)
+            if g is not None and len(ids):
+                id_parts, g_parts = gathered.setdefault(name, ([], []))
+                id_parts.append(ids)
+                g_parts.append(g)
+        for name, (id_parts, g_parts) in gathered.items():
+            unique, inverse = np.unique(np.concatenate(id_parts), return_inverse=True)
+            summed = np.zeros((len(unique), g_parts[0].shape[1]), dtype=g_parts[0].dtype)
+            np.add.at(summed, inverse, np.concatenate(g_parts))
+            table = grads.rows.setdefault(name, {})
+            for r, g in zip(unique.tolist(), summed):
+                _add_row(table, r, g)
         return grads
 
 
-def dropout_mask(rng: np.random.Generator, n: int, rate: float, dtype=np.float64) -> np.ndarray:
-    """Inverted-dropout mask: kept entries scaled by 1/(1-rate)."""
+def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask of ``shape`` (an int or a tuple): kept entries
+    scaled by 1/(1-rate). One (T, d) mask draws the same numbers from ``rng``
+    as T masks of size d in a row."""
     if rate <= 0.0:
-        return np.ones(n, dtype=dtype)
-    keep = rng.random(n) >= rate
+        return np.ones(shape, dtype=dtype)
+    keep = rng.random(shape) >= rate
     return keep.astype(dtype) / (1.0 - rate)
-
-
-# ------------------------------------------------------------ recurrent cells
-
-
-def lstm_cell(tape: Tape, x: Var, h: Var, c: Var, wx: Var, wh: Var, b: Var, hidden: int):
-    """One LSTM step. Gate layout along the 4*hidden axis is [input|forget|cell|output]."""
-    pre = tape.add(tape.affine(x, wx, b), tape.matvec(h, wh))
-    i = tape.sigmoid(tape.narrow(pre, 0, hidden))
-    f = tape.sigmoid(tape.narrow(pre, hidden, 2 * hidden))
-    g = tape.tanh(tape.narrow(pre, 2 * hidden, 3 * hidden))
-    o = tape.sigmoid(tape.narrow(pre, 3 * hidden, 4 * hidden))
-    c_next = tape.add(tape.mul(f, c), tape.mul(i, g))
-    h_next = tape.mul(o, tape.tanh(c_next))
-    return h_next, c_next
-
-
-def gru_cell(tape: Tape, x: Var, h: Var, wx: Var, wh: Var, b: Var, hidden: int) -> Var:
-    """One GRU step with gate layout [update|reset|candidate].
-
-    h' = z*h + (1-z)*n, so a saturated update gate keeps the old state.
-    """
-    px = tape.affine(x, wx, b)
-    ph = tape.matvec(h, wh)
-    z = tape.sigmoid(tape.add(tape.narrow(px, 0, hidden), tape.narrow(ph, 0, hidden)))
-    r = tape.sigmoid(
-        tape.add(tape.narrow(px, hidden, 2 * hidden), tape.narrow(ph, hidden, 2 * hidden))
-    )
-    n = tape.tanh(
-        tape.add(
-            tape.narrow(px, 2 * hidden, 3 * hidden),
-            tape.mul(r, tape.narrow(ph, 2 * hidden, 3 * hidden)),
-        )
-    )
-    keep = tape.mul(z, h)
-    update = tape.mul(tape.add_const(tape.scale(z, -1.0), 1.0), n)
-    return tape.add(keep, update)
 
 
 # ------------------------------------------------------------- gradient check

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameters, Tape, Var, gru_cell
+from .autodiff import Parameters, Tape, Var
 from .core import NestnerError, Token
 from .corpus import UNK, Vocabulary
 
@@ -190,15 +190,13 @@ class TokenEmbedder:
                 params.uniform(wh, (cfg.char_rnn_dim, 3 * cfg.char_rnn_dim), rng)
                 params.zeros(b, (3 * cfg.char_rnn_dim,))
 
-    def _char_state(self, tape: Tape, char_ids: list[int], names) -> Var:
-        wx = tape.param(names[0])
-        wh = tape.param(names[1])
-        b = tape.param(names[2])
-        h = tape.const(np.zeros(self.config.char_rnn_dim))
-        for cid in char_ids:
-            x = tape.lookup(self.CHAR_TABLE, cid)
-            h = gru_cell(tape, x, h, wx, wh, b, self.config.char_rnn_dim)
-        return h
+    def _char_states(self, tape: Tape, form: str) -> list[Var]:
+        """Final states of the forward and backward char GRUs over ``form``."""
+        chars = tape.lookup(self.CHAR_TABLE, self.vocab.char_ids(form))
+        return [
+            tape.gru(chars, *(tape.param(name) for name in names), reverse=reverse)
+            for names, reverse in ((self.CHAR_FW, False), (self.CHAR_BW, True))
+        ]
 
     def token_vector(
         self,
@@ -228,9 +226,7 @@ class TokenEmbedder:
                 onehot[pos_i] = 1.0
             parts.append(tape.const(onehot))
         if cfg.char_dim:
-            char_ids = self.vocab.char_ids(token.form)
-            parts.append(self._char_state(tape, char_ids, self.CHAR_FW))
-            parts.append(self._char_state(tape, char_ids[::-1], self.CHAR_BW))
+            parts.extend(self._char_states(tape, token.form))
         if cfg.contextual_dim:
             if contextual_row is None:
                 raise ValueError("config enables contextual vectors but none were supplied")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codec
-from .autodiff import Parameters, Tape, Var, dropout_mask, lstm_cell
+from .autodiff import Parameters, Tape, Var, dropout_mask
 from .codec import EOW, EncodedSentence
 from .core import LabelAlphabet, Mention, NestnerError, Sentence
 from .corpus import Vocabulary
@@ -59,38 +59,29 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- CRF layer
 
 
-def crf_log_partition(tape: Tape, emissions: Sequence[Var], trans: Var, k: int) -> Var:
+def _emission_matrix(tape: Tape, emissions: Var | Sequence[Var]) -> Var:
+    """(T, k) emissions from a matrix Var or from a list of T row Vars."""
+    return emissions if isinstance(emissions, Var) else tape.stack(emissions)
+
+
+def crf_log_partition(tape: Tape, emissions: Var | Sequence[Var], trans: Var, k: int) -> Var:
     """log sum over all length-T label paths of exp(path score).
 
-    ``trans`` is (k+2, k+2); row k holds start transitions and column k+1
-    stop transitions. A path scores the sum of its emissions plus the
-    transitions it crosses, including start and stop.
+    ``emissions`` is a (T, k) Var or a list of T (k,) Vars. ``trans`` is
+    (k+2, k+2); row k holds start transitions and column k+1 stop
+    transitions. A path scores the sum of its emissions plus the transitions
+    it crosses, including start and stop.
     """
-    start_scores = tape.narrow(tape.row(trans, k), 0, k)
-    inner = tape.block(trans, 0, k, 0, k)
-    alpha = tape.add(emissions[0], start_scores)
-    for t in range(1, len(emissions)):
-        alpha = tape.add(tape.crf_step(alpha, inner), emissions[t])
-    stop_scores = tape.narrow(tape.col(trans, k + 1), 0, k)
-    return tape.logsumexp(tape.add(alpha, stop_scores))
+    assert trans.shape == (k + 2, k + 2)
+    return tape.crf_nll(_emission_matrix(tape, emissions), trans)
 
 
-def crf_gold_score(tape: Tape, emissions: Sequence[Var], trans: Var, k: int, path: Sequence[int]) -> Var:
-    assert len(path) == len(emissions)
-    terms = [tape.pick2(trans, k, path[0]), tape.pick(emissions[0], path[0])]
-    for t in range(1, len(path)):
-        terms.append(tape.pick2(trans, path[t - 1], path[t]))
-        terms.append(tape.pick(emissions[t], path[t]))
-    terms.append(tape.pick2(trans, path[-1], k + 1))
-    return tape.add_n(terms)
-
-
-def crf_nll(tape: Tape, emissions: Sequence[Var], trans: Var, k: int, path: Sequence[int]) -> Var:
+def crf_nll(
+    tape: Tape, emissions: Var | Sequence[Var], trans: Var, k: int, path: Sequence[int]
+) -> Var:
     """Negative log-likelihood of the gold path; non-negative."""
-    return tape.sub(
-        crf_log_partition(tape, emissions, trans, k),
-        crf_gold_score(tape, emissions, trans, k, path),
-    )
+    assert trans.shape == (k + 2, k + 2)
+    return tape.crf_nll(_emission_matrix(tape, emissions), trans, path)
 
 
 def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
@@ -115,6 +106,21 @@ def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
 # ------------------------------------------------------------ shared encoder
 
 
+class _ShapeRecorder:
+    """Takes a model's parameter registration in place of :class:`Parameters`,
+    keeping only each name and shape and drawing no random numbers."""
+
+    def __init__(self):
+        self.shapes: dict[str, tuple[int, ...]] = {}
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        self.shapes[name] = tuple(shape)
+        return np.zeros(shape)
+
+    def uniform(self, name: str, shape: tuple[int, ...], rng, fan_in: int | None = None):
+        return self.zeros(name, shape)
+
+
 class _NeuralTagger:
     """Embedding + BiLSTM encoder shared by both model kinds."""
 
@@ -131,14 +137,20 @@ class _NeuralTagger:
         self.embedder = TokenEmbedder(embedding, vocab, pretrained)
         self.params = Parameters(dtype)
 
-    def _register_encoder(self, rng: np.random.Generator) -> None:
-        self.embedder.register(self.params, rng)
+    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every parameter this model registers, in order."""
+        recorder = _ShapeRecorder()
+        self._register(recorder, None)
+        return recorder.shapes
+
+    def _register_encoder(self, params, rng: np.random.Generator | None) -> None:
+        self.embedder.register(params, rng)
         input_dim = self.embedder.config.token_dim
         h = self.hidden_dim
         for prefix in ("enc.fw", "enc.bw"):
-            self.params.uniform(f"{prefix}.wx", (input_dim, 4 * h), rng)
-            self.params.uniform(f"{prefix}.wh", (h, 4 * h), rng)
-            bias = self.params.zeros(f"{prefix}.b", (4 * h,))
+            params.uniform(f"{prefix}.wx", (input_dim, 4 * h), rng)
+            params.uniform(f"{prefix}.wh", (h, 4 * h), rng)
+            bias = params.zeros(f"{prefix}.b", (4 * h,))
             bias[h : 2 * h] = 1.0  # forget gate starts open
 
     def _encode(
@@ -149,43 +161,34 @@ class _NeuralTagger:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         contextual: np.ndarray | None = None,
-    ) -> tuple[list[Var], Var, Var]:
-        """Token vectors through the BiLSTM; returns per-token outputs and the
-        final state of each direction."""
+    ) -> tuple[Var, Var, Var]:
+        """Token vectors through the BiLSTM; returns the (T, 2*hidden) outputs
+        and the final state of each direction."""
         assert dropout == 0.0 or rng is not None, "dropout needs a seeded generator"
-        n = len(sentence.tokens)
-        h = self.hidden_dim
-        xs = []
-        for i, token in enumerate(sentence.tokens):
-            vec = self.embedder.token_vector(
-                tape,
-                token,
-                lookup_form=lookup_forms[i] if lookup_forms is not None else None,
-                contextual_row=contextual[i] if contextual is not None else None,
-            )
-            if dropout > 0.0:
-                vec = tape.dropout(vec, dropout_mask(rng, vec.shape[0], dropout, tape.dtype))
-            xs.append(vec)
-        zeros = tape.const(np.zeros(h))
-        fw: list[Var] = []
-        state_h, state_c = zeros, zeros
-        wx, wh, b = tape.param("enc.fw.wx"), tape.param("enc.fw.wh"), tape.param("enc.fw.b")
-        for i in range(n):
-            state_h, state_c = lstm_cell(tape, xs[i], state_h, state_c, wx, wh, b, h)
-            fw.append(state_h)
-        bw: list[Var] = [zeros] * n
-        state_h, state_c = zeros, zeros
-        wx, wh, b = tape.param("enc.bw.wx"), tape.param("enc.bw.wh"), tape.param("enc.bw.b")
-        for i in range(n - 1, -1, -1):
-            state_h, state_c = lstm_cell(tape, xs[i], state_h, state_c, wx, wh, b, h)
-            bw[i] = state_h
-        outputs = [tape.concat([fw[i], bw[i]]) for i in range(n)]
-        if dropout > 0.0:
-            outputs = [
-                tape.dropout(o, dropout_mask(rng, o.shape[0], dropout, tape.dtype))
-                for o in outputs
+        xs = tape.stack(
+            [
+                self.embedder.token_vector(
+                    tape,
+                    token,
+                    lookup_form=lookup_forms[i] if lookup_forms is not None else None,
+                    contextual_row=contextual[i] if contextual is not None else None,
+                )
+                for i, token in enumerate(sentence.tokens)
             ]
-        return outputs, fw[-1], bw[0]
+        )
+        if dropout > 0.0:
+            xs = tape.dropout(xs, dropout_mask(rng, xs.shape, dropout, tape.dtype))
+        fw, (final_fw, _) = tape.lstm(
+            xs, tape.param("enc.fw.wx"), tape.param("enc.fw.wh"), tape.param("enc.fw.b")
+        )
+        bw, (final_bw, _) = tape.lstm(
+            xs, tape.param("enc.bw.wx"), tape.param("enc.bw.wh"), tape.param("enc.bw.b"),
+            reverse=True,
+        )
+        outputs = tape.concat([fw, bw])
+        if dropout > 0.0:
+            outputs = tape.dropout(outputs, dropout_mask(rng, outputs.shape, dropout, tape.dtype))
+        return outputs, final_fw, final_bw
 
 
 # ------------------------------------------------------------------ LSTM-CRF
@@ -209,14 +212,14 @@ class CrfTagger(_NeuralTagger):
         self.config = config
         self.alphabet = alphabet
         if rng is not None:
-            self._register(rng)
+            self._register(self.params, rng)
 
-    def _register(self, rng: np.random.Generator) -> None:
-        self._register_encoder(rng)
+    def _register(self, params, rng: np.random.Generator | None) -> None:
+        self._register_encoder(params, rng)
         k = len(self.alphabet)
-        self.params.uniform("crf.emit.w", (2 * self.hidden_dim, k), rng)
-        self.params.zeros("crf.emit.b", (k,))
-        self.params.uniform("crf.trans", (k + 2, k + 2), rng, fan_in=k + 2)
+        params.uniform("crf.emit.w", (2 * self.hidden_dim, k), rng)
+        params.zeros("crf.emit.b", (k,))
+        params.uniform("crf.trans", (k + 2, k + 2), rng, fan_in=k + 2)
 
     def emissions(
         self,
@@ -226,10 +229,10 @@ class CrfTagger(_NeuralTagger):
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         contextual: np.ndarray | None = None,
-    ) -> list[Var]:
+    ) -> Var:
+        """(T, k) emission scores."""
         outputs, _, _ = self._encode(tape, sentence, lookup_forms, dropout, rng, contextual)
-        w, b = tape.param("crf.emit.w"), tape.param("crf.emit.b")
-        return [tape.affine(o, w, b) for o in outputs]
+        return tape.affine(outputs, tape.param("crf.emit.w"), tape.param("crf.emit.b"))
 
     def gold_path(self, sentence: Sentence) -> list[int]:
         return [self.alphabet.id_of(s) for s in codec.encode(sentence).strings()]
@@ -249,8 +252,7 @@ class CrfTagger(_NeuralTagger):
 
     def predict_labels(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
         tape = Tape(self.params)
-        emissions = self.emissions(tape, sentence, contextual=contextual)
-        scores = np.stack([e.value for e in emissions])
+        scores = self.emissions(tape, sentence, contextual=contextual).value
         path = viterbi(scores, self.params["crf.trans"])
         return [self.alphabet.string_of(i) for i in path]
 
@@ -289,25 +291,25 @@ class Seq2seqTagger(_NeuralTagger):
         # extra label-table row embeds the beginning-of-sentence "previous label"
         self.bos_id = len(components)
         if rng is not None:
-            self._register(rng)
+            self._register(self.params, rng)
 
-    def _register(self, rng: np.random.Generator) -> None:
-        self._register_encoder(rng)
+    def _register(self, params, rng: np.random.Generator | None) -> None:
+        self._register_encoder(params, rng)
         cfg = self.config
         n_out = len(self.components)
         enc_out = 2 * cfg.hidden_dim
         d = cfg.decoder_dim
-        self.params.uniform("dec.labels", (n_out + 1, cfg.label_embed_dim), rng, cfg.label_embed_dim)
-        self.params.uniform("dec.wx", (enc_out + cfg.label_embed_dim, 4 * d), rng)
-        self.params.uniform("dec.wh", (d, 4 * d), rng)
-        bias = self.params.zeros("dec.b", (4 * d,))
+        params.uniform("dec.labels", (n_out + 1, cfg.label_embed_dim), rng, cfg.label_embed_dim)
+        params.uniform("dec.wx", (enc_out + cfg.label_embed_dim, 4 * d), rng)
+        params.uniform("dec.wh", (d, 4 * d), rng)
+        bias = params.zeros("dec.b", (4 * d,))
         bias[d : 2 * d] = 1.0
-        self.params.uniform("dec.init_h.w", (enc_out, d), rng)
-        self.params.zeros("dec.init_h.b", (d,))
-        self.params.uniform("dec.init_c.w", (enc_out, d), rng)
-        self.params.zeros("dec.init_c.b", (d,))
-        self.params.uniform("dec.out.w", (d, n_out), rng)
-        self.params.zeros("dec.out.b", (n_out,))
+        params.uniform("dec.init_h.w", (enc_out, d), rng)
+        params.zeros("dec.init_h.b", (d,))
+        params.uniform("dec.init_c.w", (enc_out, d), rng)
+        params.zeros("dec.init_c.b", (d,))
+        params.uniform("dec.out.w", (d, n_out), rng)
+        params.zeros("dec.out.b", (n_out,))
 
     def _init_state(self, tape: Tape, final_fw: Var, final_bw: Var) -> tuple[Var, Var]:
         cat = tape.concat([final_fw, final_bw])
@@ -315,23 +317,31 @@ class Seq2seqTagger(_NeuralTagger):
         c0 = tape.tanh(tape.affine(cat, tape.param("dec.init_c.w"), tape.param("dec.init_c.b")))
         return h0, c0
 
+    def _decoder_lstm(self, tape: Tape, x: Var, state: tuple[Var, Var]):
+        return tape.lstm(
+            x, tape.param("dec.wx"), tape.param("dec.wh"), tape.param("dec.b"), *state
+        )
+
     def _step(
         self,
         tape: Tape,
         state: tuple[Var, Var],
         t: int,
         prev_id: int,
-        enc_outputs: Sequence[Var],
+        enc_outputs: Var | Sequence[Var],
     ) -> tuple[Var, tuple[Var, Var]]:
-        """One decoder step attending only to encoder position ``t``."""
-        x = tape.concat([enc_outputs[t], tape.lookup("dec.labels", prev_id)])
-        h, c = lstm_cell(
-            tape, x, state[0], state[1],
-            tape.param("dec.wx"), tape.param("dec.wh"), tape.param("dec.b"),
-            self.config.decoder_dim,
-        )
-        logits = tape.affine(h, tape.param("dec.out.w"), tape.param("dec.out.b"))
-        return logits, (h, c)
+        """One decoder step attending only to encoder position ``t``.
+
+        ``enc_outputs`` is the (T, 2*hidden) encoder output or a list of its rows.
+        """
+        if isinstance(enc_outputs, Var):
+            enc_row = tape.gather(enc_outputs, t)
+        else:
+            enc_row = enc_outputs[t]
+        x = tape.concat([enc_row, tape.lookup("dec.labels", prev_id)])
+        _, state = self._decoder_lstm(tape, x, state)
+        logits = tape.affine(state[0], tape.param("dec.out.w"), tape.param("dec.out.b"))
+        return logits, state
 
     def step(
         self,
@@ -339,7 +349,7 @@ class Seq2seqTagger(_NeuralTagger):
         state: tuple[Var, Var],
         t: int,
         prev_id: int,
-        enc_outputs: Sequence[Var],
+        enc_outputs: Var | Sequence[Var],
     ) -> tuple[np.ndarray, tuple[Var, Var]]:
         """Distribution over components plus ``<eow>`` for one decode step."""
         logits, new_state = self._step(tape, state, t, prev_id, enc_outputs)
@@ -357,22 +367,32 @@ class Seq2seqTagger(_NeuralTagger):
         rng: np.random.Generator | None = None,
         contextual: np.ndarray | None = None,
     ) -> Var:
-        """Teacher-forced negative log-likelihood of the gold component stream."""
+        """Teacher-forced negative log-likelihood of the gold component stream.
+
+        Every decoder input (the encoder row under the pointer and the
+        previous gold label's embedding) is known in advance, so the whole
+        stream is one decoder LSTM call.
+        """
         enc_outputs, final_fw, final_bw = self._encode(
             tape, sentence, lookup_forms, dropout, rng, contextual
         )
         state = self._init_state(tape, final_fw, final_bw)
-        t = 0
-        prev = self.bos_id
-        losses = []
+        targets, pointers, prev_ids = [], [], []
+        t, prev = 0, self.bos_id
         for symbol in self.gold_stream(sentence):
             symbol_id = self.components.id_of(symbol)
-            logits, state = self._step(tape, state, t, prev, enc_outputs)
-            losses.append(tape.softmax_cross_entropy(logits, symbol_id))
+            targets.append(symbol_id)
+            pointers.append(t)
+            prev_ids.append(prev)
             prev = symbol_id
             if symbol == EOW:
                 t += 1
-        return tape.add_n(losses)
+        x = tape.concat(
+            [tape.gather(enc_outputs, pointers), tape.lookup("dec.labels", prev_ids)]
+        )
+        hidden, _ = self._decoder_lstm(tape, x, state)
+        logits = tape.affine(hidden, tape.param("dec.out.w"), tape.param("dec.out.b"))
+        return tape.softmax_cross_entropy(logits, targets)
 
     def predict_stream(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
         """Greedy decode; bounded by n * (max_components_per_token + 1) steps."""
@@ -452,44 +472,73 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
         handle.write("\n")
 
 
+_ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "parameters")
+
+
+def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
+    """The model an envelope describes, with no parameters registered yet."""
+    kind = envelope["model_kind"]
+    vocab = _vocab_from_dict(envelope["vocabulary"])
+    config = dict(envelope["config"])
+    config["embedding"] = EmbeddingConfig(**config["embedding"])
+    if config["embedding"].pretrained_dim and pretrained is None:
+        raise ModelFormatError(
+            "model was trained with pretrained vectors; supply the same table to load it"
+        )
+    if kind == "crf":
+        alphabet = LabelAlphabet(tuple(envelope["alphabets"]["labels"]))
+        return CrfTagger(CrfConfig(**config), vocab, alphabet, pretrained=pretrained, dtype=dtype)
+    if kind == "seq2seq":
+        alphabet = LabelAlphabet(tuple(envelope["alphabets"]["components"]))
+        return Seq2seqTagger(
+            Seq2seqConfig(**config), vocab, alphabet, pretrained=pretrained, dtype=dtype
+        )
+    raise ModelFormatError(f"unknown model_kind {kind!r}")
+
+
 def load_model(
     path: str | Path,
     pretrained: PretrainedTable | None = None,
     dtype=np.float64,
 ) -> CrfTagger | Seq2seqTagger:
+    """Read a checkpoint written by :func:`save_model`.
+
+    The stored parameters must be exactly those a fresh model of the stored
+    kind and config registers, with the same shapes. A missing envelope key
+    or a missing, extra, wrongly shaped or non-finite parameter raises
+    :class:`ModelFormatError`.
+    """
     with open(path, encoding="utf-8") as handle:
         envelope = json.load(handle)
+    if not isinstance(envelope, dict):
+        raise ModelFormatError(f"{path}: not a model checkpoint")
     version = envelope.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format_version {version!r}")
-    kind = envelope["model_kind"]
-    vocab = _vocab_from_dict(envelope["vocabulary"])
-    embedding = EmbeddingConfig(**envelope["config"]["embedding"])
-    if embedding.pretrained_dim and pretrained is None:
-        raise ModelFormatError(
-            "model was trained with pretrained vectors; supply the same table to load it"
-        )
-    if kind == "crf":
-        config = CrfConfig(embedding=embedding, hidden_dim=envelope["config"]["hidden_dim"])
-        model = CrfTagger(
-            config, vocab, LabelAlphabet(tuple(envelope["alphabets"]["labels"])),
-            pretrained=pretrained, dtype=dtype,
-        )
-    elif kind == "seq2seq":
-        cfg = envelope["config"]
-        config = Seq2seqConfig(
-            embedding=embedding,
-            hidden_dim=cfg["hidden_dim"],
-            decoder_dim=cfg["decoder_dim"],
-            label_embed_dim=cfg["label_embed_dim"],
-            max_components_per_token=cfg["max_components_per_token"],
-        )
-        model = Seq2seqTagger(
-            config, vocab, LabelAlphabet(tuple(envelope["alphabets"]["components"])),
-            pretrained=pretrained, dtype=dtype,
-        )
-    else:
-        raise ModelFormatError(f"unknown model_kind {kind!r}")
-    for name, entry in envelope["parameters"].items():
-        model.params.add(name, _decode_array(entry, dtype))
+    for key in _ENVELOPE_KEYS:
+        if key not in envelope:
+            raise ModelFormatError(f"{path}: checkpoint has no {key!r}")
+    try:
+        model = _unloaded_model(envelope, pretrained, dtype)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelFormatError(f"{path}: malformed checkpoint envelope ({exc!r})") from exc
+    expected = model.parameter_shapes()
+    stored = envelope["parameters"]
+    for name in expected:
+        if name not in stored:
+            raise ModelFormatError(f"{path}: parameter {name!r} is missing")
+    for name in stored:
+        if name not in expected:
+            raise ModelFormatError(f"{path}: unexpected parameter {name!r}")
+    for name, shape in expected.items():
+        entry = stored[name]
+        try:
+            if tuple(entry["shape"]) != shape:
+                raise ModelFormatError(
+                    f"{path}: parameter {name!r} has shape {entry['shape']}, "
+                    f"expected {list(shape)}"
+                )
+            model.params.add(name, _decode_array(entry, dtype))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: parameter {name!r}: {exc}") from exc
     return model

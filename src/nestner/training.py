@@ -84,15 +84,25 @@ class LazyAdam:
         self.step_count = 0
 
     def _apply(self, target: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
+        # in place through one scratch array; the same arithmetic as
+        # m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
+        # target -= lr * m_hat / (sqrt(v_hat) + eps)
         cfg = self.config
         t = self.step_count
+        scratch = (1.0 - cfg.beta1) * g
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - cfg.beta2
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        target -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        v += scratch
+        np.divide(v, 1.0 - cfg.beta2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += cfg.epsilon
+        update = m / (1.0 - cfg.beta1**t)
+        update *= cfg.learning_rate
+        update /= scratch
+        target -= update
 
     def step(self, grads: Gradients) -> None:
         """One update. Rejects the whole step if any gradient is non-finite."""
@@ -208,6 +218,33 @@ def _batches(
     return [chunks[i] for i in chunk_order]
 
 
+def _train_batch(
+    model, adam: LazyAdam, batch: list, regularization: RegularizationConfig, rng
+) -> float:
+    """One optimizer step on the mean loss of ``batch``; returns the summed loss.
+
+    The batch's graph is local to this call, so it is freed on return,
+    before the next batch's forward pass starts.
+    """
+    tape = Tape(model.params)
+    losses = []
+    for sentence, contextual in batch:
+        lookup_forms = word_dropout(sentence.forms(), regularization.word_dropout_rate, rng)
+        losses.append(
+            model.loss(
+                tape,
+                sentence,
+                lookup_forms=lookup_forms,
+                dropout=regularization.dropout_rate,
+                rng=rng,
+                contextual=contextual,
+            )
+        )
+    batch_loss = tape.scale(tape.add_n(losses), 1.0 / len(losses))
+    adam.step(tape.backward(batch_loss))
+    return float(sum(l.value for l in losses))
+
+
 def evaluate_model(model, corpus: TaggedCorpus) -> float:
     """Strict micro F1 of the model's predictions over a corpus."""
     gold = []
@@ -259,25 +296,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         total_loss = 0.0
         for batch in _batches(items, config.batch_size, rng):
-            tape = Tape(model.params)
-            losses = []
-            for sentence, contextual in batch:
-                lookup_forms = word_dropout(
-                    sentence.forms(), regularization.word_dropout_rate, rng
-                )
-                losses.append(
-                    model.loss(
-                        tape,
-                        sentence,
-                        lookup_forms=lookup_forms,
-                        dropout=regularization.dropout_rate,
-                        rng=rng,
-                        contextual=contextual,
-                    )
-                )
-            total_loss += float(sum(l.value for l in losses))
-            batch_loss = tape.scale(tape.add_n(losses), 1.0 / len(losses))
-            adam.step(tape.backward(batch_loss))
+            total_loss += _train_batch(model, adam, batch, regularization, rng)
         record = {"epoch": epoch, "train_loss": total_loss / len(items)}
         if dev is not None:
             f1 = evaluate_model(model, dev)

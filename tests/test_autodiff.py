@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nestner.autodiff import (
-    Gradients,
-    Parameters,
-    Tape,
-    dropout_mask,
-    grad_check,
-    gru_cell,
-    lstm_cell,
-)
+from nestner.autodiff import Gradients, Parameters, Tape, dropout_mask, grad_check
 
 
 def make_params(entries, seed=0):
@@ -142,30 +134,69 @@ class TestBackward:
         assert run() == run()
 
 
+def _lstm_loss(t, reverse=False):
+    out, (h, c) = t.lstm(
+        t.param("s43"), t.param("wx38"), t.param("wh28"), t.param("b8"),
+        t.param("h2"), t.param("c2"), reverse=reverse,
+    )
+    return t.add(t.sum(t.tanh(out)), t.logsumexp(t.concat([h, c])))
+
+
+def _gru_loss(t, reverse=False):
+    h = t.gru(
+        t.param("s43"), t.param("wx36"), t.param("wh26"), t.param("b6"), t.param("h2"),
+        reverse=reverse,
+    )
+    return t.logsumexp(h)
+
+
 OP_CASES = {
     "add": lambda t, p: t.sum(t.add(t.param("a3"), t.param("b3"))),
     "add_n": lambda t, p: t.sum(t.add_n([t.param("a3"), t.param("b3"), t.param("a3")])),
     "sub": lambda t, p: t.sum(t.sub(t.param("a3"), t.param("b3"))),
     "mul": lambda t, p: t.sum(t.mul(t.param("a3"), t.param("b3"))),
     "scale": lambda t, p: t.sum(t.scale(t.param("a3"), -2.5)),
-    "add_const": lambda t, p: t.sum(t.add_const(t.param("a3"), 0.7)),
     "matvec": lambda t, p: t.sum(t.matvec(t.param("a3"), t.param("m34"))),
+    "matvec_rows": lambda t, p: t.sum(t.tanh(t.matvec(t.param("m33"), t.param("m34")))),
     "affine": lambda t, p: t.sum(t.affine(t.param("a3"), t.param("m34"), t.param("b4"))),
+    "affine_rows": lambda t, p: t.sum(
+        t.tanh(t.affine(t.param("m33"), t.param("m34"), t.param("b4")))
+    ),
+    "affine_shared_weight": lambda t, p: t.sum(t.tanh(t.add(
+        t.affine(t.param("a3"), t.param("m34"), t.param("b4")),
+        t.affine(t.param("b3"), t.param("m34"), t.param("b4")),
+    ))),
     "tanh": lambda t, p: t.sum(t.tanh(t.param("a3"))),
     "sigmoid": lambda t, p: t.sum(t.sigmoid(t.param("a3"))),
     "concat": lambda t, p: t.logsumexp(t.concat([t.param("a3"), t.param("b3")])),
-    "narrow": lambda t, p: t.sum(t.narrow(t.param("b4"), 1, 3)),
-    "row": lambda t, p: t.sum(t.row(t.param("m34"), 1)),
-    "col": lambda t, p: t.sum(t.col(t.param("m34"), 2)),
-    "block": lambda t, p: t.sum(t.block(t.param("m34"), 0, 2, 1, 3)),
-    "pick": lambda t, p: t.pick(t.param("a3"), 2),
-    "pick2": lambda t, p: t.pick2(t.param("m34"), 2, 1),
+    "concat_rows": lambda t, p: t.sum(t.tanh(t.concat([t.param("m33"), t.param("m34")]))),
+    "stack": lambda t, p: t.sum(t.tanh(t.stack([t.param("a3"), t.param("b3"), t.param("a3")]))),
+    "gather": lambda t, p: t.sum(t.tanh(t.gather(t.param("m34"), [2, 0, 2]))),
+    "gather_row": lambda t, p: t.logsumexp(t.gather(t.param("m34"), 1)),
     "sum": lambda t, p: t.sum(t.param("m34_flat")),
     "logsumexp": lambda t, p: t.logsumexp(t.param("a3")),
     "softmax_cross_entropy": lambda t, p: t.softmax_cross_entropy(t.param("b4"), 2),
+    "softmax_cross_entropy_rows": lambda t, p: t.softmax_cross_entropy(
+        t.param("m34"), [2, 0, 3]
+    ),
     "dropout": lambda t, p: t.sum(t.dropout(t.param("a3"), p)),
     "crf_step": lambda t, p: t.sum(t.crf_step(t.param("a3"), t.param("m33"))),
+    "crf_nll": lambda t, p: t.crf_nll(t.param("m34"), t.param("m66"), [1, 3, 1]),
+    "crf_nll_one_token": lambda t, p: t.crf_nll(t.gather(t.param("m34"), [2]), t.param("m66"), [0]),
+    "crf_nll_repeated_transition": lambda t, p: t.crf_nll(
+        t.gather(t.param("m34"), [0, 1, 0, 2, 1]), t.param("m66"), [2, 2, 2, 1, 1]
+    ),
+    "crf_log_partition": lambda t, p: t.crf_nll(t.param("m34"), t.param("m66")),
     "lookup": lambda t, p: t.logsumexp(t.lookup("m34", 1)),
+    "lookup_rows": lambda t, p: t.sum(t.tanh(t.lookup("m34", [1, 2, 1]))),
+    "lstm": lambda t, p: _lstm_loss(t),
+    "lstm_reverse": lambda t, p: _lstm_loss(t, reverse=True),
+    "lstm_cell_state_only": lambda t, p: t.logsumexp(
+        t.lstm(t.param("a3"), t.param("wx38"), t.param("wh28"), t.param("b8"))[1][1]
+    ),
+    "gru": lambda t, p: _gru_loss(t),
+    "gru_reverse": lambda t, p: _gru_loss(t, reverse=True),
+    "gru_shared_weights": lambda t, p: t.add(_gru_loss(t), _gru_loss(t, reverse=True)),
 }
 
 
@@ -181,18 +212,46 @@ def test_operator_gradients_match_fd_20_seeds(name):
         params.add("m34", rng.standard_normal((3, 4)))
         params.add("m33", rng.standard_normal((3, 3)))
         params.add("m34_flat", rng.standard_normal(12))
+        for extra, shape in (
+            ("m66", (6, 6)), ("s43", (4, 3)), ("wx38", (3, 8)), ("wh28", (2, 8)), ("b8", (8,)),
+            ("wx36", (3, 6)), ("wh26", (2, 6)), ("b6", (6,)), ("h2", (2,)), ("c2", (2,)),
+        ):
+            params.add(extra, rng.standard_normal(shape))
         report = grad_check(lambda t: OP_CASES[name](t, mask), params)
         assert report.passed, f"{name} seed {seed}:\n{report}"
         assert max(report.max_rel_err.values()) < 1e-4
 
 
+def _reference_lstm(xs, wx, wh, b, h, c):
+    """Step-by-step numpy LSTM: the fused op's definition."""
+    hidden = wh.shape[0]
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
+    out = []
+    for x in xs:
+        pre = x @ wx + b + h @ wh
+        i, f = sig(pre[:hidden]), sig(pre[hidden : 2 * hidden])
+        g, o = np.tanh(pre[2 * hidden : 3 * hidden]), sig(pre[3 * hidden :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out.append(h)
+    return np.array(out), h, c
+
+
+def _reference_gru(xs, wx, wh, b, h):
+    hidden = wh.shape[0]
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
+    for x in xs:
+        px, ph = x @ wx + b, h @ wh
+        z = sig(px[:hidden] + ph[:hidden])
+        r = sig(px[hidden : 2 * hidden] + ph[hidden : 2 * hidden])
+        n = np.tanh(px[2 * hidden :] + r * ph[2 * hidden :])
+        h = z * h + (1.0 - z) * n
+    return h
+
+
 class TestRecurrentCells:
-    def _lstm_params(self, input_dim, hidden, seed):
-        return make_params(
-            [("wx", (input_dim, 4 * hidden)), ("wh", (hidden, 4 * hidden)), ("b", (4 * hidden,)),
-             ("x0", (input_dim,)), ("x1", (input_dim,)), ("x2", (input_dim,))],
-            seed=seed,
-        )
+    def _params(self, entries, seed):
+        return make_params(entries + [("xs", (4, 3)), ("h", (2,)), ("c", (2,))], seed=seed)
 
     def test_lstm_zero_weights_zero_state_fixed_point(self):
         params = Parameters()
@@ -200,25 +259,42 @@ class TestRecurrentCells:
         params.zeros("wh", (2, 8))
         params.zeros("b", (8,))
         tape = Tape(params)
-        zero = tape.const(np.zeros(2))
-        h, c = lstm_cell(tape, tape.const([1.0, -1.0]), zero, zero,
-                         tape.param("wx"), tape.param("wh"), tape.param("b"), 2)
+        out, (h, c) = tape.lstm(
+            tape.const([1.0, -1.0]), tape.param("wx"), tape.param("wh"), tape.param("b")
+        )
+        np.testing.assert_array_equal(out.value, np.zeros((1, 2)))
         np.testing.assert_array_equal(h.value, np.zeros(2))
         np.testing.assert_array_equal(c.value, np.zeros(2))
 
     def test_lstm_three_step_chain_matches_fd(self):
-        params = self._lstm_params(3, 2, seed=11)
+        params = make_params(
+            [("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)),
+             ("x0", (3,)), ("x1", (3,)), ("x2", (3,))],
+            seed=11,
+        )
 
         def loss_fn(tape):
-            h = tape.const(np.zeros(2))
-            c = tape.const(np.zeros(2))
-            wx, wh, b = tape.param("wx"), tape.param("wh"), tape.param("b")
-            for i in range(3):
-                h, c = lstm_cell(tape, tape.param(f"x{i}"), h, c, wx, wh, b, 2)
+            xs = tape.stack([tape.param(f"x{i}") for i in range(3)])
+            _, (h, _) = tape.lstm(xs, tape.param("wx"), tape.param("wh"), tape.param("b"))
             return tape.logsumexp(h)
 
         report = grad_check(loss_fn, params, epsilon=1e-5, tolerance=1e-4)
         assert report.passed, str(report)
+
+    def test_lstm_matches_stepwise_reference(self):
+        p = self._params([("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,))], seed=4)
+        tape = Tape(p)
+        args = [tape.param(n) for n in ("xs", "wx", "wh", "b", "h", "c")]
+        out, (h, c) = tape.lstm(*args)
+        ref_out, ref_h, ref_c = _reference_lstm(p["xs"], p["wx"], p["wh"], p["b"], p["h"], p["c"])
+        np.testing.assert_allclose(out.value, ref_out, atol=1e-12)
+        np.testing.assert_allclose(h.value, ref_h, atol=1e-12)
+        np.testing.assert_allclose(c.value, ref_c, atol=1e-12)
+        back, (h_back, c_back) = tape.lstm(*args, reverse=True)
+        ref_back, ref_h, ref_c = _reference_lstm(p["xs"][::-1], p["wx"], p["wh"], p["b"], p["h"], p["c"])
+        np.testing.assert_allclose(back.value, ref_back[::-1], atol=1e-12)
+        np.testing.assert_allclose(h_back.value, ref_h, atol=1e-12)
+        np.testing.assert_allclose(c_back.value, ref_c, atol=1e-12)
 
     def test_gru_three_step_chain_matches_fd(self):
         params = make_params(
@@ -228,14 +304,22 @@ class TestRecurrentCells:
         )
 
         def loss_fn(tape):
-            h = tape.const(np.zeros(2))
-            wx, wh, b = tape.param("wx"), tape.param("wh"), tape.param("b")
-            for i in range(3):
-                h = gru_cell(tape, tape.param(f"x{i}"), h, wx, wh, b, 2)
-            return tape.logsumexp(h)
+            xs = tape.stack([tape.param(f"x{i}") for i in range(3)])
+            return tape.logsumexp(tape.gru(xs, tape.param("wx"), tape.param("wh"), tape.param("b")))
 
         report = grad_check(loss_fn, params, epsilon=1e-5, tolerance=1e-4)
         assert report.passed, str(report)
+
+    def test_gru_matches_stepwise_reference(self):
+        p = self._params([("wx", (3, 6)), ("wh", (2, 6)), ("b", (6,))], seed=6)
+        tape = Tape(p)
+        args = [tape.param(n) for n in ("xs", "wx", "wh", "b", "h")]
+        ref = _reference_gru(p["xs"], p["wx"], p["wh"], p["b"], p["h"])
+        np.testing.assert_allclose(tape.gru(*args).value, ref, atol=1e-12)
+        ref_back = _reference_gru(p["xs"][::-1], p["wx"], p["wh"], p["b"], p["h"])
+        np.testing.assert_allclose(tape.gru(*args, reverse=True).value, ref_back, atol=1e-12)
+        empty = tape.gru(tape.const(np.zeros((0, 3))), *args[1:4])
+        np.testing.assert_array_equal(empty.value, np.zeros(2))
 
     def test_gru_saturated_update_gate_keeps_state(self):
         hidden = 3
@@ -248,9 +332,33 @@ class TestRecurrentCells:
         params.add("b", bias)
         tape = Tape(params)
         h0 = tape.const(rng.standard_normal(hidden))
-        h1 = gru_cell(tape, tape.const(rng.standard_normal(2)), h0,
-                      tape.param("wx"), tape.param("wh"), tape.param("b"), hidden)
+        h1 = tape.gru(tape.const(rng.standard_normal((2, 2))),
+                      tape.param("wx"), tape.param("wh"), tape.param("b"), h0)
         np.testing.assert_allclose(h1.value, h0.value, atol=1e-9)
+
+
+class TestCrf:
+    def test_crf_nll_is_log_partition_minus_gold_score(self):
+        rng = np.random.default_rng(3)
+        emissions, trans = rng.standard_normal((4, 3)), rng.standard_normal((5, 5))
+        tape = Tape(Parameters())
+        e, a = tape.const(emissions), tape.const(trans)
+        path = [2, 0, 0, 1]
+        gold = trans[3, 2] + trans[2, 0] + trans[0, 0] + trans[0, 1] + trans[1, 4]
+        gold += sum(emissions[t, p] for t, p in enumerate(path))
+        log_z = float(tape.crf_nll(e, a).value)
+        assert float(tape.crf_nll(e, a, path).value) == pytest.approx(log_z - gold, abs=1e-12)
+
+    def test_log_partition_matches_chained_crf_steps(self):
+        rng = np.random.default_rng(8)
+        emissions, trans = rng.standard_normal((6, 4)) * 5, rng.standard_normal((6, 6)) * 5
+        tape = Tape(Parameters())
+        alpha = tape.const(emissions[0] + trans[4, :4])
+        for row in emissions[1:]:
+            alpha = tape.add(tape.crf_step(alpha, tape.const(trans[:4, :4])), tape.const(row))
+        chained = tape.logsumexp(tape.add(alpha, tape.const(trans[:4, 5])))
+        fused = tape.crf_nll(tape.const(emissions), tape.const(trans))
+        assert float(fused.value) == pytest.approx(float(chained.value), abs=1e-10)
 
 
 class TestGradCheckReport:

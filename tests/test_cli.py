@@ -261,6 +261,41 @@ class TestPipeline:
         assert len(first_line.split("\t")) == 4  # form, lemma, pos, predicted label
 
 
+class TestBadCheckpoints:
+    """A damaged checkpoint ends ``predict`` with exit 1 and names what is wrong."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        corpus = synthgrammar.generate(4, seed=3)
+        train_file = tmp_path / "train.conll"
+        write_conll(corpus, train_file)
+        model_file = tmp_path / "model.json"
+        assert run(
+            "train", "--train", str(train_file), "--model", "crf", "--save", str(model_file),
+            "--epochs", "1", "--hidden", "4", "--embed-dim", "4",
+            "--char-dim", "0", "--char-rnn-dim", "0",
+        ) == 0
+
+        def predict_after(damage):
+            envelope = json.loads(model_file.read_text(encoding="utf-8"))
+            damage(envelope)
+            model_file.write_text(json.dumps(envelope), encoding="utf-8")
+            return run(
+                "predict", "--model-file", str(model_file), "--input", str(train_file),
+                "--output", str(tmp_path / "pred.conll"),
+            )
+
+        return predict_after
+
+    def test_missing_vocabulary_exits_1(self, damaged, capsys):
+        assert damaged(lambda envelope: envelope.pop("vocabulary")) == 1
+        assert "'vocabulary'" in capsys.readouterr().err
+
+    def test_missing_transition_matrix_exits_1(self, damaged, capsys):
+        assert damaged(lambda envelope: envelope["parameters"].pop("crf.trans")) == 1
+        assert "'crf.trans'" in capsys.readouterr().err
+
+
 class TestDiagnostics:
     def test_roundtrip_command(self, capsys):
         assert run("roundtrip", "--max-len", "4", "--types", "2", "--max-mentions", "3") == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,36 @@ class TestSerialization:
         path.write_text(json.dumps(envelope))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda env: env.pop("alphabets"), "'alphabets'"),
+            (lambda env: env["config"].pop("hidden_dim"), "'enc.fw.wx' has shape [8, 24]"),
+            (lambda env: env["parameters"].pop("enc.fw.wh"), "'enc.fw.wh' is missing"),
+            (lambda env: env["parameters"].update(extra=env["parameters"]["crf.emit.b"]),
+             "unexpected parameter 'extra'"),
+            (lambda env: env["parameters"]["crf.emit.b"].update(shape=[1, 1]), "has shape [1, 1]"),
+            (lambda env: env["parameters"]["crf.emit.b"].update(data="AAAA"), "'crf.emit.b'"),
+        ],
+        ids=["no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data"],
+    )
+    def test_malformed_checkpoint_rejected(self, tmp_path, damage, message):
+        import json
+
+        path = tmp_path / "model.json"
+        save_model(build("crf"), path)
+        envelope = json.loads(path.read_text())
+        damage(envelope)
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
+    def test_expected_shapes_match_a_trained_model(self):
+        for kind in ("crf", "seq2seq"):
+            model = build(kind)
+            assert model.parameter_shapes() == {n: a.shape for n, a in model.params.items()}
 
 
 def test_softmax_matches_definition():

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import synthgrammar
 from conftest import mention
+from nestner import training
 from nestner.autodiff import Gradients, Parameters
 from nestner.core import NestnerError, Sentence, Token
 from nestner.corpus import UNK, TaggedCorpus, build_vocabulary, merge
@@ -246,3 +250,54 @@ class TestTrainLoop:
             regularization=RegularizationConfig(0.0, 0.5),
         )
         assert not np.array_equal(model.params["embed.form"][1], before)
+
+
+class TestTrainingArithmetic:
+    def test_one_epoch_train_loss_pinned_with_dropout(self):
+        """Two batches with dropout and word dropout on, from the char BiGRU
+        up: the epoch loss is pinned, so a rewrite of the model code cannot
+        change the training arithmetic or the random stream unnoticed."""
+        corpus = synthgrammar.generate(16, seed=31)
+        embedding = EmbeddingConfig(trainable_dim=8, char_dim=4, char_rnn_dim=4)
+        expected = {"crf": 11.00265731365553, "seq2seq": 20.45105783903494}
+        for kind, loss in expected.items():
+            model = build_model(
+                kind, corpus, embedding=embedding, hidden_dim=8, decoder_dim=8,
+                label_embed_dim=4, seed=5,
+            )
+            metrics = train(
+                model, corpus, TrainConfig(epochs=1, seed=9),
+                regularization=RegularizationConfig(0.5, 0.2),
+            )
+            assert metrics[0]["train_loss"] == pytest.approx(loss, rel=1e-9), kind
+
+    def test_finished_batch_graph_is_freed_without_gc(self, monkeypatch):
+        """Each batch's tape is unreachable once its step is done, with the
+        cyclic collector off: reference counting alone frees the graph."""
+        refs: list = []
+        alive_when_created: list = []
+
+        class WatchedTape(training.Tape):
+            def __init__(self, params):
+                alive_when_created.append(sum(ref() is not None for ref in refs))
+                super().__init__(params)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Tape", WatchedTape)
+        corpus = synthgrammar.generate(24, seed=3)
+        embedding = EmbeddingConfig(trainable_dim=4, char_dim=2, char_rnn_dim=2)
+        for kind in ("crf", "seq2seq"):
+            model = build_model(
+                kind, corpus, embedding=embedding, hidden_dim=4, decoder_dim=4,
+                label_embed_dim=2,
+            )
+            refs.clear()
+            alive_when_created.clear()
+            gc.disable()
+            try:
+                train(model, corpus, TrainConfig(epochs=1, seed=2))
+                alive_after = [ref() is not None for ref in refs]
+            finally:
+                gc.enable()
+            assert alive_when_created == [0, 0, 0], kind
+            assert alive_after == [False, False, False], kind
