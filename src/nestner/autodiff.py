@@ -164,6 +164,25 @@ def _acc_product(grads: _Partials, w: Var, x: np.ndarray, g: np.ndarray) -> None
     )
 
 
+def _log_matvec(v: np.ndarray, log_w: np.ndarray, exp_w: np.ndarray, w_max: np.ndarray):
+    """``log(exp(v) @ exp(log_w))`` for a vector ``v``: one matrix-vector
+    product in exp space, with ``exp_w = exp(log_w - w_max)`` shifted per
+    column. A column whose sum falls below ``tiny / eps``, where terms may
+    have underflowed, is recomputed as an exact logsumexp."""
+    m = v.max()
+    s = np.exp(v - m) @ exp_w
+    info = np.finfo(s.dtype)
+    low = s < info.tiny / info.eps
+    if not low.any():
+        return np.log(s) + (m + w_max)
+    out = np.empty_like(s)
+    out[~low] = np.log(s[~low]) + (m + w_max[~low])
+    scores = v[:, None] + log_w[:, low]
+    top = scores.max(axis=0)
+    out[low] = top + np.log(np.exp(scores - top).sum(axis=0))
+    return out
+
+
 def _add_row(table: dict[int, np.ndarray], row: int, g: np.ndarray) -> None:
     table[row] = g if row not in table else table[row] + g
 
@@ -296,12 +315,12 @@ class Tape:
         return self._new(a.value * k, back)
 
     def matvec(self, x: Var, w: Var) -> Var:
-        """x @ w with x (d,) or (T, d) and w (d, k)."""
-        assert w.value.ndim == 2 and x.shape[-1] == w.shape[0]
+        """(d,) @ (d, k) -> (k,)"""
+        assert x.value.ndim == 1 and w.value.ndim == 2 and x.shape[0] == w.shape[0]
 
         def back(g, grads):
-            _acc(grads, x, g @ w.value.T)
-            _acc_product(grads, w, x.value, g)
+            _acc(grads, x, w.value @ g)
+            _acc(grads, w, np.outer(x.value, g))
 
         return self._new(x.value @ w.value, back)
 
@@ -440,11 +459,14 @@ class Tape:
 
         ``emissions`` is (T, k) and ``trans`` (k+2, k+2): row k holds start
         transitions and column k+1 stop transitions. Each forward step is
-        one k x k matrix-vector product in exp space, shifted per column so
-        nothing overflows. Backward runs the backward algorithm and takes
-        the gradient from the marginals; the expected transition counts of
-        all steps are one (k, T) x (T, k) GEMM, so no per-token k x k
-        scores are kept.
+        one k x k matrix-vector product in exp space (:func:`_log_matvec`,
+        exact where terms underflow). Backward runs the backward algorithm
+        and takes the gradient from the marginals. The expected transition
+        counts of all steps are one (k, T) x (T, k) GEMM while the
+        transition block spans less than half the dtype's exponent range,
+        so that no factor of a count can overflow or underflow unnoticed;
+        wider blocks sum the k x k step marginals one step at a time. No
+        per-token k x k scores are kept.
         """
         e = emissions.value
         a = trans.value
@@ -456,8 +478,7 @@ class Tape:
         alpha = np.empty_like(e)
         alpha[0] = e[0] + a[k, :k]
         for t in range(1, n):
-            m = alpha[t - 1].max()
-            alpha[t] = np.log(np.exp(alpha[t - 1] - m) @ exp_cols) + (m + col_max) + e[t]
+            alpha[t] = _log_matvec(alpha[t - 1], inner, exp_cols, col_max) + e[t]
         last = alpha[-1] + a[:k, k + 1]
         m = last.max()
         log_z = m + np.log(np.exp(last - m).sum())
@@ -471,28 +492,30 @@ class Tape:
 
         def back(g, grads):
             row_max = inner.max(axis=1)
-            exp_rows = np.exp(inner - row_max[:, None])
+            exp_rows_t = np.exp(inner.T - row_max)
             beta = np.empty_like(alpha)
             beta[-1] = a[:k, k + 1]
             for t in range(n - 2, -1, -1):
-                v = e[t + 1] + beta[t + 1]
-                m = v.max()
-                beta[t] = np.log(exp_rows @ np.exp(v - m)) + (m + row_max)
+                beta[t] = _log_matvec(e[t + 1] + beta[t + 1], inner.T, exp_rows_t, row_max)
             d_e = np.exp(alpha + beta - log_z)
             d_a = np.zeros_like(a)
             d_a[k, :k] = d_e[0]
             d_a[:k, k + 1] = d_e[-1]
             if n > 1:
-                # sum_t exp(alpha[t-1, i] + inner[i, j] + v[t, j] - log_z), v = e + beta,
-                # with every factor shifted to at most 1
+                # sum_t exp(alpha[t-1, i] + inner[i, j] + v[t, j] - log_z), v = e + beta
                 prev = alpha[:-1]
                 nxt = e[1:] + beta[1:]
-                m_prev = prev.max(axis=1, keepdims=True)
-                m_next = nxt.max(axis=1, keepdims=True)
-                shift = m_prev + m_next
-                top = shift.max()
-                counts = np.exp(prev - m_prev).T @ (np.exp(nxt - m_next) * np.exp(shift - top))
-                d_a[:k, :k] = np.exp(inner + (top - log_z)) * counts
+                if np.ptp(inner) < -0.5 * np.log(np.finfo(a.dtype).tiny):
+                    # every factor shifted to at most 1; the last is at most exp(ptp(inner))
+                    m_prev = prev.max(axis=1, keepdims=True)
+                    m_next = nxt.max(axis=1, keepdims=True)
+                    shift = m_prev + m_next
+                    top = shift.max()
+                    counts = np.exp(prev - m_prev).T @ (np.exp(nxt - m_next) * np.exp(shift - top))
+                    d_a[:k, :k] = np.exp(inner + (top - log_z)) * counts
+                else:
+                    for t in range(n - 1):
+                        d_a[:k, :k] += np.exp(prev[t][:, None] + inner + (nxt[t] - log_z))
             if path is not None:
                 d_e[np.arange(n), p] -= 1.0
                 d_a[k, p[0]] -= 1.0
@@ -597,17 +620,14 @@ class Tape:
         out, h_last, c_last = self._new_multi((hs[1:][order], hs[n], cs[n]), back)
         return out, (h_last, c_last)
 
-    def gru(
-        self, x: Var, wx: Var, wh: Var, b: Var, h0: Var | None = None, reverse: bool = False
-    ) -> Var:
-        """A GRU over the rows of ``x`` (T, d); returns the final state.
+    def gru(self, x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False) -> Var:
+        """A GRU over the rows of ``x`` (T, d) from a zero state; returns the final state.
 
         Gate layout along the 3*hidden axis is [update|reset|candidate] and
         h' = z*h + (1-z)*n, so a saturated update gate keeps the old state.
         The input projection is hoisted out of the recurrence and the weight
-        gradients are queued products, as in :meth:`lstm`. The state
-        starts at ``h0``, zeros when omitted; ``reverse`` reads the rows last
-        to first.
+        gradients are queued products, as in :meth:`lstm`. ``reverse`` reads
+        the rows last to first.
         """
         hidden = wh.shape[0]
         gates = slice(0, 2 * hidden)
@@ -618,8 +638,6 @@ class Tape:
         proj = xs @ wx.value + b.value
         dtype = proj.dtype
         hs = np.zeros((n + 1, hidden), dtype=dtype)
-        if h0 is not None:
-            hs[0] = h0.value.reshape(hidden)
         zr = np.empty((n, 2 * hidden), dtype=dtype)  # update | reset gates
         cands = np.empty((n, hidden), dtype=dtype)
         phs = np.empty((n, 3 * hidden), dtype=dtype)  # h @ wh at each step
@@ -658,8 +676,6 @@ class Tape:
             _acc_product(grads, wx, xs, d_rows)
             _acc_product(grads, wh, hs[:n], d_ph)
             _acc(grads, b, d_px.sum(axis=0))
-            if h0 is not None:
-                _acc(grads, h0, dh.reshape(h0.shape))
 
         return self._new(hs[n], back)
 
