@@ -9,9 +9,10 @@ over a sequence with a hand-written backward: the input projection is one
 GEMM ahead of the recurrence, and a weight's gradient is one ``Xᵀ·G``
 product over every sequence of a batch instead of one outer product per
 token. Calling
-:meth:`Tape.backward` on a scalar loss returns per-parameter gradients with
-row-level sparsity for embedding-table lookups, so the optimizer can skip
-rows that never appeared in a batch.
+:meth:`Tape.backward` on a scalar loss returns per-parameter gradients. A
+table read through :meth:`Tape.lookup` gets one row-sparse block, a
+:class:`RowGradient` of its sorted distinct row ids and their summed
+gradients, so the optimizer can skip rows that never appeared in a batch.
 
 Parameters must not be mutated while a tape built on them is still in use.
 """
@@ -82,39 +83,45 @@ class Parameters:
             np.copyto(arr, other._arrays[name])
 
 
+@dataclass(frozen=True)
+class RowGradient:
+    """The gradient of a table used via lookups: sorted distinct row ``ids``
+    and their summed gradients ``values``, one row each."""
+
+    ids: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 class Gradients:
     """Per-parameter gradients of one backward pass.
 
     ``dense`` holds full-shape arrays for parameters used as whole tensors;
-    ``rows`` holds row-index maps for parameters used via lookups. Anything
-    absent from both was untouched and its gradient is exactly zero.
+    ``rows`` holds a :class:`RowGradient` for parameters used via lookups.
+    Anything absent from both was untouched and its gradient is exactly zero.
     """
 
     def __init__(self):
         self.dense: dict[str, np.ndarray] = {}
-        self.rows: dict[str, dict[int, np.ndarray]] = {}
+        self.rows: dict[str, RowGradient] = {}
 
     def touched(self, name: str) -> bool:
         return name in self.dense or name in self.rows
-
-    def touched_row_ids(self, name: str) -> list[int]:
-        return sorted(self.rows.get(name, ()))
 
     def materialize(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Full-shape gradient array (zeros where untouched)."""
         out = np.zeros(shape, dtype=dtype)
         if name in self.dense:
             out += self.dense[name]
-        for row, g in self.rows.get(name, {}).items():
-            out[row] += g
+        if name in self.rows:
+            out[self.rows[name].ids] += self.rows[name].values
         return out
 
     def nonfinite_names(self) -> list[str]:
-        bad = [name for name, g in self.dense.items() if not np.all(np.isfinite(g))]
-        for name, rows in self.rows.items():
-            if any(not np.all(np.isfinite(g)) for g in rows.values()):
-                bad.append(name)
-        return sorted(set(bad))
+        arrays = [*self.dense.items(), *((name, r.values) for name, r in self.rows.items())]
+        return sorted({name for name, g in arrays if not np.all(np.isfinite(g))})
 
 
 class Var:
@@ -183,10 +190,6 @@ def _log_matvec(v: np.ndarray, log_w: np.ndarray, exp_w: np.ndarray, w_max: np.n
     return out
 
 
-def _add_row(table: dict[int, np.ndarray], row: int, g: np.ndarray) -> None:
-    table[row] = g if row not in table else table[row] + g
-
-
 def _ids(rows) -> int | np.ndarray:
     return int(rows) if isinstance(rows, (int, np.integer)) else np.asarray(rows, dtype=np.intp)
 
@@ -204,8 +207,7 @@ class Tape:
         self.dtype = params.dtype
         self.nodes: list[Var] = []
         self._param_vars: dict[str, Var] = {}
-        self._lookup_vars: dict[tuple[str, int], Var] = {}
-        self._gathers: list[tuple[str, np.ndarray, Var]] = []
+        self._lookups: list[tuple[str, int | np.ndarray, Var]] = []
 
     def _new(self, value: np.ndarray, back: Callable | None) -> Var:
         var = Var(value, len(self.nodes), back)
@@ -258,14 +260,8 @@ class Tape:
         """Rows of a named table with a row-sparse gradient: one row as a
         vector for an int, a (len(rows), d) matrix for a sequence of ints."""
         ids = _ids(rows)
-        if isinstance(ids, int):
-            var = self._lookup_vars.get((name, ids))
-            if var is None:
-                var = self._new(self.params[name][ids], None)
-                self._lookup_vars[(name, ids)] = var
-            return var
         var = self._new(self.params[name][ids], None)
-        self._gathers.append((name, ids, var))
+        self._lookups.append((name, ids, var))
         return var
 
     # -------------------------------------------------------------- arithmetic
@@ -290,39 +286,11 @@ class Tape:
 
         return self._new(sum(v.value for v in items[1:]) + items[0].value, back)
 
-    def sub(self, a: Var, b: Var) -> Var:
-        assert a.shape == b.shape
-
-        def back(g, grads):
-            _acc(grads, a, g)
-            _acc(grads, b, -g)
-
-        return self._new(a.value - b.value, back)
-
-    def mul(self, a: Var, b: Var) -> Var:
-        assert a.shape == b.shape
-
-        def back(g, grads):
-            _acc(grads, a, g * b.value)
-            _acc(grads, b, g * a.value)
-
-        return self._new(a.value * b.value, back)
-
     def scale(self, a: Var, k: float) -> Var:
         def back(g, grads):
             _acc(grads, a, g * k)
 
         return self._new(a.value * k, back)
-
-    def matvec(self, x: Var, w: Var) -> Var:
-        """(d,) @ (d, k) -> (k,)"""
-        assert x.value.ndim == 1 and w.value.ndim == 2 and x.shape[0] == w.shape[0]
-
-        def back(g, grads):
-            _acc(grads, x, w.value @ g)
-            _acc(grads, w, np.outer(x.value, g))
-
-        return self._new(x.value @ w.value, back)
 
     def affine(self, x: Var, w: Var, b: Var) -> Var:
         """x @ w + b with x (d,) or (T, d), w (d, k), b (k,)."""
@@ -342,15 +310,6 @@ class Tape:
 
         def back(g, grads):
             _acc(grads, a, g * (1.0 - y * y))
-
-        return self._new(y, back)
-
-    def sigmoid(self, a: Var) -> Var:
-        # tanh form is overflow-safe for large negative inputs
-        y = 0.5 * (np.tanh(0.5 * a.value) + 1.0)
-
-        def back(g, grads):
-            _acc(grads, a, g * y * (1.0 - y))
 
         return self._new(y, back)
 
@@ -697,24 +656,19 @@ class Tape:
             g = partials.total(var)
             if g is not None:
                 grads.dense[name] = g
-        for (name, r), var in self._lookup_vars.items():
+        looked_up: dict[str, tuple[list, list]] = {}
+        for name, ids, var in self._lookups:
             g = partials.total(var)
             if g is not None:
-                _add_row(grads.rows.setdefault(name, {}), r, g)
-        gathered: dict[str, tuple[list, list]] = {}
-        for name, ids, var in self._gathers:
-            g = partials.total(var)
-            if g is not None and len(ids):
-                id_parts, g_parts = gathered.setdefault(name, ([], []))
-                id_parts.append(ids)
-                g_parts.append(g)
-        for name, (id_parts, g_parts) in gathered.items():
-            unique, inverse = np.unique(np.concatenate(id_parts), return_inverse=True)
-            summed = np.zeros((len(unique), g_parts[0].shape[1]), dtype=g_parts[0].dtype)
-            np.add.at(summed, inverse, np.concatenate(g_parts))
-            table = grads.rows.setdefault(name, {})
-            for r, g in zip(unique.tolist(), summed):
-                _add_row(table, r, g)
+                id_parts, g_parts = looked_up.setdefault(name, ([], []))
+                id_parts.append(np.reshape(ids, -1))
+                g_parts.append(g.reshape(-1, g.shape[-1]))
+        for name, (id_parts, g_parts) in looked_up.items():
+            ids, inverse = np.unique(np.concatenate(id_parts), return_inverse=True)
+            if len(ids):
+                values = np.zeros((len(ids), g_parts[0].shape[1]), dtype=g_parts[0].dtype)
+                np.add.at(values, inverse, np.concatenate(g_parts))
+                grads.rows[name] = RowGradient(ids, values)
         return grads
 
 

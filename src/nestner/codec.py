@@ -222,6 +222,14 @@ def _properly_nested(spans: tuple[tuple[int, int], ...]) -> bool:
     return True
 
 
+def _typed_spans(length: int, n_types: int) -> tuple[tuple[Token, ...], list[tuple[str, int, int]]]:
+    """Tokens of a ``length``-token sentence and every (type, start, end) over them."""
+    types = [chr(ord("A") + i) for i in range(n_types)]
+    tokens = tuple(Token(f"w{i}") for i in range(length))
+    spans = [(s, e) for s in range(length) for e in range(s + 1, length + 1)]
+    return tokens, [(t, s, e) for s, e in spans for t in types]
+
+
 def enumerate_nested_sentences(
     max_len: int,
     n_types: int = 2,
@@ -233,14 +241,22 @@ def enumerate_nested_sentences(
     sentence; mention sets of size 0 through ``max_mentions`` are produced.
     Exhaustive by construction, so suitable as a round-trip oracle.
     """
-    types = [chr(ord("A") + i) for i in range(n_types)]
     for length in range(1, max_len + 1):
-        tokens = tuple(Token(f"w{i}") for i in range(length))
-        spans = [(s, e) for s in range(length) for e in range(s + 1, length + 1)]
-        typed = [(t, s, e) for s, e in spans for t in types]
+        tokens, typed = _typed_spans(length, n_types)
         for size in range(0, max_mentions + 1):
             for combo in itertools.combinations(typed, size):
                 if not _properly_nested(tuple((s, e) for _, s, e in combo)):
                     continue
                 mentions = frozenset(Mention(t, Span(s, e)) for t, s, e in combo)
                 yield Sentence(tokens, mentions)
+
+
+def enumerate_crossing_pairs(length: int, n_types: int = 2) -> Iterator[Sentence]:
+    """Every sentence of ``length`` tokens holding one partially crossing pair
+    of mentions, drawn from ``n_types`` types over all spans. Such pairs are
+    encodable but outside the round-trip guarantee."""
+    tokens, typed = _typed_spans(length, n_types)
+    for combo in itertools.combinations(typed, 2):
+        mentions = frozenset(Mention(t, Span(s, e)) for t, s, e in combo)
+        if contains_partial_crossing(mentions):
+            yield Sentence(tokens, mentions)

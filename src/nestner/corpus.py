@@ -13,6 +13,7 @@ as ``TYPE START END`` triples joined by ``;``.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -78,6 +79,11 @@ class ColumnSpec:
     def has_label(self) -> bool:
         return "label" in self.names
 
+    @functools.cached_property
+    def token_indices(self) -> tuple[int | None, int | None, int | None]:
+        """Positions of the form, lemma and pos columns; None where absent."""
+        return (self.index("form"), self.index("lemma"), self.index("pos"))
+
 
 @dataclass(frozen=True)
 class TaggedCorpus:
@@ -133,6 +139,30 @@ def _read_blocks(path: str | Path) -> Iterator[tuple[int, list[tuple[int, list[s
         yield first, block
 
 
+def _parse_token(path: str | Path, lineno: int, fields: list[str], columns: ColumnSpec) -> Token:
+    """The token in one line's fields, which must fill every declared column."""
+    if len(fields) < len(columns):
+        raise CorpusError(
+            f"{path}:{lineno}: expected at least {len(columns)} tab-separated "
+            f"columns, found {len(fields)}"
+        )
+    form_i, lemma_i, pos_i = columns.token_indices
+    return Token(
+        form=fields[form_i],
+        lemma=fields[lemma_i] if lemma_i is not None else None,
+        pos=fields[pos_i] if pos_i is not None else None,
+    )
+
+
+def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -> list[str]:
+    """One line's fields in column order: ``_`` for a missing lemma or POS."""
+    fields = []
+    for name in columns.names:
+        value = label if name == "label" else getattr(token, name)
+        fields.append("_" if value is None else value)
+    return fields
+
+
 def _block_to_sentence(
     path: str | Path,
     sentence_index: int,
@@ -141,25 +171,11 @@ def _block_to_sentence(
     scheme: str,
     policy: codec.RepairPolicy,
 ) -> Sentence:
-    form_i = columns.index("form")
-    lemma_i = columns.index("lemma")
-    pos_i = columns.index("pos")
     label_i = columns.index("label")
     tokens: list[Token] = []
     labels: list[str] = []
     for lineno, fields in block:
-        if len(fields) < len(columns):
-            raise CorpusError(
-                f"{path}:{lineno}: expected at least {len(columns)} tab-separated "
-                f"columns, found {len(fields)}"
-            )
-        tokens.append(
-            Token(
-                form=fields[form_i],
-                lemma=fields[lemma_i] if lemma_i is not None else None,
-                pos=fields[pos_i] if pos_i is not None else None,
-            )
-        )
+        tokens.append(_parse_token(path, lineno, fields, columns))
         if label_i is not None:
             label = fields[label_i]
             if scheme == "bilou":  # BIO rows are validated during conversion below
@@ -207,26 +223,6 @@ def read_conll(
     return TaggedCorpus(tuple(sentences), source=str(path), scheme=scheme)
 
 
-def _sentence_rows(sentence: Sentence, columns: ColumnSpec, scheme: str) -> list[list[str]]:
-    labels = codec.encode(sentence).strings()
-    if scheme == "bio":
-        labels = bilou_to_bio(labels)
-    rows = []
-    for token, label in zip(sentence.tokens, labels):
-        fields = []
-        for name in columns.names:
-            if name == "form":
-                fields.append(token.form)
-            elif name == "lemma":
-                fields.append(token.lemma if token.lemma is not None else "_")
-            elif name == "pos":
-                fields.append(token.pos if token.pos is not None else "_")
-            else:
-                fields.append(label)
-        rows.append(fields)
-    return rows
-
-
 def write_conll(
     corpus: TaggedCorpus,
     path: str | Path,
@@ -239,36 +235,24 @@ def write_conll(
         for i, sentence in enumerate(corpus.sentences):
             if i:
                 handle.write("\n")
-            for fields in _sentence_rows(sentence, columns, corpus.scheme):
-                handle.write("\t".join(fields) + "\n")
+            labels = codec.encode(sentence).strings()
+            if corpus.scheme == "bio":
+                labels = bilou_to_bio(labels)
+            for token, label in zip(sentence.tokens, labels):
+                handle.write("\t".join(_token_fields(token, columns, label)) + "\n")
 
 
 def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCorpus:
     """Read a span file: token columns plus optional trailing mention lists."""
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
-    if columns.has_label:
-        raise ValueError("span files carry mention lists, not a label column")
-    form_i = columns.index("form")
-    lemma_i = columns.index("lemma")
-    pos_i = columns.index("pos")
+    _check_span_columns(columns)
     sentences = []
     for _, block in _read_blocks(path):
         tokens = []
         mentions: list[Mention] = []
         for lineno, fields in block:
-            if len(fields) < len(columns):
-                raise CorpusError(
-                    f"{path}:{lineno}: expected at least {len(columns)} columns, "
-                    f"found {len(fields)}"
-                )
-            tokens.append(
-                Token(
-                    form=fields[form_i],
-                    lemma=fields[lemma_i] if lemma_i is not None else None,
-                    pos=fields[pos_i] if pos_i is not None else None,
-                )
-            )
+            tokens.append(_parse_token(path, lineno, fields, columns))
             if len(fields) > len(columns) and fields[len(columns)]:
                 mentions.extend(_parse_span_list(path, lineno, fields[len(columns)]))
         unique = frozenset(mentions)
@@ -305,6 +289,11 @@ def _parse_span_list(path: str | Path, lineno: int, text: str) -> list[Mention]:
     return mentions
 
 
+def _check_span_columns(columns: ColumnSpec) -> None:
+    if columns.has_label:
+        raise ValueError("span files carry mention lists, not a label column")
+
+
 def write_spans(
     corpus: TaggedCorpus,
     path: str | Path,
@@ -312,6 +301,7 @@ def write_spans(
 ) -> None:
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
+    _check_span_columns(columns)
     with open(path, "w", encoding="utf-8") as handle:
         for i, sentence in enumerate(corpus.sentences):
             if i:
@@ -320,14 +310,7 @@ def write_spans(
             for mention in sorted(sentence.mentions, key=mention_sort_key):
                 starts.setdefault(mention.span.start, []).append(mention)
             for t, token in enumerate(sentence.tokens):
-                fields = []
-                for name in columns.names:
-                    if name == "form":
-                        fields.append(token.form)
-                    elif name == "lemma":
-                        fields.append(token.lemma if token.lemma is not None else "_")
-                    elif name == "pos":
-                        fields.append(token.pos if token.pos is not None else "_")
+                fields = _token_fields(token, columns)
                 if t in starts:
                     fields.append(
                         ";".join(
@@ -523,6 +506,8 @@ def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarra
                 values = [float(x) for x in line.split()]
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
+            if not np.all(np.isfinite(values)):
+                raise CorpusError(f"{path}:{lineno}: non-finite value")
             if dim is not None and len(values) != dim:
                 raise CorpusError(
                     f"{path}:{lineno}: expected {dim} values, found {len(values)}"

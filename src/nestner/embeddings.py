@@ -125,6 +125,8 @@ def load_pretrained(path: str | Path, expected_dim: int) -> PretrainedTable:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise PretrainedFormatError(f"{path}:{lineno}: non-numeric field") from exc
+            if not np.all(np.isfinite(vec)):
+                raise PretrainedFormatError(f"{path}:{lineno}: non-finite value")
             if word not in index:
                 index[word] = len(rows)
                 rows.append(vec)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -467,9 +468,16 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
         "vocabulary": _vocab_to_dict(model.vocab),
         "parameters": {name: _encode_array(arr) for name, arr in model.params.items()},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
-        handle.write("\n")
+    # written beside the destination, then renamed over it, so a failed
+    # write leaves the previous checkpoint whole
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+            handle.write("\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 _ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "parameters")

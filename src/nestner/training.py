@@ -31,17 +31,10 @@ class OptimizerError(NestnerError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-8
-    lazy: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -72,9 +65,13 @@ class TrainConfig:
 class LazyAdam:
     """Adam with bias correction by global step, skipping untouched rows.
 
-    With ``lazy=False`` every parameter's moments decay each step regardless
-    of whether it received gradient, matching plain Adam.
+    A table gradient's touched rows are read, updated and written back as
+    one block; every other row and its moments stay bit-identical.
     """
+
+    BETA1 = 0.9
+    BETA2 = 0.98
+    EPSILON = 1e-8
 
     def __init__(self, params: Parameters, config: OptimizerConfig | None = None):
         self.params = params
@@ -87,20 +84,20 @@ class LazyAdam:
         # in place through one scratch array; the same arithmetic as
         # m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
         # target -= lr * m_hat / (sqrt(v_hat) + eps)
-        cfg = self.config
+        b1, b2 = self.BETA1, self.BETA2
         t = self.step_count
-        scratch = (1.0 - cfg.beta1) * g
-        m *= cfg.beta1
+        scratch = (1.0 - b1) * g
+        m *= b1
         m += scratch
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - cfg.beta2
-        v *= cfg.beta2
+        scratch *= 1.0 - b2
+        v *= b2
         v += scratch
-        np.divide(v, 1.0 - cfg.beta2**t, out=scratch)
+        np.divide(v, 1.0 - b2**t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += cfg.epsilon
-        update = m / (1.0 - cfg.beta1**t)
-        update *= cfg.learning_rate
+        scratch += self.EPSILON
+        update = m / (1.0 - b1**t)
+        update *= self.config.learning_rate
         update /= scratch
         target -= update
 
@@ -110,18 +107,13 @@ class LazyAdam:
         if bad:
             raise OptimizerError(f"non-finite gradient for parameter {bad[0]}; step rejected")
         self.step_count += 1
-        if not self.config.lazy:
-            for name, arr in self.params.items():
-                g = grads.materialize(name, arr.shape, arr.dtype)
-                self._apply(arr, self.m[name], self.v[name], g)
-            return
         for name, g in grads.dense.items():
             self._apply(self.params[name], self.m[name], self.v[name], g)
-        for name, rows in grads.rows.items():
-            arr = self.params[name]
-            m, v = self.m[name], self.v[name]
-            for row in sorted(rows):
-                self._apply(arr[row], m[row], v[row], rows[row])
+        for name, block in grads.rows.items():
+            arr, m, v, ids = self.params[name], self.m[name], self.v[name], block.ids
+            rows, m_rows, v_rows = arr[ids], m[ids], v[ids]
+            self._apply(rows, m_rows, v_rows, block.values)
+            arr[ids], m[ids], v[ids] = rows, m_rows, v_rows
 
 
 def word_dropout(forms: Sequence[str], rate: float, rng: np.random.Generator) -> list[str]:

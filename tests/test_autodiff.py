@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nestner.autodiff import Gradients, Parameters, Tape, dropout_mask, grad_check
+from nestner.autodiff import Gradients, Parameters, RowGradient, Tape, dropout_mask, grad_check
 
 
 def make_params(entries, seed=0):
@@ -58,11 +58,6 @@ class TestForwardValues:
         out = tape.affine(x, tape.const(np.eye(3)), tape.const(np.zeros(3)))
         np.testing.assert_array_equal(out.value, x.value)
 
-    def test_sigmoid_saturates_safely(self):
-        tape = Tape(Parameters())
-        out = tape.sigmoid(tape.const([-1000.0, 0.0, 1000.0]))
-        np.testing.assert_allclose(out.value, [0.0, 0.5, 1.0], atol=1e-12)
-
     def test_softmax_cross_entropy_matches_manual(self):
         tape = Tape(Parameters())
         logits = np.array([0.3, -1.2, 2.0])
@@ -97,17 +92,22 @@ class TestBackward:
     def test_lookup_rows_tracked_sparsely(self):
         params = make_params([("table", (5, 3))])
         tape = Tape(params)
-        loss = tape.sum(tape.add(tape.lookup("table", 1), tape.lookup("table", 3)))
+        loss = tape.sum(tape.add(tape.lookup("table", 3), tape.lookup("table", 1)))
         grads = tape.backward(loss)
-        assert grads.touched_row_ids("table") == [1, 3]
+        np.testing.assert_array_equal(grads.rows["table"].ids, [1, 3])
+        np.testing.assert_array_equal(grads.rows["table"].values, np.ones((2, 3)))
+        assert len(grads.rows["table"]) == 2
         assert "table" not in grads.dense
 
     def test_repeated_lookup_accumulates(self):
         params = make_params([("table", (2, 2))])
         tape = Tape(params)
         row = tape.lookup("table", 0)
-        grads = tape.backward(tape.sum(tape.add(row, tape.lookup("table", 0))))
-        np.testing.assert_array_equal(grads.rows["table"][0], 2 * np.ones(2))
+        rows = tape.lookup("table", [1, 0])
+        loss = tape.add(tape.sum(tape.add(row, tape.lookup("table", 0))), tape.sum(rows))
+        grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads.rows["table"].ids, [0, 1])
+        np.testing.assert_array_equal(grads.rows["table"].values, [[3.0, 3.0], [1.0, 1.0]])
 
     def test_two_layer_net_matches_fd(self):
         params = make_params([("w1", (4, 3)), ("b1", (3,)), ("w2", (3, 2)), ("b2", (2,)), ("x", (4,))])
@@ -122,11 +122,11 @@ class TestBackward:
         assert max(report.max_rel_err.values()) < 1e-7
 
     def test_determinism_bit_identical(self):
-        params = make_params([("w", (6, 6)), ("x", (6,))], seed=9)
+        params = make_params([("w", (6, 6)), ("b", (6,)), ("x", (6,))], seed=9)
 
         def run():
             tape = Tape(params)
-            h = tape.tanh(tape.matvec(tape.param("x"), tape.param("w")))
+            h = tape.tanh(tape.affine(tape.param("x"), tape.param("w"), tape.param("b")))
             loss = tape.logsumexp(h)
             grads = tape.backward(loss)
             return float(loss.value), grads.dense["w"].tobytes()
@@ -150,10 +150,7 @@ def _gru_loss(t, reverse=False):
 OP_CASES = {
     "add": lambda t, p: t.sum(t.add(t.param("a3"), t.param("b3"))),
     "add_n": lambda t, p: t.sum(t.add_n([t.param("a3"), t.param("b3"), t.param("a3")])),
-    "sub": lambda t, p: t.sum(t.sub(t.param("a3"), t.param("b3"))),
-    "mul": lambda t, p: t.sum(t.mul(t.param("a3"), t.param("b3"))),
     "scale": lambda t, p: t.sum(t.scale(t.param("a3"), -2.5)),
-    "matvec": lambda t, p: t.sum(t.matvec(t.param("a3"), t.param("m34"))),
     "affine": lambda t, p: t.sum(t.affine(t.param("a3"), t.param("m34"), t.param("b4"))),
     "affine_rows": lambda t, p: t.sum(
         t.tanh(t.affine(t.param("m33"), t.param("m34"), t.param("b4")))
@@ -163,7 +160,6 @@ OP_CASES = {
         t.affine(t.param("b3"), t.param("m34"), t.param("b4")),
     ))),
     "tanh": lambda t, p: t.sum(t.tanh(t.param("a3"))),
-    "sigmoid": lambda t, p: t.sum(t.sigmoid(t.param("a3"))),
     "concat": lambda t, p: t.logsumexp(t.concat([t.param("a3"), t.param("b3")])),
     "concat_rows": lambda t, p: t.sum(t.tanh(t.concat([t.param("m33"), t.param("m34")]))),
     "stack": lambda t, p: t.sum(t.tanh(t.stack([t.param("a3"), t.param("b3"), t.param("a3")]))),
@@ -412,8 +408,9 @@ class TestGradCheckReport:
         assert "FAIL" in str(report)
 
     def test_linear_model_error_near_machine_precision(self):
-        params = make_params([("w", (4,))], seed=8)
-        report = grad_check(lambda t: t.sum(t.mul(t.param("w"), t.const(np.arange(4.0)))), params)
+        params = make_params([("w", (4, 1)), ("b", (1,))], seed=8)
+        x = np.arange(4.0)
+        report = grad_check(lambda t: t.sum(t.affine(t.const(x), t.param("w"), t.param("b"))), params)
         assert max(report.max_rel_err.values()) < 1e-9
 
 
@@ -422,11 +419,12 @@ class TestGradients:
         grads = Gradients()
         grads.dense["ok"] = np.ones(2)
         grads.dense["bad"] = np.array([1.0, np.nan])
-        grads.rows["worse"] = {0: np.array([np.inf])}
+        grads.rows["worse"] = RowGradient(np.array([0]), np.array([[np.inf]]))
+        grads.rows["fine"] = RowGradient(np.array([2]), np.array([[1.0]]))
         assert grads.nonfinite_names() == ["bad", "worse"]
 
     def test_materialize_combines_rows(self):
         grads = Gradients()
-        grads.rows["t"] = {1: np.array([1.0, 2.0])}
+        grads.rows["t"] = RowGradient(np.array([0, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
         out = grads.materialize("t", (3, 2))
-        np.testing.assert_array_equal(out, [[0, 0], [1, 2], [0, 0]])
+        np.testing.assert_array_equal(out, [[1, 2], [0, 0], [3, 4]])

@@ -176,6 +176,39 @@ class TestPipeline:
             "--pretrained", str(vec_file), "--pretrained-dim", "2",
         ) == 0
 
+    def test_non_finite_vector_files_exit_1_naming_the_file(self, tmp_path, capsys):
+        corpus = synthgrammar.generate(4, seed=9)
+        train_file = tmp_path / "train.conll"
+        write_conll(corpus, train_file)
+        forms = sorted({t.form for s in corpus for t in s.tokens})
+        vec_file, bad_vec = tmp_path / "vectors.txt", tmp_path / "bad-vectors.txt"
+        vec_file.write_text("".join(f"{f} {i}.0 1.0\n" for i, f in enumerate(forms)), "utf-8")
+        bad_vec.write_text("".join(f"{f} nan 1.0\n" for f in forms), "utf-8")
+        model_file = tmp_path / "model.json"
+        small = ("--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0")
+        assert run(
+            "train", "--train", str(train_file), "--save", str(model_file), "--epochs", "1",
+            "--pretrained", str(vec_file), "--pretrained-dim", "2", *small,
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "predict", "--model-file", str(model_file), "--input", str(train_file),
+            "--output", str(tmp_path / "pred.conll"),
+            "--pretrained", str(bad_vec), "--pretrained-dim", "2",
+        ) == 1
+        assert f"{bad_vec}:1: non-finite" in capsys.readouterr().err
+
+        ctx_file = tmp_path / "train.ctx"
+        rows = ["\n".join("0.5 -0.5" for _ in s.tokens) for s in corpus]
+        rows[1] = rows[1].replace("0.5 -0.5", "0.5 inf", 1)
+        ctx_file.write_text("\n\n".join(rows) + "\n", encoding="utf-8")
+        assert run(
+            "train", "--train", str(train_file), "--save", str(tmp_path / "ctx.json"),
+            "--epochs", "1", "--contextual", str(ctx_file), *small,
+        ) == 1
+        line = len(corpus.sentences[0].tokens) + 2
+        assert f"{ctx_file}:{line}: non-finite" in capsys.readouterr().err
+
     def test_float32_training(self, tmp_path):
         corpus = synthgrammar.generate(6, seed=10)
         train_file = tmp_path / "train.conll"

@@ -12,6 +12,7 @@ from nestner.codec import (
     contains_partial_crossing,
     decode,
     encode,
+    enumerate_crossing_pairs,
     enumerate_nested_sentences,
     flatten,
     unflatten,
@@ -181,3 +182,20 @@ class TestEnumeration:
                 overlap = a[0] < b[1] and b[0] < a[1]
                 nested = (a[0] <= b[0] and b[1] <= a[1]) or (b[0] <= a[0] and a[1] <= b[1])
                 assert not overlap or nested
+
+
+class TestCrossingPairs:
+    def test_one_crossing_pair_of_spans_at_length_three(self):
+        # spans (0,2) and (1,3) are the only crossing pair; two types give 4 typings
+        sentences = list(enumerate_crossing_pairs(3, 2))
+        assert len(sentences) == 4
+        for s in sentences:
+            assert len(s.tokens) == 3 and len(s.mentions) == 2
+            assert {(m.span.start, m.span.end) for m in s.mentions} == {(0, 2), (1, 3)}
+
+    def test_every_crossing_pair_once(self):
+        sentences = list(enumerate_crossing_pairs(5, 2))
+        sets = [s.mentions for s in sentences]
+        assert len(set(sets)) == len(sets) == 60
+        assert all(contains_partial_crossing(m) for m in sets)
+        assert not list(enumerate_crossing_pairs(2, 3))

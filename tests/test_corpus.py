@@ -113,6 +113,15 @@ class TestWriteConll:
         write_conll(corpus_of(s), out, columns="form,lemma,pos,label")
         assert out.read_text(encoding="utf-8") == "Court\tcourt\tNNP\tU-ORG\n"
 
+    def test_columns_in_any_order_with_placeholders(self, tmp_path):
+        s = Sentence((Token("Court", pos="NNP"), Token("x", lemma="ex")), frozenset({mention("ORG", 0, 1)}))
+        out = tmp_path / "mixed.conll"
+        write_conll(corpus_of(s), out, columns="pos,label,form,lemma")
+        assert out.read_text(encoding="utf-8") == "NNP\tU-ORG\tCourt\t_\n_\tO\tx\tex\n"
+        tokens = read_conll(out, columns="pos,label,form,lemma").sentences[0].tokens
+        assert tokens == (Token("Court", lemma="_", pos="NNP"), Token("x", lemma="ex", pos="_"))
+        assert read_conll(out, columns="lemma,label,form").sentences[0].tokens[1] == Token("x", lemma="_")
+
     def test_write_then_read_identity(self, tmp_path, court_sentence):
         out = tmp_path / "c.conll"
         write_conll(corpus_of(court_sentence), out)
@@ -253,6 +262,16 @@ class TestSpanFiles:
         write_spans(corpus_of(s), path)
         assert path.read_text(encoding="utf-8") == "a\tX 0 2;Y 0 1\nb\n"
 
+    def test_token_columns_with_placeholders(self, tmp_path):
+        s = Sentence((Token("a", pos="N"), Token("b")), frozenset({mention("X", 0, 2)}))
+        path = tmp_path / "spans.tsv"
+        write_spans(corpus_of(s), path, columns="pos,form")
+        assert path.read_text(encoding="utf-8") == "N\ta\tX 0 2\n_\tb\n"
+        tokens = read_spans(path, columns="pos,form").sentences[0].tokens
+        assert tokens == (Token("a", pos="N"), Token("b", pos="_"))
+        with pytest.raises(ValueError):
+            write_spans(corpus_of(s), path, columns="form,label")
+
     def test_duplicate_mentions_deduplicated_with_warning(self, tmp_path, caplog):
         path = tmp_path / "dup.tsv"
         path.write_text("a\tX 0 1;X 0 1\n", encoding="utf-8")
@@ -295,6 +314,13 @@ class TestContextual:
             attach_contextual(corpus, [np.zeros((3, 2))])
         attached = attach_contextual(corpus, [np.zeros((2, 2))])
         assert attached.contextual[0].shape == (2, 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "ctx.vec"
+        path.write_text(f"1 2\n\n3 {value}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"ctx\.vec:3: non-finite"):
+            read_contextual(path)
 
     def test_non_numeric_field(self, tmp_path):
         path = tmp_path / "ctx.vec"

@@ -59,6 +59,13 @@ class TestLoadPretrained:
         with pytest.raises(PretrainedFormatError):
             load_pretrained(path, 2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1.0 2.0\nb {value} 2.0\n", encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"vec\.txt:2: non-finite"):
+            load_pretrained(path, 2)
+
     def test_header_dim_mismatch(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("5 3\n", encoding="utf-8")

@@ -482,6 +482,26 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        first, second = build("crf", seed=3), build("crf", seed=4)
+        path = tmp_path / "model.json"
+        save_model(first, path)
+        saved = path.read_bytes()
+
+        def broken_dump(envelope, handle):
+            handle.write('{"format_version": ')
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr("nestner.models.json.dump", broken_dump)
+        with pytest.raises(RuntimeError):
+            save_model(second, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        loaded = load_model(path)
+        for name, arr in first.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr.astype("<f4").astype(np.float64))
+
     def test_expected_shapes_match_a_trained_model(self):
         for kind in ("crf", "seq2seq"):
             model = build(kind)

@@ -82,3 +82,34 @@ def test_traced_train_and_predict_record_every_model_layer(tracer, tmp_path):
     assert "CountingTape" not in autodiff.Tape.__name__
     assert models.crf_nll.__code__.co_name == "crf_nll"
     assert np.isfinite(recorder.spans[0].duration)
+
+
+def test_adam_rows_counts_the_distinct_table_rows_of_a_batch(tracer):
+    """One batch, no word dropout: the tracer's ``training.adam_rows`` is the
+    number of distinct form, char and (seq2seq) previous-label rows the
+    batch looked up, counted here from the ids themselves."""
+    corpus = synthgrammar.generate(6, seed=7)
+    embedding = EmbeddingConfig(trainable_dim=4, char_dim=2, char_rnn_dim=2)
+    for kind in ("crf", "seq2seq"):
+        model = training.build_model(
+            kind, corpus, embedding=embedding, hidden_dim=4, decoder_dim=4, label_embed_dim=2,
+        )
+        forms = {model.vocab.form_id(t.form) for s in corpus for t in s.tokens}
+        chars = {c for s in corpus for t in s.tokens for c in model.vocab.char_ids(t.form)}
+        labels = set()
+        if kind == "seq2seq":
+            for sentence in corpus:
+                stream = [model.components.id_of(x) for x in model.gold_stream(sentence)]
+                labels.update([model.bos_id, *stream[:-1]])
+        recorder = tracer.Tracer()
+        patches = tracer.install(recorder)
+        try:
+            with recorder.phase(kind):
+                training.train(
+                    model, corpus, training.TrainConfig(epochs=1, batch_size=8, seed=1),
+                    regularization=training.RegularizationConfig(0.5, 0.0),
+                )
+        finally:
+            tracer.restore(patches)
+        expected = len(forms) + len(chars) + len(labels)
+        assert recorder.counters[(kind, "training.adam_rows")] == expected, kind
