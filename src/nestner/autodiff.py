@@ -8,7 +8,8 @@ broadcasts beyond what its docstring says. The recurrent layers (:meth:`Tape.lst
 over a sequence with a hand-written backward: the input projection is one
 GEMM ahead of the recurrence, and a weight's gradient is one ``Xᵀ·G``
 product over every sequence of a batch instead of one outer product per
-token. Calling
+token. :meth:`Tape.gru` also takes packed sequences, which it advances
+together, one ``(n, hidden) @ wh`` product per step. Calling
 :meth:`Tape.backward` on a scalar loss returns per-parameter gradients. A
 table read through :meth:`Tape.lookup` gets one row-sparse block, a
 :class:`RowGradient` of its sorted distinct row ids and their summed
@@ -579,64 +580,100 @@ class Tape:
         out, h_last, c_last = self._new_multi((hs[1:][order], hs[n], cs[n]), back)
         return out, (h_last, c_last)
 
-    def gru(self, x: Var, wx: Var, wh: Var, b: Var, reverse: bool = False) -> Var:
-        """A GRU over the rows of ``x`` (T, d) from a zero state; returns the final state.
+    def gru(
+        self,
+        x: Var,
+        wx: Var,
+        wh: Var,
+        b: Var,
+        reverse: bool = False,
+        lengths: Sequence[int] | None = None,
+    ) -> Var:
+        """GRUs from a zero state over packed sequences; returns their final states.
 
-        Gate layout along the 3*hidden axis is [update|reset|candidate] and
+        ``lengths`` splits the rows of ``x`` (L, d) into consecutive
+        sequences, and the result is their (len(lengths), hidden) final
+        states, zeros for an empty one. Without ``lengths`` the rows are one
+        sequence and the result is its (hidden,) final state. Gate layout
+        along the 3*hidden axis is [update|reset|candidate] and
         h' = z*h + (1-z)*n, so a saturated update gate keeps the old state.
-        The input projection is hoisted out of the recurrence and the weight
-        gradients are queued products, as in :meth:`lstm`. ``reverse`` reads
-        the rows last to first.
+        The sequences advance together, longest first, so those still
+        running at step s are a prefix and each step is one
+        ``(n_s, hidden) @ wh`` product. The input projection is hoisted out
+        of the recurrence and the weight gradients are queued products, as
+        in :meth:`lstm`. ``reverse`` reads each sequence last row to first.
         """
         hidden = wh.shape[0]
         gates = slice(0, 2 * hidden)
         cand = slice(2 * hidden, 3 * hidden)
         xs = x.value.reshape(-1, wx.shape[0])
-        n = xs.shape[0]
-        order = np.arange(n)[::-1] if reverse else np.arange(n)
-        proj = xs @ wx.value + b.value
+        lens = np.array([len(xs)] if lengths is None else lengths, dtype=np.intp)
+        assert lens.sum() == len(xs) and (lens >= 0).all(), (lens, len(xs))
+        # packed positions run step by step; within a step, by descending length
+        by_len = np.argsort(-lens, kind="stable")
+        sorted_lens = lens[by_len]
+        step = np.arange(sorted_lens.max(initial=0))[:, None]
+        running = step < sorted_lens
+        starts = (np.cumsum(lens) - lens)[by_len]
+        rows = (starts + (sorted_lens - 1 - step if reverse else step))[running]
+        bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
+        alive = np.count_nonzero(sorted_lens)
+        last = bounds[sorted_lens[:alive] - 1] + np.arange(alive)
+        proj = (xs @ wx.value + b.value)[rows]
         dtype = proj.dtype
-        hs = np.zeros((n + 1, hidden), dtype=dtype)
-        zr = np.empty((n, 2 * hidden), dtype=dtype)  # update | reset gates
-        cands = np.empty((n, hidden), dtype=dtype)
-        phs = np.empty((n, 3 * hidden), dtype=dtype)  # h @ wh at each step
+        total = len(rows)
+        h_prev = np.zeros((total, hidden), dtype=dtype)  # the state each position reads
+        h_next = np.empty((total, hidden), dtype=dtype)  # the state it writes
+        zr = np.empty((total, 2 * hidden), dtype=dtype)  # update | reset gates
+        cands = np.empty((total, hidden), dtype=dtype)
+        phs = np.empty((total, 3 * hidden), dtype=dtype)  # h @ wh at each position
         w_h = wh.value
-        for s, row in enumerate(order):
-            p = proj[row]
-            ph = np.matmul(hs[s], w_h, out=phs[s])
-            gate = zr[s]
-            np.tanh(0.5 * (p[gates] + ph[gates]), out=gate)
+        for s in range(len(bounds) - 1):
+            lo, hi = bounds[s], bounds[s + 1]
+            if s:
+                h_prev[lo:hi] = h_next[bounds[s - 1] : bounds[s - 1] + hi - lo]
+            p = proj[lo:hi]
+            ph = np.matmul(h_prev[lo:hi], w_h, out=phs[lo:hi])
+            gate = zr[lo:hi]
+            np.tanh(0.5 * (p[:, gates] + ph[:, gates]), out=gate)
             gate += 1.0
             gate *= 0.5
-            np.tanh(p[cand] + gate[hidden:] * ph[cand], out=cands[s])
-            z = gate[:hidden]
-            np.multiply(z, hs[s], out=hs[s + 1])
-            hs[s + 1] += (1.0 - z) * cands[s]
+            np.tanh(p[:, cand] + gate[:, hidden:] * ph[:, cand], out=cands[lo:hi])
+            z = gate[:, :hidden]
+            np.multiply(z, h_prev[lo:hi], out=h_next[lo:hi])
+            h_next[lo:hi] += (1.0 - z) * cands[lo:hi]
+        final = np.zeros((len(lens), hidden), dtype=dtype)
+        final[by_len[:alive]] = h_next[last]
 
         def back(g, grads):
-            dh = g
+            dh_next = np.zeros((total, hidden), dtype=dtype)
+            dh_next[last] = g.reshape(-1, hidden)[by_len[:alive]]
             gate_deriv = zr * (1.0 - zr)
             cand_deriv = (1.0 - zr[:, :hidden]) * (1.0 - cands * cands)
-            keep_minus_cand = hs[:n] - cands
-            d_px = np.empty((n, 3 * hidden), dtype=dtype)
-            d_ph = np.empty((n, 3 * hidden), dtype=dtype)
+            keep_minus_cand = h_prev - cands
+            d_px = np.empty((total, 3 * hidden), dtype=dtype)
+            d_ph = np.empty((total, 3 * hidden), dtype=dtype)
             w_h_t = w_h.T
-            for s in range(n - 1, -1, -1):
-                dpx, dph = d_px[s], d_ph[s]
-                np.multiply(dh, cand_deriv[s], out=dpx[cand])
-                np.multiply(dpx[cand], zr[s, hidden:], out=dph[cand])
-                np.multiply(dh, keep_minus_cand[s], out=dpx[:hidden])
-                np.multiply(dpx[cand], phs[s, cand], out=dpx[hidden : 2 * hidden])
-                dpx[gates] *= gate_deriv[s]
-                dph[gates] = dpx[gates]
-                dh = dh * zr[s, :hidden] + dph @ w_h_t
-            d_rows = d_px[order]
+            for s in range(len(bounds) - 2, -1, -1):
+                lo, hi = bounds[s], bounds[s + 1]
+                dh, dpx, dph = dh_next[lo:hi], d_px[lo:hi], d_ph[lo:hi]
+                np.multiply(dh, cand_deriv[lo:hi], out=dpx[:, cand])
+                np.multiply(dpx[:, cand], zr[lo:hi, hidden:], out=dph[:, cand])
+                np.multiply(dh, keep_minus_cand[lo:hi], out=dpx[:, :hidden])
+                np.multiply(dpx[:, cand], phs[lo:hi, cand], out=dpx[:, hidden : 2 * hidden])
+                dpx[:, gates] *= gate_deriv[lo:hi]
+                dph[:, gates] = dpx[:, gates]
+                if s:
+                    prev = bounds[s - 1]
+                    dh_next[prev : prev + hi - lo] += dh * zr[lo:hi, :hidden] + dph @ w_h_t
+            d_rows = np.empty_like(d_px)
+            d_rows[rows] = d_px
             _acc(grads, x, (d_rows @ wx.value.T).reshape(x.shape))
             _acc_product(grads, wx, xs, d_rows)
-            _acc_product(grads, wh, hs[:n], d_ph)
+            _acc_product(grads, wh, h_prev, d_ph)
             _acc(grads, b, d_px.sum(axis=0))
 
-        return self._new(hs[n], back)
+        return self._new(final if lengths is not None else final[0], back)
 
     # ---------------------------------------------------------------- backward
 

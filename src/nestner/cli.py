@@ -161,22 +161,24 @@ def _load_pretrained_arg(args):
 
 
 def cmd_train(args) -> int:
+    if args.dev_contextual and not args.dev_path:
+        raise NestnerError("--dev-contextual needs --dev")
+    if args.dev_path and bool(args.contextual) != bool(args.dev_contextual):
+        raise NestnerError("with --dev, give both --contextual and --dev-contextual or neither")
     train_corpus = read_conll(args.train_path, columns=args.columns, scheme=args.scheme)
+    contextual_dim = 0
     if args.contextual:
-        train_corpus = corpus_io.attach_contextual(
-            train_corpus, read_contextual(args.contextual)
-        )
+        vectors = read_contextual(args.contextual)
+        train_corpus = corpus_io.attach_contextual(train_corpus, vectors)
+        contextual_dim = vectors[0].shape[1] if vectors else 0
     dev_corpus = None
     if args.dev_path:
         dev_corpus = read_conll(args.dev_path, columns=args.columns, scheme=args.scheme)
         if args.dev_contextual:
             dev_corpus = corpus_io.attach_contextual(
-                dev_corpus, read_contextual(args.dev_contextual)
+                dev_corpus, read_contextual(args.dev_contextual, dim=contextual_dim)
             )
     pretrained = _load_pretrained_arg(args)
-    contextual_dim = 0
-    if train_corpus.contextual is not None and len(train_corpus.contextual):
-        contextual_dim = train_corpus.contextual[0].shape[1]
     embedding = EmbeddingConfig(
         pretrained_dim=pretrained.dim if pretrained else 0,
         trainable_dim=args.embed_dim,
@@ -231,9 +233,19 @@ def cmd_predict(args) -> int:
     corpus = read_conll(args.input, columns=input_columns) if columns.has_label else read_spans(
         args.input, columns=token_columns
     )
-    contextual = read_contextual(args.contextual) if args.contextual else None
-    if contextual is not None:
-        corpus = corpus_io.attach_contextual(corpus, contextual)
+    contextual_dim = model.config.embedding.contextual_dim
+    if args.contextual and not contextual_dim:
+        raise NestnerError(
+            f"--contextual: {args.model_file} was trained without contextual vectors"
+        )
+    if contextual_dim and not args.contextual:
+        raise NestnerError(
+            f"{args.model_file} needs --contextual vectors of width {contextual_dim}"
+        )
+    if args.contextual:
+        corpus = corpus_io.attach_contextual(
+            corpus, read_contextual(args.contextual, dim=contextual_dim)
+        )
     predicted = []
     for i, sentence in enumerate(corpus.sentences):
         ctx = corpus.contextual[i] if corpus.contextual is not None else None

@@ -147,11 +147,14 @@ def _parse_token(path: str | Path, lineno: int, fields: list[str], columns: Colu
             f"columns, found {len(fields)}"
         )
     form_i, lemma_i, pos_i = columns.token_indices
-    return Token(
-        form=fields[form_i],
-        lemma=fields[lemma_i] if lemma_i is not None else None,
-        pos=fields[pos_i] if pos_i is not None else None,
-    )
+    try:
+        return Token(
+            form=fields[form_i],
+            lemma=fields[lemma_i] if lemma_i is not None else None,
+            pos=fields[pos_i] if pos_i is not None else None,
+        )
+    except ValueError as exc:
+        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -> list[str]:
@@ -486,7 +489,10 @@ def build_vocabulary(corpus: TaggedCorpus, min_freq: int = 1) -> Vocabulary:
 
 def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarray, ...]:
     """Read a sidecar file of per-token vectors: floats per line, blank line
-    between sentences. Returns one (n_tokens, dim) array per sentence."""
+    between sentences. Returns one (n_tokens, dim) array per sentence.
+
+    Every row has ``dim`` values; without ``dim``, as many as the file's
+    first row."""
     sentences: list[np.ndarray] = []
     rows: list[list[float]] = []
 
@@ -508,13 +514,11 @@ def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarra
                 raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
             if not np.all(np.isfinite(values)):
                 raise CorpusError(f"{path}:{lineno}: non-finite value")
-            if dim is not None and len(values) != dim:
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
                 raise CorpusError(
                     f"{path}:{lineno}: expected {dim} values, found {len(values)}"
-                )
-            if rows and len(values) != len(rows[0]):
-                raise CorpusError(
-                    f"{path}:{lineno}: inconsistent vector width within a sentence"
                 )
             rows.append(values)
     flush()

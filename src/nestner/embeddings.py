@@ -4,13 +4,16 @@ The token vector is the concatenation, in this order, of every enabled
 source: frozen pretrained word vector, trainable form embedding, trainable
 lemma embedding, POS one-hot, character-level BiGRU state, and a precomputed
 contextual vector read from a sidecar file. The total width is fixed by
-:class:`EmbeddingConfig` for a model's whole lifetime.
+:class:`EmbeddingConfig` for a model's whole lifetime. A sentence's vectors
+are assembled together: one lookup per table, and one packed char GRU call
+per direction over the sentence's distinct forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -192,50 +195,77 @@ class TokenEmbedder:
                 params.uniform(wh, (cfg.char_rnn_dim, 3 * cfg.char_rnn_dim), rng)
                 params.zeros(b, (3 * cfg.char_rnn_dim,))
 
-    def _char_states(self, tape: Tape, form: str) -> list[Var]:
-        """Final states of the forward and backward char GRUs over ``form``."""
-        chars = tape.lookup(self.CHAR_TABLE, self.vocab.char_ids(form))
+    def _char_states(self, tape: Tape, forms: Sequence[str]) -> list[Var]:
+        """Final states of the forward and backward char GRUs, one
+        (len(forms), char_rnn_dim) matrix each: every direction is one
+        packed call over all the forms' characters."""
+        ids = [self.vocab.char_ids(form) for form in forms]
+        chars = tape.lookup(self.CHAR_TABLE, [c for form_ids in ids for c in form_ids])
+        lengths = [len(form_ids) for form_ids in ids]
         return [
-            tape.gru(chars, *(tape.param(name) for name in names), reverse=reverse)
+            tape.gru(
+                chars, *(tape.param(name) for name in names), reverse=reverse, lengths=lengths
+            )
             for names, reverse in ((self.CHAR_FW, False), (self.CHAR_BW, True))
         ]
 
     def token_vector(
         self,
         tape: Tape,
-        token: Token,
-        lookup_form: str | None = None,
+        tokens: Token | Sequence[Token],
+        lookup_form: str | Sequence[str] | None = None,
         contextual_row: np.ndarray | None = None,
     ) -> Var:
-        """Assemble one token's input vector.
+        """Input vectors: a (token_dim,) vector for one token, a (T, token_dim)
+        matrix for a sentence of T tokens.
 
-        ``lookup_form`` replaces the form for the pretrained and trainable
-        lookups (word dropout); characters always come from the raw form.
+        ``lookup_form``, one per token, replaces the form for the pretrained
+        and trainable lookups (word dropout); characters always come from
+        the raw form. ``contextual_row`` is the token's precomputed vector,
+        or the sentence's (T, contextual_dim) matrix of them. Each table is
+        looked up once with every id, and the char BiGRU runs once per
+        direction over the distinct forms.
         """
         cfg = self.config
-        form = lookup_form if lookup_form is not None else token.form
+        single = isinstance(tokens, Token)
+        toks = [tokens] if single else list(tokens)
+        if lookup_form is None:
+            forms = [token.form for token in toks]
+        else:
+            forms = [lookup_form] if single else list(lookup_form)
+        assert len(forms) == len(toks)
+
+        def rows(values):
+            """The one token's entry, or the sentence's list of them."""
+            return values[0] if single else values
+
         parts: list[Var] = []
         if cfg.pretrained_dim:
-            parts.append(tape.const(self.pretrained.vector(form)))
+            parts.append(tape.const(rows(np.stack([self.pretrained.vector(f) for f in forms]))))
         if cfg.trainable_dim:
-            parts.append(tape.lookup(self.FORM_TABLE, self.vocab.form_id(form)))
+            parts.append(tape.lookup(self.FORM_TABLE, rows([self.vocab.form_id(f) for f in forms])))
         if cfg.lemma_dim:
-            parts.append(tape.lookup(self.LEMMA_TABLE, self.vocab.lemma_id(token.lemma)))
+            lemma_ids = [self.vocab.lemma_id(token.lemma) for token in toks]
+            parts.append(tape.lookup(self.LEMMA_TABLE, rows(lemma_ids)))
         if cfg.use_pos_onehot:
-            onehot = np.zeros(cfg.pos_dim)
-            pos_i = self.vocab.pos_index(token.pos)
-            if pos_i is not None:
-                onehot[pos_i] = 1.0
-            parts.append(tape.const(onehot))
+            onehot = np.zeros((len(toks), cfg.pos_dim))
+            for i, token in enumerate(toks):
+                pos_i = self.vocab.pos_index(token.pos)
+                if pos_i is not None:
+                    onehot[i, pos_i] = 1.0
+            parts.append(tape.const(rows(onehot)))
         if cfg.char_dim:
-            parts.extend(self._char_states(tape, token.form))
+            distinct: dict[str, int] = {}
+            index = [distinct.setdefault(token.form, len(distinct)) for token in toks]
+            states = self._char_states(tape, list(distinct))
+            parts.extend(tape.gather(state, rows(index)) for state in states)
         if cfg.contextual_dim:
             if contextual_row is None:
                 raise ValueError("config enables contextual vectors but none were supplied")
-            if contextual_row.shape != (cfg.contextual_dim,):
+            expected = (cfg.contextual_dim,) if single else (len(toks), cfg.contextual_dim)
+            if contextual_row.shape != expected:
                 raise ValueError(
-                    f"contextual row has shape {contextual_row.shape}, "
-                    f"expected ({cfg.contextual_dim},)"
+                    f"contextual vectors have shape {contextual_row.shape}, expected {expected}"
                 )
             parts.append(tape.const(contextual_row))
         return tape.concat(parts) if len(parts) > 1 else parts[0]

@@ -166,17 +166,7 @@ class _NeuralTagger:
         """Token vectors through the BiLSTM; returns the (T, 2*hidden) outputs
         and the final state of each direction."""
         assert dropout == 0.0 or rng is not None, "dropout needs a seeded generator"
-        xs = tape.stack(
-            [
-                self.embedder.token_vector(
-                    tape,
-                    token,
-                    lookup_form=lookup_forms[i] if lookup_forms is not None else None,
-                    contextual_row=contextual[i] if contextual is not None else None,
-                )
-                for i, token in enumerate(sentence.tokens)
-            ]
-        )
+        xs = self.embedder.token_vector(tape, sentence.tokens, lookup_forms, contextual)
         if dropout > 0.0:
             xs = tape.dropout(xs, dropout_mask(rng, xs.shape, dropout, tape.dtype))
         fw, (final_fw, _) = tape.lstm(

@@ -263,7 +263,9 @@ def train(
     With a dev corpus the model keeps its best-dev-F1 parameters at the end
     (and writes them to ``checkpoint_path`` whenever they improve). With
     ``include_dev_in_train`` the dev sentences join the training data and no
-    dev score is tracked.
+    dev score is tracked. A rejected optimizer step stops the run with an
+    :class:`OptimizerError` naming the epoch, the batch and the parameter,
+    and leaves the last checkpoint written in place.
     """
     if not corpus.sentences:
         raise NestnerError("training corpus is empty")
@@ -287,8 +289,11 @@ def train(
     best_params: Parameters | None = None
     for epoch in range(1, config.epochs + 1):
         total_loss = 0.0
-        for batch in _batches(items, config.batch_size, rng):
-            total_loss += _train_batch(model, adam, batch, regularization, rng)
+        for batch_no, batch in enumerate(_batches(items, config.batch_size, rng), start=1):
+            try:
+                total_loss += _train_batch(model, adam, batch, regularization, rng)
+            except OptimizerError as exc:
+                raise OptimizerError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
         record = {"epoch": epoch, "train_loss": total_loss / len(items)}
         if dev is not None:
             f1 = evaluate_model(model, dev)

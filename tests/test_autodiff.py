@@ -147,6 +147,16 @@ def _gru_loss(t, reverse=False):
     return t.logsumexp(h)
 
 
+def _packed_gru_loss(t, reverse=False):
+    # the longest sequence last, so packing reorders; a per-row target, so a
+    # final state returned to the wrong sequence changes the loss
+    h = t.gru(
+        t.param("s43"), t.param("wx36"), t.param("wh26"), t.param("b6"),
+        reverse=reverse, lengths=[1, 0, 3],
+    )
+    return t.softmax_cross_entropy(h, [1, 0, 1])
+
+
 OP_CASES = {
     "add": lambda t, p: t.sum(t.add(t.param("a3"), t.param("b3"))),
     "add_n": lambda t, p: t.sum(t.add_n([t.param("a3"), t.param("b3"), t.param("a3")])),
@@ -189,6 +199,8 @@ OP_CASES = {
     "gru": lambda t, p: _gru_loss(t),
     "gru_reverse": lambda t, p: _gru_loss(t, reverse=True),
     "gru_shared_weights": lambda t, p: t.add(_gru_loss(t), _gru_loss(t, reverse=True)),
+    "gru_packed": lambda t, p: _packed_gru_loss(t),
+    "gru_packed_reverse": lambda t, p: _packed_gru_loss(t, reverse=True),
 }
 
 
@@ -313,6 +325,22 @@ class TestRecurrentCells:
         np.testing.assert_allclose(tape.gru(*args, reverse=True).value, ref_back, atol=1e-12)
         empty = tape.gru(tape.const(np.zeros((0, 3))), *args[1:])
         np.testing.assert_array_equal(empty.value, np.zeros(2))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_gru_matches_separate_calls(self, reverse):
+        p = make_params([("xs", (9, 3)), ("wx", (3, 6)), ("wh", (2, 6)), ("b", (6,))], seed=8)
+        lengths = [2, 4, 0, 3]
+        tape = Tape(p)
+        weights = [tape.param(name) for name in ("wx", "wh", "b")]
+        packed = tape.gru(tape.param("xs"), *weights, reverse=reverse, lengths=lengths)
+        bounds = np.cumsum([0, *lengths])
+        separate = [
+            tape.gru(tape.const(p["xs"][a:b]), *weights, reverse=reverse).value
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        assert packed.shape == (4, 2)
+        np.testing.assert_allclose(packed.value, np.stack(separate), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(packed.value[2], np.zeros(2))
 
     def test_gru_saturated_update_gate_keeps_state(self):
         hidden = 3

@@ -359,3 +359,94 @@ class TestErrors:
         assert run("decode", "--input", str(tmp_path / "nope.conll"),
                    "--output", str(tmp_path / "out.spans")) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_empty_form_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("a\tO\n\tO\n", encoding="utf-8")
+        assert run("decode", "--input", str(bad), "--output", str(tmp_path / "out.spans")) == 1
+        assert f"{bad}:2: token form must be non-empty" in capsys.readouterr().err
+
+
+class TestContextualSidecars:
+    """A sidecar of the wrong width, or one the model cannot use, stops the
+    command before any training or prediction, naming the file and line or
+    the flag."""
+
+    SMALL = ("--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0")
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        corpus = synthgrammar.generate(3, seed=8)
+        conll = tmp_path / "train.conll"
+        write_conll(corpus, conll)
+
+        def sidecar(name, widths):
+            """One row per token; sentence i's rows have widths[i] values."""
+            path = tmp_path / name
+            blocks = ["\n".join(" ".join(["0.5"] * w) for _ in s.tokens)
+                      for s, w in zip(corpus, widths)]
+            path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+            return path
+
+        first_of_second = len(corpus.sentences[0].tokens) + 2
+        return conll, sidecar, first_of_second
+
+    def _train(self, tmp_path, conll, *extra):
+        return run(
+            "train", "--train", str(conll), "--save", str(tmp_path / "m.json"),
+            "--epochs", "1", *self.SMALL, *extra,
+        )
+
+    def test_train_sidecar_with_two_widths(self, tmp_path, files, capsys):
+        conll, sidecar, line = files
+        ctx = sidecar("train.ctx", [2, 3, 2])
+        assert self._train(tmp_path, conll, "--contextual", str(ctx)) == 1
+        assert f"{ctx}:{line}: expected 2 values, found 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_dev_sidecar_of_another_width(self, tmp_path, files, capsys, width):
+        conll, sidecar, _ = files
+        ctx, dev_ctx = sidecar("train.ctx", [2, 2, 2]), sidecar("dev.ctx", [width] * 3)
+        assert self._train(
+            tmp_path, conll, "--contextual", str(ctx),
+            "--dev", str(conll), "--dev-contextual", str(dev_ctx),
+        ) == 1
+        assert f"{dev_ctx}:1: expected 2 values, found {width}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--contextual", "--dev"), ("--dev-contextual", "--dev"),
+         ("--contextual", "--dev-contextual")],
+    )
+    def test_dev_needs_both_sidecars_or_neither(self, tmp_path, files, capsys, flags):
+        conll, sidecar, _ = files
+        ctx = sidecar("train.ctx", [2, 2, 2])
+        paths = {"--contextual": ctx, "--dev-contextual": ctx, "--dev": conll}
+        assert self._train(tmp_path, conll, *(x for f in flags for x in (f, str(paths[f])))) == 1
+        err = capsys.readouterr().err
+        assert "--dev-contextual" in err and "--dev" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_predict_checks_the_model_width(self, tmp_path, files, capsys):
+        conll, sidecar, _ = files
+        ctx, wide = sidecar("train.ctx", [2, 2, 2]), sidecar("wide.ctx", [3, 3, 3])
+        assert self._train(tmp_path, conll, "--contextual", str(ctx)) == 0
+        predict = ("predict", "--model-file", str(tmp_path / "m.json"), "--input", str(conll),
+                   "--output", str(tmp_path / "pred.conll"))
+        assert run(*predict, "--contextual", str(wide)) == 1
+        assert f"{wide}:1: expected 2 values, found 3" in capsys.readouterr().err
+        assert run(*predict) == 1
+        assert "needs --contextual vectors of width 2" in capsys.readouterr().err
+
+    def test_predict_rejects_a_sidecar_the_model_cannot_use(self, tmp_path, files, capsys):
+        conll, sidecar, _ = files
+        assert self._train(tmp_path, conll) == 0
+        ctx = sidecar("ctx", [2, 2, 2])
+        assert run(
+            "predict", "--model-file", str(tmp_path / "m.json"), "--input", str(conll),
+            "--output", str(tmp_path / "pred.conll"), "--contextual", str(ctx),
+        ) == 1
+        assert "--contextual" in capsys.readouterr().err
+        assert not (tmp_path / "pred.conll").exists()

@@ -84,6 +84,13 @@ class TestReadConll:
             read_conll(path)
         assert ":2" in str(err.value)
 
+    @pytest.mark.parametrize("line", ["\tO", "a b\tO", " \tO"])
+    def test_empty_or_whitespace_form_reports_line(self, tmp_path, line):
+        path = tmp_path / "form.conll"
+        path.write_text(f"a\tO\n{line}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"form\.conll:2: token form must be non-empty"):
+            read_conll(path)
+
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.conll"
         path.write_text("a\tO\textra\n", encoding="utf-8")
@@ -287,6 +294,12 @@ class TestSpanFiles:
             read_spans(path)
         assert ":1" in str(err.value)
 
+    def test_empty_form_reports_line(self, tmp_path):
+        path = tmp_path / "form.tsv"
+        path.write_text("a\tX 0 2\n\tY 0 1\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"form\.tsv:2: token form must be non-empty"):
+            read_spans(path)
+
     def test_out_of_bounds_mention_rejected(self, tmp_path):
         path = tmp_path / "oob.tsv"
         path.write_text("a\tX 0 2\n", encoding="utf-8")
@@ -307,6 +320,16 @@ class TestContextual:
         path.write_text("1 2 3\n", encoding="utf-8")
         with pytest.raises(CorpusError):
             read_contextual(path, dim=2)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1 2\n3 4 5\n", 2), ("1 2\n3 4\n\n5 6 7\n8 9 10\n", 4), ("1 2 3\n\n4 5\n", 3)],
+    )
+    def test_first_row_fixes_the_file_width(self, tmp_path, text, line):
+        path = tmp_path / "ctx.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"ctx\.vec:{line}: expected \d values, found \d"):
+            read_contextual(path)
 
     def test_attach_validates_token_counts(self, tmp_path):
         corpus = corpus_of(Sentence((Token("a"), Token("b"))))

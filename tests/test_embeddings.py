@@ -207,6 +207,86 @@ class TestTokenVector:
             embedder.token_vector(Tape(params), Token("Court"))
 
 
+class TestSentenceVectors:
+    """A sentence's (T, d) matrix is its token vectors stacked, built from one
+    lookup per table and one packed char BiGRU over the distinct forms."""
+
+    TOKENS = (
+        Token("Court", lemma="court", pos="N"),
+        Token("us", lemma="we", pos="N"),
+        Token("Court", lemma="court", pos="N"),
+        Token("ab"),
+        Token("zz", pos="XYZ"),
+    )
+    # word dropout: the repeated form is looked up once as itself and once as UNK
+    LOOKUP = ("Court", UNK, UNK, "ab", "zz")
+
+    @pytest.fixture
+    def setup(self):
+        vocab = build_vocabulary(TaggedCorpus((Sentence(self.TOKENS[:4]),)))
+        table = PretrainedTable({"court": 0, "us": 1}, np.arange(6.0).reshape(2, 3))
+        config = EmbeddingConfig(
+            pretrained_dim=3, trainable_dim=4, lemma_dim=2, char_dim=3, char_rnn_dim=2,
+            use_pos_onehot=True, pos_dim=vocab.n_pos, contextual_dim=2,
+        )
+        embedder, params = make_embedder(vocab, config, table, seed=3)
+        contextual = np.random.default_rng(1).standard_normal((len(self.TOKENS), 2))
+        return embedder, params, contextual
+
+    def _token_by_token(self, embedder, tape, contextual):
+        return [
+            embedder.token_vector(tape, token, lookup_form=form, contextual_row=row)
+            for token, form, row in zip(self.TOKENS, self.LOOKUP, contextual)
+        ]
+
+    def test_matrix_equals_stacked_token_vectors(self, setup):
+        embedder, params, contextual = setup
+        tape = Tape(params)
+        matrix = embedder.token_vector(tape, self.TOKENS, self.LOOKUP, contextual)
+        rows = self._token_by_token(embedder, tape, contextual)
+        assert matrix.shape == (len(self.TOKENS), embedder.config.token_dim)
+        np.testing.assert_allclose(
+            matrix.value, np.stack([r.value for r in rows]), rtol=0, atol=1e-12
+        )
+
+    def test_gradients_equal_token_by_token(self, setup):
+        embedder, params, contextual = setup
+        weights = np.random.default_rng(2).standard_normal(
+            (len(self.TOKENS), embedder.config.token_dim)
+        )
+        tape = Tape(params)
+        matrix = embedder.token_vector(tape, self.TOKENS, self.LOOKUP, contextual)
+        by_matrix = tape.backward(tape.sum(tape.tanh(tape.dropout(matrix, weights))))
+        tape = Tape(params)
+        rows = self._token_by_token(embedder, tape, contextual)
+        by_rows = tape.backward(tape.add_n(
+            [tape.sum(tape.tanh(tape.dropout(r, w))) for r, w in zip(rows, weights)]
+        ))
+        assert set(by_matrix.rows) == set(by_rows.rows)
+        assert set(by_matrix.dense) == set(by_rows.dense)
+        for name, arr in params.items():
+            np.testing.assert_allclose(
+                by_matrix.materialize(name, arr.shape), by_rows.materialize(name, arr.shape),
+                rtol=0, atol=1e-12, err_msg=name,
+            )
+
+    def test_char_lookup_holds_each_distinct_form_once(self, setup):
+        embedder, params, contextual = setup
+        tape = Tape(params)
+        embedder.token_vector(tape, self.TOKENS, self.LOOKUP, contextual)
+        char_ids = [ids for name, ids, _ in tape._lookups if name == TokenEmbedder.CHAR_TABLE]
+        distinct = ("Court", "us", "ab", "zz")
+        expected = [c for form in distinct for c in embedder.vocab.char_ids(form)]
+        assert len(char_ids) == 1
+        np.testing.assert_array_equal(char_ids[0], expected)
+
+    def test_contextual_shape_checked(self, setup):
+        embedder, params, contextual = setup
+        for bad in (contextual[:, :1], contextual[:3], contextual[0]):
+            with pytest.raises(ValueError, match="contextual vectors have shape"):
+                embedder.token_vector(Tape(params), self.TOKENS, self.LOOKUP, bad)
+
+
 class TestCharBiGru:
     def test_direction_symmetry(self, vocab):
         """Reversing characters and swapping direction parameters swaps the halves."""

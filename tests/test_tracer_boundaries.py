@@ -113,3 +113,27 @@ def test_adam_rows_counts_the_distinct_table_rows_of_a_batch(tracer):
             tracer.restore(patches)
         expected = len(forms) + len(chars) + len(labels)
         assert recorder.counters[(kind, "training.adam_rows")] == expected, kind
+
+
+def test_one_token_vector_span_per_predicted_sentence(tracer):
+    """The char BiGRU and the table lookups run once per sentence, so a
+    traced predict records one ``embeddings.token_vector`` span, and one
+    call, per sentence, not per token."""
+    corpus = synthgrammar.generate(5, seed=3)
+    assert sum(len(s.tokens) for s in corpus) > len(corpus.sentences)
+    embedding = EmbeddingConfig(trainable_dim=4, char_dim=2, char_rnn_dim=2)
+    for kind in ("crf", "seq2seq"):
+        model = training.build_model(
+            kind, corpus, embedding=embedding, hidden_dim=4, decoder_dim=4, label_embed_dim=2,
+        )
+        recorder = tracer.Tracer()
+        patches = tracer.install(recorder)
+        try:
+            with recorder.phase(kind):
+                for sentence in corpus.sentences:
+                    model.predict(sentence)
+        finally:
+            tracer.restore(patches)
+        spans = [s for s in recorder.spans if s.name == "embeddings.token_vector"]
+        assert len(spans) == len(corpus.sentences), kind
+        assert recorder.counters[(kind, "embeddings.token_vector.calls")] == len(corpus.sentences)

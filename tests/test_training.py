@@ -249,6 +249,39 @@ class TestTrainLoop:
         best = max(record["dev_f1"] for record in metrics)
         assert evaluate_model(model, dev) == pytest.approx(best)
 
+    def test_rejected_step_names_epoch_and_batch_and_keeps_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        corpus = small_corpus()
+        model = build_model("crf", corpus, embedding=TINY, hidden_dim=8)
+        checkpoint = tmp_path / "ckpt.json"
+        saved = []
+        save = training.models.save_model
+
+        def recording_save(m, path):
+            save(m, path)
+            saved.append(checkpoint.read_bytes())
+
+        step = LazyAdam.step
+        steps = []
+
+        def poisoned_step(adam, grads):
+            steps.append(None)
+            if len(steps) == 4:  # two batches per epoch: epoch 2, batch 2
+                grads.dense["crf.emit.b"] = np.full_like(grads.dense["crf.emit.b"], np.nan)
+            step(adam, grads)
+
+        monkeypatch.setattr(training.models, "save_model", recording_save)
+        monkeypatch.setattr(LazyAdam, "step", poisoned_step)
+        expected = r"^epoch 2, batch 2: non-finite gradient for parameter crf\.emit\.b"
+        with pytest.raises(OptimizerError, match=expected):
+            train(
+                model, corpus, TrainConfig(epochs=3, seed=5, batch_size=4),
+                dev=synthgrammar.generate(4, seed=99), checkpoint_path=checkpoint,
+            )
+        assert len(saved) == 1  # after epoch 1, the only finished epoch
+        assert checkpoint.read_bytes() == saved[0]
+
     def test_word_dropout_trains_unk_row(self):
         corpus = small_corpus()
         model = build_model("crf", corpus, embedding=TINY, hidden_dim=8)
