@@ -3,13 +3,16 @@
 Values are computed eagerly; every operation records a backward closure on a
 :class:`Tape`. Activations are whole sequences, ``(T, d)`` matrices with one
 row per position, or single ``(d,)`` vectors; weights are matrices, and no op
-broadcasts beyond what its docstring says. The recurrent layers (:meth:`Tape.lstm`,
+broadcasts beyond what its docstring says. The ops are the ones the two
+taggers call, and no others. The recurrent layers (:meth:`Tape.lstm`,
 :meth:`Tape.gru`) and the CRF (:meth:`Tape.crf_nll`) are each one fused op
-over a sequence with a hand-written backward: the input projection is one
-GEMM ahead of the recurrence, and a weight's gradient is one ``Xᵀ·G``
-product over every sequence of a batch instead of one outer product per
-token. :meth:`Tape.gru` also takes packed sequences, which it advances
-together, one ``(n, hidden) @ wh`` product per step. Calling
+over a sequence with a hand-written backward. A recurrence reads its gate
+pre-activations, which the caller computes with one :meth:`Tape.affine`
+GEMM ahead of it, so the input projection and its gradients are written
+once. A weight's gradient is one ``Xᵀ·G`` product over every sequence of a
+batch instead of one outer product per token. :meth:`Tape.gru` also takes
+packed sequences, which it advances together, one ``(n, hidden) @ wh``
+product per step. Calling
 :meth:`Tape.backward` on a scalar loss returns per-parameter gradients. A
 table read through :meth:`Tape.lookup` gets one row-sparse block, a
 :class:`RowGradient` of its sorted distinct row ids and their summed
@@ -267,15 +270,6 @@ class Tape:
 
     # -------------------------------------------------------------- arithmetic
 
-    def add(self, a: Var, b: Var) -> Var:
-        assert a.shape == b.shape, (a.shape, b.shape)
-
-        def back(g, grads):
-            _acc(grads, a, g)
-            _acc(grads, b, g)
-
-        return self._new(a.value + b.value, back)
-
     def add_n(self, items: Sequence[Var]) -> Var:
         assert items, "add_n needs at least one input"
         first = items[0].shape
@@ -350,25 +344,6 @@ class Tape:
 
     # -------------------------------------------------------------- reductions
 
-    def sum(self, a: Var) -> Var:
-        dtype = self.dtype
-
-        def back(g, grads):
-            _acc(grads, a, np.full(a.shape, g, dtype=dtype))
-
-        return self._new(np.asarray(a.value.sum(), dtype=dtype), back)
-
-    def logsumexp(self, a: Var) -> Var:
-        """Max-shifted log-sum-exp of a vector; overflow-safe."""
-        assert a.value.ndim == 1
-        m = np.max(a.value)
-        y = m + np.log(np.sum(np.exp(a.value - m)))
-
-        def back(g, grads):
-            _acc(grads, a, g * np.exp(a.value - y))
-
-        return self._new(np.asarray(y, dtype=self.dtype), back)
-
     def softmax_cross_entropy(self, logits: Var, targets) -> Var:
         """Summed -log softmax(row)[target], fused for stability: over the rows
         of (T, k) logits with T targets, or over one (k,) vector with one."""
@@ -397,21 +372,6 @@ class Tape:
         return self._new(a.value * mask, back)
 
     # --------------------------------------------------------------------- CRF
-
-    def crf_step(self, alpha: Var, trans: Var) -> Var:
-        """One forward-algorithm step: out[j] = logsumexp_i(alpha[i] + trans[i, j])."""
-        k = alpha.shape[0]
-        assert trans.shape == (k, k)
-        scores = alpha.value[:, None] + trans.value
-        m = scores.max(axis=0)
-        out = m + np.log(np.exp(scores - m[None, :]).sum(axis=0))
-
-        def back(g, grads):
-            w = np.exp(scores - out[None, :]) * g[None, :]
-            _acc(grads, alpha, w.sum(axis=1))
-            _acc(grads, trans, w)
-
-        return self._new(out, back)
 
     def crf_nll(self, emissions: Var, trans: Var, path: Sequence[int] | None = None) -> Var:
         """Negative log-likelihood of ``path`` under a linear-chain CRF, or log Z
@@ -490,22 +450,21 @@ class Tape:
 
     def lstm(
         self,
-        x: Var,
-        wx: Var,
+        p: Var,
         wh: Var,
-        b: Var,
         h0: Var | None = None,
         c0: Var | None = None,
         reverse: bool = False,
     ) -> tuple[Var, tuple[Var, Var]]:
-        """An LSTM over the rows of ``x`` (T, d); a (d,) vector is one step.
+        """An LSTM over the rows of ``p`` (T, 4*hidden), the gate
+        pre-activations ``x @ wx + b`` of each input row; a (4*hidden,)
+        vector is one step.
 
         Gate layout along the 4*hidden axis is [input|forget|cell|output].
-        The input projection ``x @ wx + b`` is one GEMM ahead of the
+        The caller projects the inputs with one :meth:`affine` ahead of the
         recurrence, so only ``h @ wh`` runs per step. Backward finds the gate
-        pre-activation gradients ``dP`` of the whole sequence, then
-        ``db = ΣdP`` and the products ``dwx = xᵀ·dP`` and
-        ``dwh = H_prevᵀ·dP``, which are queued so every sequence in a batch
+        pre-activation gradients ``dP`` of the whole sequence, sends them to
+        ``p`` and queues ``dwh = H_prevᵀ·dP``, so every sequence in a batch
         shares one GEMM. The state starts at ``(h0, c0)``, zeros where
         omitted. With ``reverse`` the rows are read last to first; row t of
         the output is still the state after reading row t. Returns
@@ -513,10 +472,9 @@ class Tape:
         """
         hidden = wh.shape[0]
         cell = slice(2 * hidden, 3 * hidden)
-        xs = x.value.reshape(-1, wx.shape[0])
-        n = xs.shape[0]
+        proj = p.value.reshape(-1, 4 * hidden)
+        n = proj.shape[0]
         order = np.arange(n)[::-1] if reverse else np.arange(n)
-        proj = xs @ wx.value + b.value
         dtype = proj.dtype
         # sigmoid(a) = 0.5 * tanh(a / 2) + 0.5 on the gates, plain tanh on the cell input
         scale = np.full(4 * hidden, 0.5, dtype=dtype)
@@ -567,11 +525,8 @@ class Tape:
                 dp *= deriv[s]
                 dc = dc * act[hidden : 2 * hidden]
                 dh = dp @ w_h_t
-            d_rows = d_pre[order]
-            _acc(grads, x, (d_rows @ wx.value.T).reshape(x.shape))
-            _acc_product(grads, wx, xs, d_rows)
+            _acc(grads, p, d_pre[order].reshape(p.shape))
             _acc_product(grads, wh, hs[:n], d_pre)
-            _acc(grads, b, d_pre.sum(axis=0))
             if h0 is not None:
                 _acc(grads, h0, dh.reshape(h0.shape))
             if c0 is not None:
@@ -582,33 +537,32 @@ class Tape:
 
     def gru(
         self,
-        x: Var,
-        wx: Var,
+        p: Var,
         wh: Var,
-        b: Var,
         reverse: bool = False,
         lengths: Sequence[int] | None = None,
     ) -> Var:
         """GRUs from a zero state over packed sequences; returns their final states.
 
-        ``lengths`` splits the rows of ``x`` (L, d) into consecutive
-        sequences, and the result is their (len(lengths), hidden) final
-        states, zeros for an empty one. Without ``lengths`` the rows are one
-        sequence and the result is its (hidden,) final state. Gate layout
-        along the 3*hidden axis is [update|reset|candidate] and
-        h' = z*h + (1-z)*n, so a saturated update gate keeps the old state.
-        The sequences advance together, longest first, so those still
-        running at step s are a prefix and each step is one
-        ``(n_s, hidden) @ wh`` product. The input projection is hoisted out
-        of the recurrence and the weight gradients are queued products, as
-        in :meth:`lstm`. ``reverse`` reads each sequence last row to first.
+        ``p`` (L, 3*hidden) holds the input pre-activations ``x @ wx + b``
+        of every row, made by one :meth:`affine` ahead of the recurrence.
+        ``lengths`` splits its rows into consecutive sequences, and the
+        result is their (len(lengths), hidden) final states, zeros for an
+        empty one. Without ``lengths`` the rows are one sequence and the
+        result is its (hidden,) final state. Gate layout along the 3*hidden
+        axis is [update|reset|candidate] and h' = z*h + (1-z)*n, so a
+        saturated update gate keeps the old state. The sequences advance
+        together, longest first, so those still running at step s are a
+        prefix and each step is one ``(n_s, hidden) @ wh`` product. Backward
+        sends ``dP`` to ``p`` and queues ``wh``'s gradient as in
+        :meth:`lstm`. ``reverse`` reads each sequence last row to first.
         """
         hidden = wh.shape[0]
         gates = slice(0, 2 * hidden)
         cand = slice(2 * hidden, 3 * hidden)
-        xs = x.value.reshape(-1, wx.shape[0])
-        lens = np.array([len(xs)] if lengths is None else lengths, dtype=np.intp)
-        assert lens.sum() == len(xs) and (lens >= 0).all(), (lens, len(xs))
+        pre = p.value.reshape(-1, 3 * hidden)
+        lens = np.array([len(pre)] if lengths is None else lengths, dtype=np.intp)
+        assert lens.sum() == len(pre) and (lens >= 0).all(), (lens, len(pre))
         # packed positions run step by step; within a step, by descending length
         by_len = np.argsort(-lens, kind="stable")
         sorted_lens = lens[by_len]
@@ -619,7 +573,7 @@ class Tape:
         bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
         alive = np.count_nonzero(sorted_lens)
         last = bounds[sorted_lens[:alive] - 1] + np.arange(alive)
-        proj = (xs @ wx.value + b.value)[rows]
+        proj = pre[rows]
         dtype = proj.dtype
         total = len(rows)
         h_prev = np.zeros((total, hidden), dtype=dtype)  # the state each position reads
@@ -632,13 +586,13 @@ class Tape:
             lo, hi = bounds[s], bounds[s + 1]
             if s:
                 h_prev[lo:hi] = h_next[bounds[s - 1] : bounds[s - 1] + hi - lo]
-            p = proj[lo:hi]
+            px = proj[lo:hi]
             ph = np.matmul(h_prev[lo:hi], w_h, out=phs[lo:hi])
             gate = zr[lo:hi]
-            np.tanh(0.5 * (p[:, gates] + ph[:, gates]), out=gate)
+            np.tanh(0.5 * (px[:, gates] + ph[:, gates]), out=gate)
             gate += 1.0
             gate *= 0.5
-            np.tanh(p[:, cand] + gate[:, hidden:] * ph[:, cand], out=cands[lo:hi])
+            np.tanh(px[:, cand] + gate[:, hidden:] * ph[:, cand], out=cands[lo:hi])
             z = gate[:, :hidden]
             np.multiply(z, h_prev[lo:hi], out=h_next[lo:hi])
             h_next[lo:hi] += (1.0 - z) * cands[lo:hi]
@@ -668,10 +622,8 @@ class Tape:
                     dh_next[prev : prev + hi - lo] += dh * zr[lo:hi, :hidden] + dph @ w_h_t
             d_rows = np.empty_like(d_px)
             d_rows[rows] = d_px
-            _acc(grads, x, (d_rows @ wx.value.T).reshape(x.shape))
-            _acc_product(grads, wx, xs, d_rows)
+            _acc(grads, p, d_rows.reshape(p.shape))
             _acc_product(grads, wh, h_prev, d_ph)
-            _acc(grads, b, d_px.sum(axis=0))
 
         return self._new(final if lengths is not None else final[0], back)
 

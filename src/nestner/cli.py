@@ -160,6 +160,16 @@ def _load_pretrained_arg(args):
     return load_pretrained(args.pretrained, args.pretrained_dim)
 
 
+def _with_sidecar(corpus: TaggedCorpus, path: str, dim: int | None = None) -> TaggedCorpus:
+    """``corpus`` with the contextual vectors of the sidecar file at ``path``
+    attached; a count that does not match the corpus is an error naming the file."""
+    vectors = read_contextual(path, dim=dim)
+    try:
+        return corpus_io.attach_contextual(corpus, vectors)
+    except corpus_io.CorpusError as exc:
+        raise corpus_io.CorpusError(f"{path}: {exc}") from exc
+
+
 def cmd_train(args) -> int:
     if args.dev_contextual and not args.dev_path:
         raise NestnerError("--dev-contextual needs --dev")
@@ -168,16 +178,13 @@ def cmd_train(args) -> int:
     train_corpus = read_conll(args.train_path, columns=args.columns, scheme=args.scheme)
     contextual_dim = 0
     if args.contextual:
-        vectors = read_contextual(args.contextual)
-        train_corpus = corpus_io.attach_contextual(train_corpus, vectors)
-        contextual_dim = vectors[0].shape[1] if vectors else 0
+        train_corpus = _with_sidecar(train_corpus, args.contextual)
+        contextual_dim = train_corpus.contextual[0].shape[1] if train_corpus.contextual else 0
     dev_corpus = None
     if args.dev_path:
         dev_corpus = read_conll(args.dev_path, columns=args.columns, scheme=args.scheme)
         if args.dev_contextual:
-            dev_corpus = corpus_io.attach_contextual(
-                dev_corpus, read_contextual(args.dev_contextual, dim=contextual_dim)
-            )
+            dev_corpus = _with_sidecar(dev_corpus, args.dev_contextual, contextual_dim)
     pretrained = _load_pretrained_arg(args)
     embedding = EmbeddingConfig(
         pretrained_dim=pretrained.dim if pretrained else 0,
@@ -243,9 +250,7 @@ def cmd_predict(args) -> int:
             f"{args.model_file} needs --contextual vectors of width {contextual_dim}"
         )
     if args.contextual:
-        corpus = corpus_io.attach_contextual(
-            corpus, read_contextual(args.contextual, dim=contextual_dim)
-        )
+        corpus = _with_sidecar(corpus, args.contextual, contextual_dim)
     predicted = []
     for i, sentence in enumerate(corpus.sentences):
         ctx = corpus.contextual[i] if corpus.contextual is not None else None

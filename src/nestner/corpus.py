@@ -166,6 +166,13 @@ def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -
     return fields
 
 
+def _parse_label(path: str | Path, lineno: int, label: str) -> Multilabel:
+    try:
+        return Multilabel.parse(label)
+    except NestnerError as exc:
+        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+
+
 def _block_to_sentence(
     path: str | Path,
     sentence_index: int,
@@ -174,34 +181,24 @@ def _block_to_sentence(
     scheme: str,
     policy: codec.RepairPolicy,
 ) -> Sentence:
+    """One sentence block. Each label is parsed once, BIO labels after their
+    conversion to BILOU, and a bad one is reported with its line number."""
+    tokens = tuple(_parse_token(path, lineno, fields, columns) for lineno, fields in block)
     label_i = columns.index("label")
-    tokens: list[Token] = []
-    labels: list[str] = []
-    for lineno, fields in block:
-        tokens.append(_parse_token(path, lineno, fields, columns))
-        if label_i is not None:
-            label = fields[label_i]
-            if scheme == "bilou":  # BIO rows are validated during conversion below
-                try:
-                    Multilabel.parse(label)
-                except NestnerError as exc:
-                    raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            labels.append(label)
-    mentions: frozenset[Mention] = frozenset()
-    if label_i is not None:
-        if scheme == "bio":
-            try:
-                labels = bio_to_bilou(labels)
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: sentence {sentence_index}: {exc}") from exc
-        encoded = codec.EncodedSentence.from_strings(labels)
+    if label_i is None:
+        return Sentence(tokens)
+    labels = [fields[label_i] for _, fields in block]
+    if scheme == "bio":
         try:
-            mentions = codec.decode(encoded, policy=policy)
-        except codec.DecodeError as exc:
-            raise CorpusError(
-                f"{path}: sentence {sentence_index}: {exc}"
-            ) from exc
-    return Sentence(tuple(tokens), mentions)
+            labels = bio_to_bilou(labels)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: sentence {sentence_index}: {exc}") from exc
+    parsed = tuple(_parse_label(path, lineno, label) for (lineno, _), label in zip(block, labels))
+    try:
+        mentions = codec.decode(codec.EncodedSentence(parsed), policy=policy)
+    except codec.DecodeError as exc:
+        raise CorpusError(f"{path}: sentence {sentence_index}: {exc}") from exc
+    return Sentence(tokens, mentions)
 
 
 def read_conll(

@@ -204,68 +204,58 @@ class TokenEmbedder:
         lengths = [len(form_ids) for form_ids in ids]
         return [
             tape.gru(
-                chars, *(tape.param(name) for name in names), reverse=reverse, lengths=lengths
+                tape.affine(chars, tape.param(wx), tape.param(b)), tape.param(wh),
+                reverse=reverse, lengths=lengths,
             )
-            for names, reverse in ((self.CHAR_FW, False), (self.CHAR_BW, True))
+            for (wx, wh, b), reverse in ((self.CHAR_FW, False), (self.CHAR_BW, True))
         ]
 
     def token_vector(
         self,
         tape: Tape,
-        tokens: Token | Sequence[Token],
-        lookup_form: str | Sequence[str] | None = None,
-        contextual_row: np.ndarray | None = None,
+        tokens: Sequence[Token],
+        lookup_forms: Sequence[str] | None = None,
+        contextual: np.ndarray | None = None,
     ) -> Var:
-        """Input vectors: a (token_dim,) vector for one token, a (T, token_dim)
-        matrix for a sentence of T tokens.
+        """The (T, token_dim) input vectors of a sentence of T tokens.
 
-        ``lookup_form``, one per token, replaces the form for the pretrained
-        and trainable lookups (word dropout); characters always come from
-        the raw form. ``contextual_row`` is the token's precomputed vector,
-        or the sentence's (T, contextual_dim) matrix of them. Each table is
+        ``lookup_forms``, one per token, replace the forms for the
+        pretrained and trainable lookups (word dropout); characters always
+        come from the raw forms. ``contextual`` is the sentence's
+        (T, contextual_dim) matrix of precomputed vectors. Each table is
         looked up once with every id, and the char BiGRU runs once per
         direction over the distinct forms.
         """
         cfg = self.config
-        single = isinstance(tokens, Token)
-        toks = [tokens] if single else list(tokens)
-        if lookup_form is None:
-            forms = [token.form for token in toks]
-        else:
-            forms = [lookup_form] if single else list(lookup_form)
-        assert len(forms) == len(toks)
-
-        def rows(values):
-            """The one token's entry, or the sentence's list of them."""
-            return values[0] if single else values
-
+        forms = [token.form for token in tokens] if lookup_forms is None else list(lookup_forms)
+        assert len(forms) == len(tokens)
         parts: list[Var] = []
         if cfg.pretrained_dim:
-            parts.append(tape.const(rows(np.stack([self.pretrained.vector(f) for f in forms]))))
+            parts.append(tape.const(np.stack([self.pretrained.vector(f) for f in forms])))
         if cfg.trainable_dim:
-            parts.append(tape.lookup(self.FORM_TABLE, rows([self.vocab.form_id(f) for f in forms])))
+            parts.append(tape.lookup(self.FORM_TABLE, [self.vocab.form_id(f) for f in forms]))
         if cfg.lemma_dim:
-            lemma_ids = [self.vocab.lemma_id(token.lemma) for token in toks]
-            parts.append(tape.lookup(self.LEMMA_TABLE, rows(lemma_ids)))
+            lemma_ids = [self.vocab.lemma_id(token.lemma) for token in tokens]
+            parts.append(tape.lookup(self.LEMMA_TABLE, lemma_ids))
         if cfg.use_pos_onehot:
-            onehot = np.zeros((len(toks), cfg.pos_dim))
-            for i, token in enumerate(toks):
+            onehot = np.zeros((len(tokens), cfg.pos_dim))
+            for i, token in enumerate(tokens):
                 pos_i = self.vocab.pos_index(token.pos)
                 if pos_i is not None:
                     onehot[i, pos_i] = 1.0
-            parts.append(tape.const(rows(onehot)))
+            parts.append(tape.const(onehot))
         if cfg.char_dim:
             distinct: dict[str, int] = {}
-            index = [distinct.setdefault(token.form, len(distinct)) for token in toks]
+            index = [distinct.setdefault(token.form, len(distinct)) for token in tokens]
             states = self._char_states(tape, list(distinct))
-            parts.extend(tape.gather(state, rows(index)) for state in states)
+            parts.extend(tape.gather(state, index) for state in states)
         if cfg.contextual_dim:
-            if contextual_row is None:
+            if contextual is None:
                 raise ValueError("config enables contextual vectors but none were supplied")
-            expected = (cfg.contextual_dim,) if single else (len(toks), cfg.contextual_dim)
-            if contextual_row.shape != expected:
+            expected = (len(tokens), cfg.contextual_dim)
+            if contextual.shape != expected:
                 raise ValueError(
-                    f"contextual vectors have shape {contextual_row.shape}, expected {expected}"
+                    f"contextual vectors have shape {contextual.shape}, expected {expected}"
                 )
-            parts.append(tape.const(contextual_row))
+            parts.append(tape.const(contextual))
         return tape.concat(parts) if len(parts) > 1 else parts[0]

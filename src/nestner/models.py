@@ -169,13 +169,11 @@ class _NeuralTagger:
         xs = self.embedder.token_vector(tape, sentence.tokens, lookup_forms, contextual)
         if dropout > 0.0:
             xs = tape.dropout(xs, dropout_mask(rng, xs.shape, dropout, tape.dtype))
-        fw, (final_fw, _) = tape.lstm(
-            xs, tape.param("enc.fw.wx"), tape.param("enc.fw.wh"), tape.param("enc.fw.b")
-        )
-        bw, (final_bw, _) = tape.lstm(
-            xs, tape.param("enc.bw.wx"), tape.param("enc.bw.wh"), tape.param("enc.bw.b"),
-            reverse=True,
-        )
+        states = []
+        for prefix, reverse in (("enc.fw", False), ("enc.bw", True)):
+            pre = tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
+            states.append(tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=reverse))
+        (fw, (final_fw, _)), (bw, (final_bw, _)) = states
         outputs = tape.concat([fw, bw])
         if dropout > 0.0:
             outputs = tape.dropout(outputs, dropout_mask(rng, outputs.shape, dropout, tape.dtype))
@@ -309,9 +307,8 @@ class Seq2seqTagger(_NeuralTagger):
         return h0, c0
 
     def _decoder_lstm(self, tape: Tape, x: Var, state: tuple[Var, Var]):
-        return tape.lstm(
-            x, tape.param("dec.wx"), tape.param("dec.wh"), tape.param("dec.b"), *state
-        )
+        pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
+        return tape.lstm(pre, tape.param("dec.wh"), *state)
 
     def _step(
         self,
@@ -494,6 +491,42 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
     raise ModelFormatError(f"unknown model_kind {kind!r}")
 
 
+def _model_from_envelope(envelope, pretrained: PretrainedTable | None, dtype):
+    if not isinstance(envelope, dict):
+        raise ModelFormatError("not a model checkpoint")
+    version = envelope.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported model format_version {version!r}")
+    for key in _ENVELOPE_KEYS:
+        if key not in envelope:
+            raise ModelFormatError(f"checkpoint has no {key!r}")
+    stored = envelope["parameters"]
+    if not isinstance(stored, dict):
+        raise ModelFormatError("'parameters' is not a mapping of names to arrays")
+    try:
+        model = _unloaded_model(envelope, pretrained, dtype)
+        expected = model.parameter_shapes()
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
+    for name in expected:
+        if name not in stored:
+            raise ModelFormatError(f"parameter {name!r} is missing")
+    for name in stored:
+        if name not in expected:
+            raise ModelFormatError(f"unexpected parameter {name!r}")
+    for name, shape in expected.items():
+        entry = stored[name]
+        try:
+            if tuple(entry["shape"]) != shape:
+                raise ModelFormatError(
+                    f"parameter {name!r} has shape {entry['shape']}, expected {list(shape)}"
+                )
+            model.params.add(name, _decode_array(entry, dtype))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
+    return model
+
+
 def load_model(
     path: str | Path,
     pretrained: PretrainedTable | None = None,
@@ -502,41 +535,17 @@ def load_model(
     """Read a checkpoint written by :func:`save_model`.
 
     The stored parameters must be exactly those a fresh model of the stored
-    kind and config registers, with the same shapes. A missing envelope key
-    or a missing, extra, wrongly shaped or non-finite parameter raises
-    :class:`ModelFormatError`.
+    kind and config registers, with the same shapes. A file that is not
+    UTF-8 JSON, a missing or malformed envelope key, or a missing, extra,
+    wrongly shaped or non-finite parameter raises :class:`ModelFormatError`
+    with a message that starts with ``path``.
     """
-    with open(path, encoding="utf-8") as handle:
-        envelope = json.load(handle)
-    if not isinstance(envelope, dict):
-        raise ModelFormatError(f"{path}: not a model checkpoint")
-    version = envelope.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format_version {version!r}")
-    for key in _ENVELOPE_KEYS:
-        if key not in envelope:
-            raise ModelFormatError(f"{path}: checkpoint has no {key!r}")
     try:
-        model = _unloaded_model(envelope, pretrained, dtype)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ModelFormatError(f"{path}: malformed checkpoint envelope ({exc!r})") from exc
-    expected = model.parameter_shapes()
-    stored = envelope["parameters"]
-    for name in expected:
-        if name not in stored:
-            raise ModelFormatError(f"{path}: parameter {name!r} is missing")
-    for name in stored:
-        if name not in expected:
-            raise ModelFormatError(f"{path}: unexpected parameter {name!r}")
-    for name, shape in expected.items():
-        entry = stored[name]
-        try:
-            if tuple(entry["shape"]) != shape:
-                raise ModelFormatError(
-                    f"{path}: parameter {name!r} has shape {entry['shape']}, "
-                    f"expected {list(shape)}"
-                )
-            model.params.add(name, _decode_array(entry, dtype))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"{path}: parameter {name!r}: {exc}") from exc
-    return model
+        with open(path, encoding="utf-8") as handle:
+            envelope = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ModelFormatError(f"{path}: not a JSON model checkpoint ({exc})") from exc
+    try:
+        return _model_from_envelope(envelope, pretrained, dtype)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

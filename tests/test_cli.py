@@ -5,7 +5,7 @@ import pytest
 import synthgrammar
 from conftest import COURT_MENTIONS
 from nestner.cli import main
-from nestner.corpus import read_spans, write_conll, write_spans
+from nestner.corpus import read_conll, read_spans, write_conll, write_spans
 
 
 def run(*argv):
@@ -328,6 +328,21 @@ class TestBadCheckpoints:
         assert damaged(lambda envelope: envelope["parameters"].pop("crf.trans")) == 1
         assert "'crf.trans'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda envelope: envelope.update(parameters=5),
+            lambda envelope: envelope.update(parameters=list(envelope["parameters"])),
+            lambda envelope: envelope["config"].update(hidden_dim="4"),
+        ],
+        ids=["parameters-int", "parameters-list", "hidden-dim-str"],
+    )
+    def test_malformed_envelope_exits_1_naming_the_file(self, damaged, tmp_path, capsys, damage):
+        assert damaged(damage) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'model.json'}: " in err
+        assert "Traceback" not in err
+
 
 class TestDiagnostics:
     def test_roundtrip_command(self, capsys):
@@ -439,6 +454,29 @@ class TestContextualSidecars:
         assert f"{wide}:1: expected 2 values, found 3" in capsys.readouterr().err
         assert run(*predict) == 1
         assert "needs --contextual vectors of width 2" in capsys.readouterr().err
+
+    def test_sidecar_with_a_sentence_too_few_names_the_file(self, tmp_path, files, capsys):
+        conll, sidecar, _ = files
+        ctx = sidecar("train.ctx", [2, 2])
+        assert self._train(tmp_path, conll, "--contextual", str(ctx)) == 1
+        assert f"{ctx}: contextual vectors cover 2 sentences, corpus has 3" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    def test_sidecar_with_a_row_too_few_names_the_file(self, tmp_path, files, capsys):
+        conll, sidecar, _ = files
+        ctx = sidecar("train.ctx", [2, 2, 2])
+        n_tokens = len(read_conll(conll).sentences[0].tokens)
+        lines = ctx.read_text(encoding="utf-8").split("\n")
+        del lines[0]  # the first sentence loses a row
+        ctx.write_text("\n".join(lines), encoding="utf-8")
+        assert self._train(tmp_path, conll, "--contextual", str(ctx)) == 1
+        assert (
+            f"{ctx}: sentence 0: {n_tokens - 1} contextual rows for {n_tokens} tokens"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "m.json").exists()
 
     def test_predict_rejects_a_sidecar_the_model_cannot_use(self, tmp_path, files, capsys):
         conll, sidecar, _ = files

@@ -64,6 +64,14 @@ class TestReadConll:
             read_conll(path)
         assert "Z-ORG" in str(err.value) and ":2" in str(err.value)
 
+    @pytest.mark.parametrize("scheme", ["bilou", "bio"])
+    @pytest.mark.parametrize("label", ["B--X", "B-X Y"])
+    def test_bad_entity_type_reports_file_and_line(self, tmp_path, scheme, label):
+        path = tmp_path / "bad.conll"
+        path.write_text(f"a\tO\nb\t{label}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"bad\.conll:2: bad component"):
+            read_conll(path, scheme=scheme)
+
     def test_strict_decode_failure_reports_sentence(self, tmp_path):
         path = tmp_path / "orphan.conll"
         path.write_text("a\tO\n\nb\tI-ORG\n", encoding="utf-8")

@@ -130,21 +130,21 @@ class TestTokenVector:
             pretrained_dim=300, trainable_dim=256, char_dim=128, char_rnn_dim=128
         )
         embedder, params = make_embedder(vocab, config, table)
-        vec = embedder.token_vector(Tape(params), Token("Court"))
-        assert vec.shape == (812,)
+        vec = embedder.token_vector(Tape(params), [Token("Court")])
+        assert vec.shape == (1, 812)
 
     def test_unknown_form_pretrained_slice_is_zero(self, vocab):
         table = PretrainedTable({"court": 0}, np.ones((1, 4)))
         config = EmbeddingConfig(pretrained_dim=4, trainable_dim=3, char_dim=0, char_rnn_dim=0)
         embedder, params = make_embedder(vocab, config, table)
-        vec = embedder.token_vector(Tape(params), Token("martian"))
-        np.testing.assert_array_equal(vec.value[:4], np.zeros(4))
+        vec = embedder.token_vector(Tape(params), [Token("martian")])
+        np.testing.assert_array_equal(vec.value[0, :4], np.zeros(4))
 
     def test_eval_mode_deterministic(self, vocab):
         config = EmbeddingConfig(trainable_dim=5, char_dim=4, char_rnn_dim=4)
         embedder, params = make_embedder(vocab, config)
-        one = embedder.token_vector(Tape(params), Token("Court")).value
-        two = embedder.token_vector(Tape(params), Token("Court")).value
+        one = embedder.token_vector(Tape(params), [Token("Court")]).value
+        two = embedder.token_vector(Tape(params), [Token("Court")]).value
         np.testing.assert_array_equal(one, two)
 
     def test_depends_only_on_token_attributes(self, vocab):
@@ -152,11 +152,11 @@ class TestTokenVector:
         config = EmbeddingConfig(trainable_dim=5, char_dim=4, char_rnn_dim=4)
         embedder, params = make_embedder(vocab, config)
         token = Token("us", pos="N")
-        tape = Tape(params)
-        np.testing.assert_array_equal(
-            embedder.token_vector(tape, token).value,
-            embedder.token_vector(Tape(params), token).value,
-        )
+        alone = embedder.token_vector(Tape(params), [token]).value[0]
+        for sentence, i in (([Token("Court"), token], 1), ([token, Token("ab"), token], 2)):
+            np.testing.assert_allclose(
+                embedder.token_vector(Tape(params), sentence).value[i], alone, rtol=0, atol=1e-15
+            )
 
     def test_pos_onehot_and_unknown_pos(self, vocab):
         config = EmbeddingConfig(
@@ -164,16 +164,16 @@ class TestTokenVector:
             use_pos_onehot=True, pos_dim=vocab.n_pos,
         )
         embedder, params = make_embedder(vocab, config)
-        known = embedder.token_vector(Tape(params), Token("Court", pos="N")).value
-        assert known[2:].tolist() == [1.0]
-        unknown = embedder.token_vector(Tape(params), Token("Court", pos="XYZ")).value
-        assert unknown[2:].tolist() == [0.0]
+        known = embedder.token_vector(Tape(params), [Token("Court", pos="N")]).value
+        assert known[0, 2:].tolist() == [1.0]
+        unknown = embedder.token_vector(Tape(params), [Token("Court", pos="XYZ")]).value
+        assert unknown[0, 2:].tolist() == [0.0]
 
     def test_lookup_form_overrides_tables_not_chars(self, vocab):
         config = EmbeddingConfig(trainable_dim=3, char_dim=4, char_rnn_dim=4)
         embedder, params = make_embedder(vocab, config)
-        raw = embedder.token_vector(Tape(params), Token("Court")).value
-        dropped = embedder.token_vector(Tape(params), Token("Court"), lookup_form=UNK).value
+        raw = embedder.token_vector(Tape(params), [Token("Court")]).value[0]
+        dropped = embedder.token_vector(Tape(params), [Token("Court")], [UNK]).value[0]
         # the trainable slice moved to the unk row, the char slice is unchanged
         assert not np.array_equal(raw[:3], dropped[:3])
         np.testing.assert_array_equal(raw[3:], dropped[3:])
@@ -182,8 +182,8 @@ class TestTokenVector:
         table = PretrainedTable({"court": 0}, np.ones((1, 2)))
         config = EmbeddingConfig(pretrained_dim=2, trainable_dim=2, char_dim=0, char_rnn_dim=0)
         embedder, params = make_embedder(vocab, config, table)
-        raw = embedder.token_vector(Tape(params), Token("Court")).value
-        dropped = embedder.token_vector(Tape(params), Token("Court"), lookup_form=UNK).value
+        raw = embedder.token_vector(Tape(params), [Token("Court")]).value[0]
+        dropped = embedder.token_vector(Tape(params), [Token("Court")], [UNK]).value[0]
         np.testing.assert_array_equal(raw[:2], [1.0, 1.0])
         np.testing.assert_array_equal(dropped[:2], [0.0, 0.0])
 
@@ -192,19 +192,19 @@ class TestTokenVector:
         vocab = build_vocabulary(corpus)
         config = EmbeddingConfig(trainable_dim=2, lemma_dim=3, char_dim=0, char_rnn_dim=0)
         embedder, params = make_embedder(vocab, config)
-        vec = embedder.token_vector(Tape(params), Token("walks", lemma="walk"))
+        vec = embedder.token_vector(Tape(params), [Token("walks", lemma="walk")])
         np.testing.assert_array_equal(
-            vec.value[2:], params["embed.lemma"][vocab.lemma_id("walk")]
+            vec.value[0, 2:], params["embed.lemma"][vocab.lemma_id("walk")]
         )
 
     def test_contextual_slice_appended(self, vocab):
         config = EmbeddingConfig(trainable_dim=2, char_dim=0, char_rnn_dim=0, contextual_dim=3)
         embedder, params = make_embedder(vocab, config)
-        row = np.array([7.0, 8.0, 9.0])
-        vec = embedder.token_vector(Tape(params), Token("Court"), contextual_row=row)
-        np.testing.assert_array_equal(vec.value[2:], row)
+        rows = np.array([[7.0, 8.0, 9.0]])
+        vec = embedder.token_vector(Tape(params), [Token("Court")], contextual=rows)
+        np.testing.assert_array_equal(vec.value[:, 2:], rows)
         with pytest.raises(ValueError):
-            embedder.token_vector(Tape(params), Token("Court"))
+            embedder.token_vector(Tape(params), [Token("Court")])
 
 
 class TestSentenceVectors:
@@ -234,8 +234,9 @@ class TestSentenceVectors:
         return embedder, params, contextual
 
     def _token_by_token(self, embedder, tape, contextual):
+        """Each token's (1, d) vector as a one-token sentence."""
         return [
-            embedder.token_vector(tape, token, lookup_form=form, contextual_row=row)
+            embedder.token_vector(tape, [token], [form], row[None])
             for token, form, row in zip(self.TOKENS, self.LOOKUP, contextual)
         ]
 
@@ -246,7 +247,7 @@ class TestSentenceVectors:
         rows = self._token_by_token(embedder, tape, contextual)
         assert matrix.shape == (len(self.TOKENS), embedder.config.token_dim)
         np.testing.assert_allclose(
-            matrix.value, np.stack([r.value for r in rows]), rtol=0, atol=1e-12
+            matrix.value, np.concatenate([r.value for r in rows]), rtol=0, atol=1e-12
         )
 
     def test_gradients_equal_token_by_token(self, setup):
@@ -254,14 +255,18 @@ class TestSentenceVectors:
         weights = np.random.default_rng(2).standard_normal(
             (len(self.TOKENS), embedder.config.token_dim)
         )
+        targets = np.arange(len(self.TOKENS))
         tape = Tape(params)
         matrix = embedder.token_vector(tape, self.TOKENS, self.LOOKUP, contextual)
-        by_matrix = tape.backward(tape.sum(tape.tanh(tape.dropout(matrix, weights))))
+        by_matrix = tape.backward(
+            tape.softmax_cross_entropy(tape.tanh(tape.dropout(matrix, weights)), targets)
+        )
         tape = Tape(params)
         rows = self._token_by_token(embedder, tape, contextual)
-        by_rows = tape.backward(tape.add_n(
-            [tape.sum(tape.tanh(tape.dropout(r, w))) for r, w in zip(rows, weights)]
-        ))
+        by_rows = tape.backward(tape.add_n([
+            tape.softmax_cross_entropy(tape.tanh(tape.dropout(r, w[None])), [target])
+            for r, w, target in zip(rows, weights, targets)
+        ]))
         assert set(by_matrix.rows) == set(by_rows.rows)
         assert set(by_matrix.dense) == set(by_rows.dense)
         for name, arr in params.items():
@@ -292,14 +297,14 @@ class TestCharBiGru:
         """Reversing characters and swapping direction parameters swaps the halves."""
         config = EmbeddingConfig(trainable_dim=0, char_dim=4, char_rnn_dim=3)
         embedder, params = make_embedder(vocab, config, seed=2)
-        before = embedder.token_vector(Tape(params), Token("ab")).value.copy()
+        before = embedder.token_vector(Tape(params), [Token("ab")]).value[0].copy()
 
         swapped = Parameters()
         for fw_name, bw_name in zip(TokenEmbedder.CHAR_FW, TokenEmbedder.CHAR_BW):
             swapped.add(fw_name, params[bw_name])
             swapped.add(bw_name, params[fw_name])
         swapped.add(TokenEmbedder.CHAR_TABLE, params[TokenEmbedder.CHAR_TABLE])
-        after = embedder.token_vector(Tape(swapped), Token("ba")).value
+        after = embedder.token_vector(Tape(swapped), [Token("ba")]).value[0]
 
         np.testing.assert_array_equal(after[:3], before[3:])
         np.testing.assert_array_equal(after[3:], before[:3])
@@ -311,8 +316,8 @@ class TestCharBiGru:
         embedder, params = make_embedder(vocab, config, table)
         snapshot = table.matrix.copy()
         tape = Tape(params)
-        vec = embedder.token_vector(tape, Token("Court"))
-        grads = tape.backward(tape.sum(vec))
+        vec = embedder.token_vector(tape, [Token("Court")])
+        grads = tape.backward(tape.softmax_cross_entropy(vec, [0]))
         assert all(not name.startswith("pretrained") for name in params.names())
         assert set(grads.dense) | set(grads.rows) <= set(params.names())
         np.testing.assert_array_equal(table.matrix, snapshot)

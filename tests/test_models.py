@@ -468,19 +468,38 @@ class TestSerialization:
              "unexpected parameter 'extra'"),
             (lambda env: env["parameters"]["crf.emit.b"].update(shape=[1, 1]), "has shape [1, 1]"),
             (lambda env: env["parameters"]["crf.emit.b"].update(data="AAAA"), "'crf.emit.b'"),
+            (lambda env: env.update(parameters=5), "'parameters' is not a mapping"),
+            (lambda env: env.update(parameters=list(env["parameters"])),
+             "'parameters' is not a mapping"),
+            (lambda env: env["config"].update(hidden_dim="4"), "malformed checkpoint envelope"),
+            (lambda env: env["config"].update(hidden_dim=-4), "negative dimensions"),
+            (lambda env: env.update(format_version=2), "unsupported model format_version 2"),
+            (lambda env: env.update(model_kind=[1]), "unknown model_kind [1]"),
+            (b"not json\n", "Expecting value"),
+            (b"\xff\xfe{}", "codec can't decode"),
         ],
-        ids=["no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data"],
+        ids=[
+            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data",
+            "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
+            "format-version", "model-kind-list", "not-json", "not-utf8",
+        ],
     )
     def test_malformed_checkpoint_rejected(self, tmp_path, damage, message):
+        """Every malformation is a ModelFormatError naming the file; ``damage``
+        edits the saved envelope, or is the bytes of the whole file."""
         import json
 
         path = tmp_path / "model.json"
         save_model(build("crf"), path)
-        envelope = json.loads(path.read_text())
-        damage(envelope)
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(ModelFormatError, match=re.escape(message)):
+        if isinstance(damage, bytes):
+            path.write_bytes(damage)
+        else:
+            envelope = json.loads(path.read_text())
+            damage(envelope)
+            path.write_text(json.dumps(envelope))
+        with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
             load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         first, second = build("crf", seed=3), build("crf", seed=4)
