@@ -11,6 +11,9 @@ per direction over the sentence's distinct forms.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -82,6 +85,17 @@ class PretrainedTable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+    @functools.cached_property
+    def fingerprint(self) -> dict:
+        """Row count and sha256 of the words in row order and the float32
+        matrix; a checkpoint stores it to recognise the table it needs."""
+        digest = hashlib.sha256()
+        words = sorted(self.index, key=self.index.__getitem__)
+        digest.update(json.dumps(words).encode("utf-8"))
+        for start in range(0, len(self.matrix), 4096):  # bounded temporaries
+            digest.update(self.matrix[start : start + 4096].astype("<f4").tobytes())
+        return {"rows": len(self.matrix), "sha256": digest.hexdigest()}
 
     def __len__(self) -> int:
         return len(self.index)

@@ -9,16 +9,24 @@ come out highest priority first.
 
 Decoded label sequences from either model go through the repair decoder, so
 any label sequence the models can emit yields a valid mention set.
+
+:func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
+and one float32 ``.npy`` member per parameter (format v2); :func:`load_model`
+reads it, and the base64 JSON checkpoints of format v1.
 """
 
 from __future__ import annotations
 
 import base64
+import copy
+import functools
 import json
+import math
 import os
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -86,20 +94,26 @@ def crf_nll(
 
 
 def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
-    """Highest-scoring label path; ties break toward the lower label id."""
+    """Highest-scoring label path; ties break toward the lower label id.
+
+    Scores are kept as ``scores[j, i]`` (previous label ``i`` into ``j``) in
+    one buffer, so each step's argmax runs over contiguous rows.
+    """
     n, k = emissions.shape
     assert n >= 1 and trans.shape == (k + 2, k + 2)
+    into = np.ascontiguousarray(trans[:k, :k].T)
+    scores = np.empty((k, k), dtype=np.result_type(emissions, trans))
+    backptr = np.empty((n, k), dtype=np.intp)
+    labels = np.arange(k)
     delta = emissions[0] + trans[k, :k]
-    backptr = []
     for t in range(1, n):
-        scores = delta[:, None] + trans[:k, :k]
-        best_prev = np.argmax(scores, axis=0)
-        delta = scores[best_prev, np.arange(k)] + emissions[t]
-        backptr.append(best_prev)
+        np.add(into, delta, out=scores)
+        np.argmax(scores, axis=1, out=backptr[t])
+        delta = scores[labels, backptr[t]] + emissions[t]
     delta = delta + trans[:k, k + 1]
     path = [int(np.argmax(delta))]
-    for bp in reversed(backptr):
-        path.append(int(bp[path[-1]]))
+    for t in range(n - 1, 0, -1):
+        path.append(int(backptr[t, path[-1]]))
     path.reverse()
     return path
 
@@ -116,7 +130,7 @@ class _ShapeRecorder:
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         self.shapes[name] = tuple(shape)
-        return np.zeros(shape)
+        return np.empty(shape)  # written to by registration, never read
 
     def uniform(self, name: str, shape: tuple[int, ...], rng, fan_in: int | None = None):
         return self.zeros(name, shape)
@@ -410,17 +424,27 @@ class Seq2seqTagger(_NeuralTagger):
 
 
 # -------------------------------------------------------------- serialization
+#
+# Format v2 (written): a zip archive of uncompressed members, first
+# ``envelope.json`` (format_version, model_kind, config, alphabets,
+# vocabulary, the pretrained-table fingerprint and the parameter names in
+# registration order), then one ``<name>.npy`` member per parameter, float32
+# little-endian. Format v1 (read only): one JSON envelope whose "parameters"
+# map names to {"shape", "data": base64 of the float32 bytes}.
+
+FORMAT_VERSION = 2
+_JSON_FORMAT_VERSION = 1
+_ZIP_MAGIC = b"PK\x03\x04"
+_ENVELOPE_MEMBER = "envelope.json"
+_STORED = np.dtype("<f4")
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(data).decode("ascii")}
-
-
-def _decode_array(entry: dict, dtype) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
-    return arr.astype(dtype)
+def _member_info(name: str) -> zipfile.ZipInfo:
+    """Fixed date and attributes, so two saves of one model are byte-identical."""
+    info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+    info.create_system = 3
+    info.external_attr = 0o100644 << 16
+    return info
 
 
 def _vocab_to_dict(vocab: Vocabulary) -> dict:
@@ -441,27 +465,43 @@ def _vocab_from_dict(d: dict) -> Vocabulary:
     )
 
 
+def saved_copy(model: CrfTagger | Seq2seqTagger) -> CrfTagger | Seq2seqTagger:
+    """``model`` with its parameters rounded to float32, as :func:`save_model`
+    stores them; everything else is shared with ``model``."""
+    saved = copy.copy(model)
+    saved.params = Parameters(model.params.dtype)
+    for name, arr in model.params.items():
+        saved.params.add(name, arr.astype(_STORED))
+    return saved
+
+
 def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
-    config = asdict(model.config)
+    """Write ``model`` to ``path`` in format v2.
+
+    The archive is written beside the destination and renamed over it, so a
+    failed write leaves the previous checkpoint whole.
+    """
     if model.kind == "crf":
         alphabets = {"labels": list(model.alphabet.strings)}
     else:
         alphabets = {"components": list(model.components.strings)}
+    pretrained = model.embedder.pretrained
     envelope = {
         "format_version": FORMAT_VERSION,
         "model_kind": model.kind,
-        "config": config,
+        "config": asdict(model.config),
         "alphabets": alphabets,
         "vocabulary": _vocab_to_dict(model.vocab),
-        "parameters": {name: _encode_array(arr) for name, arr in model.params.items()},
+        "pretrained": pretrained.fingerprint if pretrained is not None else None,
+        "parameters": model.params.names(),
     }
-    # written beside the destination, then renamed over it, so a failed
-    # write leaves the previous checkpoint whole
     partial = Path(f"{path}.partial")
     try:
-        with open(partial, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle)
-            handle.write("\n")
+        with zipfile.ZipFile(partial, "w") as archive:
+            archive.writestr(_member_info(_ENVELOPE_MEMBER), json.dumps(envelope))
+            for name, arr in model.params.items():
+                with archive.open(_member_info(f"{name}.npy"), "w") as member:
+                    np.lib.format.write_array(member, arr.astype(_STORED), allow_pickle=False)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -480,6 +520,13 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
         raise ModelFormatError(
             "model was trained with pretrained vectors; supply the same table to load it"
         )
+    trained_with = envelope.get("pretrained")  # v1 checkpoints have no fingerprint
+    if trained_with is not None and pretrained is not None:
+        if pretrained.fingerprint != trained_with:
+            raise ModelFormatError(
+                f"pretrained table {pretrained.fingerprint} is not the one the model "
+                f"was trained with {trained_with}"
+            )
     if kind == "crf":
         alphabet = LabelAlphabet(tuple(envelope["alphabets"]["labels"]))
         return CrfTagger(CrfConfig(**config), vocab, alphabet, pretrained=pretrained, dtype=dtype)
@@ -491,18 +538,25 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
     raise ModelFormatError(f"unknown model_kind {kind!r}")
 
 
-def _model_from_envelope(envelope, pretrained: PretrainedTable | None, dtype):
+def _check_envelope(envelope, version: int, keys: tuple[str, ...]) -> None:
     if not isinstance(envelope, dict):
         raise ModelFormatError("not a model checkpoint")
-    version = envelope.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format_version {version!r}")
-    for key in _ENVELOPE_KEYS:
+    found = envelope.get("format_version")
+    if found != version:
+        raise ModelFormatError(f"unsupported model format_version {found!r}")
+    for key in keys:
         if key not in envelope:
             raise ModelFormatError(f"checkpoint has no {key!r}")
-    stored = envelope["parameters"]
-    if not isinstance(stored, dict):
-        raise ModelFormatError("'parameters' is not a mapping of names to arrays")
+
+
+def _build(
+    envelope: dict, stored: Collection[str], read, pretrained: PretrainedTable | None, dtype
+):
+    """The model ``envelope`` describes, holding the ``stored`` parameters.
+
+    ``read(name, shape)`` returns parameter ``name`` as a float32 array,
+    raising :class:`ModelFormatError` unless it has ``shape``.
+    """
     try:
         model = _unloaded_model(envelope, pretrained, dtype)
         expected = model.parameter_shapes()
@@ -515,16 +569,101 @@ def _model_from_envelope(envelope, pretrained: PretrainedTable | None, dtype):
         if name not in expected:
             raise ModelFormatError(f"unexpected parameter {name!r}")
     for name, shape in expected.items():
+        values = read(name, shape)
+        try:
+            model.params.add(name, values)  # the one conversion to ``dtype``
+        except ValueError as exc:
+            raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
+    return model
+
+
+def _shape_error(name: str, found, shape: tuple[int, ...]) -> ModelFormatError:
+    return ModelFormatError(f"parameter {name!r} has shape {list(found)}, expected {list(shape)}")
+
+
+def _load_json(handle, pretrained: PretrainedTable | None, dtype):
+    try:
+        envelope = json.loads(handle.read().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise ModelFormatError(f"not a JSON model checkpoint ({exc})") from exc
+    _check_envelope(envelope, _JSON_FORMAT_VERSION, _ENVELOPE_KEYS)
+    stored = envelope["parameters"]
+    if not isinstance(stored, dict):
+        raise ModelFormatError("'parameters' is not a mapping of names to arrays")
+
+    def read(name: str, shape: tuple[int, ...]) -> np.ndarray:
         entry = stored[name]
         try:
             if tuple(entry["shape"]) != shape:
-                raise ModelFormatError(
-                    f"parameter {name!r} has shape {entry['shape']}, expected {list(shape)}"
-                )
-            model.params.add(name, _decode_array(entry, dtype))
+                raise _shape_error(name, entry["shape"], shape)
+            raw = base64.b64decode(entry["data"])
+            return np.frombuffer(raw, dtype=_STORED).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
-    return model
+
+    return _build(envelope, stored, read, pretrained, dtype)
+
+
+def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Member ``<name>.npy`` as a float32 array; its header is checked before
+    any data is read, so the read is never larger than ``shape``."""
+    with archive.open(f"{name}.npy") as member:
+        try:
+            version = np.lib.format.read_magic(member)
+            if version == (1, 0):
+                found, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+            elif version == (2, 0):
+                found, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
+            else:
+                raise ValueError(f".npy format version {version} is not supported")
+        except ValueError as exc:
+            raise ModelFormatError(f"parameter {name!r}: not a .npy member ({exc})") from exc
+        if dtype != _STORED:
+            raise ModelFormatError(f"parameter {name!r} has dtype {dtype}, expected {_STORED}")
+        if tuple(found) != shape:
+            raise _shape_error(name, found, shape)
+        if fortran_order:
+            raise ModelFormatError(f"parameter {name!r} is stored in Fortran order")
+        size = _STORED.itemsize * math.prod(shape)
+        raw = member.read(size)
+        if len(raw) != size or member.read(1):
+            raise ModelFormatError(f"parameter {name!r}: member holds the wrong number of bytes")
+    return np.frombuffer(raw, dtype=_STORED).reshape(shape)
+
+
+def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
+    file_size = handle.seek(0, os.SEEK_END)
+    with zipfile.ZipFile(handle) as archive:
+        for info in archive.infolist():  # no read may be larger than the file
+            if info.header_offset + info.compress_size > file_size:
+                raise ModelFormatError(f"member {info.filename!r} runs past the end of the file")
+        members = archive.namelist()
+        if _ENVELOPE_MEMBER not in members:
+            raise ModelFormatError(f"archive has no {_ENVELOPE_MEMBER}")
+        try:
+            envelope = json.loads(archive.read(_ENVELOPE_MEMBER).decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ModelFormatError(f"{_ENVELOPE_MEMBER} is not JSON ({exc})") from exc
+        _check_envelope(envelope, FORMAT_VERSION, _ENVELOPE_KEYS + ("pretrained",))
+        names = envelope["parameters"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ModelFormatError("'parameters' is not a list of names")
+        listed = {f"{name}.npy" for name in names}
+        for member in members:
+            if member != _ENVELOPE_MEMBER and member not in listed:
+                raise ModelFormatError(f"unexpected member {member!r}")
+        for name in names:
+            if f"{name}.npy" not in members:
+                raise ModelFormatError(f"parameter {name!r} is missing")
+        read = functools.partial(_read_member, archive)
+        return _build(envelope, names, read, pretrained, dtype)
+
+
+# what zipfile raises on a damaged archive: bad records or CRC, cut data,
+# unknown compression, the encryption flag, impossible offsets
+_ARCHIVE_ERRORS = (
+    zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, ValueError, OSError
+)
 
 
 def load_model(
@@ -532,20 +671,25 @@ def load_model(
     pretrained: PretrainedTable | None = None,
     dtype=np.float64,
 ) -> CrfTagger | Seq2seqTagger:
-    """Read a checkpoint written by :func:`save_model`.
+    """Read a checkpoint written by :func:`save_model` (format v2) or by an
+    earlier version (format v1, JSON), told apart by the first four bytes.
 
     The stored parameters must be exactly those a fresh model of the stored
-    kind and config registers, with the same shapes. A file that is not
-    UTF-8 JSON, a missing or malformed envelope key, or a missing, extra,
-    wrongly shaped or non-finite parameter raises :class:`ModelFormatError`
-    with a message that starts with ``path``.
+    kind and config registers, with the same shapes, stored as float32; a
+    model trained with pretrained vectors needs the same table (by row count
+    and content hash, for v2). A damaged archive or a non-JSON file, a
+    missing, extra or malformed envelope key, member or parameter, or a
+    non-finite value raises :class:`ModelFormatError` with a message that
+    starts with ``path``.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            envelope = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ModelFormatError(f"{path}: not a JSON model checkpoint ({exc})") from exc
-    try:
-        return _model_from_envelope(envelope, pretrained, dtype)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+    with open(path, "rb") as handle:
+        try:
+            if handle.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+                try:
+                    return _load_zip(handle, pretrained, dtype)
+                except _ARCHIVE_ERRORS as exc:
+                    raise ModelFormatError(f"damaged checkpoint archive ({exc!r})") from exc
+            handle.seek(0)
+            return _load_json(handle, pretrained, dtype)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc

@@ -78,28 +78,33 @@ class LazyAdam:
         self.config = config or OptimizerConfig()
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        # one scratch buffer for every update, as large as the largest parameter
+        size = max((arr.size for _, arr in params.items()), default=0)
+        self._scratch = np.empty(size, dtype=params.dtype)
         self.step_count = 0
 
     def _apply(self, target: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
-        # in place through one scratch array; the same arithmetic as
-        # m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
-        # target -= lr * m_hat / (sqrt(v_hat) + eps)
+        # m += (1 - b1)(g - m), v += (1 - b2)(g^2 - v), and the bias
+        # corrections folded into the step size and epsilon (Kingma & Ba
+        # 2015, section 2): target -= lr_t * m / (sqrt(v) + eps_t), equal to
+        # lr * m_hat / (sqrt(v_hat) + eps) in real arithmetic
         b1, b2 = self.BETA1, self.BETA2
         t = self.step_count
-        scratch = (1.0 - b1) * g
-        m *= b1
+        root = (1.0 - b2**t) ** 0.5
+        lr_t = self.config.learning_rate * root / (1.0 - b1**t)
+        scratch = self._scratch[: g.size].reshape(g.shape)
+        np.subtract(g, m, out=scratch)
+        scratch *= 1.0 - b1
         m += scratch
         np.multiply(g, g, out=scratch)
+        scratch -= v
         scratch *= 1.0 - b2
-        v *= b2
         v += scratch
-        np.divide(v, 1.0 - b2**t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += self.EPSILON
-        update = m / (1.0 - b1**t)
-        update *= self.config.learning_rate
-        update /= scratch
-        target -= update
+        np.sqrt(v, out=scratch)
+        scratch += self.EPSILON * root
+        np.divide(m, scratch, out=scratch)
+        scratch *= lr_t
+        target -= scratch
 
     def step(self, grads: Gradients) -> None:
         """One update. Rejects the whole step if any gradient is non-finite."""
@@ -261,7 +266,9 @@ def train(
     """Train in place; returns per-epoch records {epoch, train_loss, dev_f1}.
 
     With a dev corpus the model keeps its best-dev-F1 parameters at the end
-    (and writes them to ``checkpoint_path`` whenever they improve). With
+    (and writes them to ``checkpoint_path`` whenever they improve). Dev is
+    scored on the parameters rounded to float32 as a checkpoint stores them,
+    so the logged ``dev_f1``, the saved file and the returned model agree. With
     ``include_dev_in_train`` the dev sentences join the training data and no
     dev score is tracked. A rejected optimizer step stops the run with an
     :class:`OptimizerError` naming the epoch, the batch and the parameter,
@@ -286,7 +293,7 @@ def train(
     ]
     metrics: list[dict] = []
     best_f1 = -1.0
-    best_params: Parameters | None = None
+    best = None
     for epoch in range(1, config.epochs + 1):
         total_loss = 0.0
         for batch_no, batch in enumerate(_batches(items, config.batch_size, rng), start=1):
@@ -296,16 +303,16 @@ def train(
                 raise OptimizerError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
         record = {"epoch": epoch, "train_loss": total_loss / len(items)}
         if dev is not None:
-            f1 = evaluate_model(model, dev)
+            saved = models.saved_copy(model)
+            f1 = evaluate_model(saved, dev)
             record["dev_f1"] = f1
             if f1 > best_f1:
-                best_f1 = f1
-                best_params = model.params.copy()
+                best_f1, best = f1, saved
                 if checkpoint_path is not None:
-                    models.save_model(model, checkpoint_path)
+                    models.save_model(saved, checkpoint_path)
         metrics.append(record)
-    if dev is not None and best_params is not None:
-        model.params.load_state(best_params)
+    if best is not None:
+        model.params.load_state(best.params)
     elif checkpoint_path is not None:
         models.save_model(model, checkpoint_path)
     return metrics

@@ -1,3 +1,10 @@
+import base64
+import io
+import json
+import zipfile
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 from nestner.core import Mention, Sentence, Span, Token
@@ -39,3 +46,64 @@ def court_sentence() -> Sentence:
 @pytest.fixture
 def court_conll_text() -> str:
     return "".join(f"{f}\t{l}\n" for f, l in zip(COURT_FORMS, COURT_LABELS))
+
+
+# ------------------------------------------------------------- checkpoints
+
+
+def npy_bytes(array, allow_pickle: bool = False) -> bytes:
+    """``array`` as a ``.npy`` file."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def rewrite_checkpoint(path, damage) -> None:
+    """Rewrite the format-v2 checkpoint at ``path`` after
+    ``damage(envelope, members)``, which edits in place the parsed
+    ``envelope.json`` and ``members``, the bytes of every other member by
+    name. Bytes that ``damage`` puts under ``"envelope.json"`` are written
+    in place of the envelope."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    envelope = json.loads(members.pop("envelope.json"))
+    damage(envelope, members)
+    raw_envelope = members.pop("envelope.json", None) or json.dumps(envelope).encode("utf-8")
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("envelope.json", raw_envelope)
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def save_v1(model, path) -> None:
+    """Checkpoint format v1, as earlier versions of ``save_model`` wrote it:
+    one JSON envelope holding each parameter as base64 of its float32 bytes."""
+    if model.kind == "crf":
+        alphabets = {"labels": list(model.alphabet.strings)}
+    else:
+        alphabets = {"components": list(model.components.strings)}
+    vocab = model.vocab
+    envelope = {
+        "format_version": 1,
+        "model_kind": model.kind,
+        "config": asdict(model.config),
+        "alphabets": alphabets,
+        "vocabulary": {
+            "forms": vocab.form_strings(),
+            "chars": vocab.char_strings(),
+            "lemmas": vocab.lemma_strings(),
+            "pos": list(vocab.pos_tags),
+        },
+        "parameters": {
+            name: {
+                "shape": list(arr.shape),
+                "data": base64.b64encode(
+                    np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                ).decode("ascii"),
+            }
+            for name, arr in model.params.items()
+        },
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle)
+        handle.write("\n")

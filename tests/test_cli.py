@@ -3,7 +3,7 @@ import json
 import pytest
 
 import synthgrammar
-from conftest import COURT_MENTIONS
+from conftest import COURT_MENTIONS, rewrite_checkpoint
 from nestner.cli import main
 from nestner.corpus import read_conll, read_spans, write_conll, write_spans
 
@@ -176,6 +176,50 @@ class TestPipeline:
             "--pretrained", str(vec_file), "--pretrained-dim", "2",
         ) == 0
 
+    def test_other_pretrained_table_exits_1(self, tmp_path, capsys):
+        corpus = synthgrammar.generate(4, seed=9)
+        train_file = tmp_path / "train.conll"
+        write_conll(corpus, train_file)
+        forms = sorted({t.form for s in corpus for t in s.tokens})
+        vec_file, other_vec = tmp_path / "vectors.txt", tmp_path / "other-vectors.txt"
+        vec_file.write_text("".join(f"{f} {i}.0 1.0\n" for i, f in enumerate(forms)), "utf-8")
+        other_vec.write_text("".join(f"{f} {i}.0 2.0\n" for i, f in enumerate(forms)), "utf-8")
+        model_file = tmp_path / "model.json"
+        small = ("--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0")
+        assert run(
+            "train", "--train", str(train_file), "--save", str(model_file), "--epochs", "1",
+            "--pretrained", str(vec_file), "--pretrained-dim", "2", *small,
+        ) == 0
+        predict = ("predict", "--model-file", str(model_file), "--input", str(train_file),
+                   "--output", str(tmp_path / "pred.conll"), "--pretrained-dim", "2")
+        capsys.readouterr()
+        assert run(*predict, "--pretrained", str(other_vec)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_file}: pretrained table" in err
+        assert run(*predict, "--pretrained", str(vec_file)) == 0
+
+    def test_logged_dev_f1_is_the_f1_of_the_saved_checkpoint(self, tmp_path, capsys):
+        train_file, dev_file = tmp_path / "train.conll", tmp_path / "dev.conll"
+        write_conll(synthgrammar.generate(12, seed=14), train_file)
+        write_conll(synthgrammar.generate(8, seed=15), dev_file)
+        model_file, metrics_file = tmp_path / "model.json", tmp_path / "metrics.jsonl"
+        assert run(
+            "train", "--train", str(train_file), "--dev", str(dev_file), "--save", str(model_file),
+            "--metrics", str(metrics_file), "--epochs", "6", "--lr", "1e-2", "--hidden", "8",
+            "--embed-dim", "8", "--char-dim", "0", "--char-rnn-dim", "0",
+        ) == 0
+        best = max(json.loads(line)["dev_f1"] for line in metrics_file.read_text().splitlines())
+        pred_file = tmp_path / "pred.conll"
+        assert run(
+            "predict", "--model-file", str(model_file), "--input", str(dev_file),
+            "--output", str(pred_file),
+        ) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--gold", str(dev_file), "--pred", str(pred_file), "--json") == 0
+        overall = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert overall["type"] == "ALL"
+        assert overall["f1"] == best
+
     def test_non_finite_vector_files_exit_1_naming_the_file(self, tmp_path, capsys):
         corpus = synthgrammar.generate(4, seed=9)
         train_file = tmp_path / "train.conll"
@@ -310,9 +354,7 @@ class TestBadCheckpoints:
         ) == 0
 
         def predict_after(damage):
-            envelope = json.loads(model_file.read_text(encoding="utf-8"))
-            damage(envelope)
-            model_file.write_text(json.dumps(envelope), encoding="utf-8")
+            rewrite_checkpoint(model_file, damage)
             return run(
                 "predict", "--model-file", str(model_file), "--input", str(train_file),
                 "--output", str(tmp_path / "pred.conll"),
@@ -321,26 +363,39 @@ class TestBadCheckpoints:
         return predict_after
 
     def test_missing_vocabulary_exits_1(self, damaged, capsys):
-        assert damaged(lambda envelope: envelope.pop("vocabulary")) == 1
+        assert damaged(lambda envelope, members: envelope.pop("vocabulary")) == 1
         assert "'vocabulary'" in capsys.readouterr().err
 
     def test_missing_transition_matrix_exits_1(self, damaged, capsys):
-        assert damaged(lambda envelope: envelope["parameters"].pop("crf.trans")) == 1
+        assert damaged(lambda envelope, members: members.pop("crf.trans.npy")) == 1
         assert "'crf.trans'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda envelope: envelope.update(parameters=5),
-            lambda envelope: envelope.update(parameters=list(envelope["parameters"])),
-            lambda envelope: envelope["config"].update(hidden_dim="4"),
+            lambda envelope, members: envelope.update(parameters=5),
+            lambda envelope, members: envelope.update(parameters=[1, 2]),
+            lambda envelope, members: envelope["config"].update(hidden_dim="4"),
+            lambda envelope, members: members.update({"crf.trans.npy": b"\x93NUMPY"}),
         ],
-        ids=["parameters-int", "parameters-list", "hidden-dim-str"],
+        ids=["parameters-int", "parameters-list", "hidden-dim-str", "member-cut"],
     )
     def test_malformed_envelope_exits_1_naming_the_file(self, damaged, tmp_path, capsys, damage):
         assert damaged(damage) == 1
         err = capsys.readouterr().err
         assert f"error: {tmp_path / 'model.json'}: " in err
+        assert "Traceback" not in err
+
+    def test_truncated_archive_exits_1_naming_the_file(self, damaged, tmp_path, capsys):
+        model_file = tmp_path / "model.json"
+        damaged(lambda envelope, members: None)
+        model_file.write_bytes(model_file.read_bytes()[:-100])
+        assert run(
+            "predict", "--model-file", str(model_file), "--input", str(tmp_path / "train.conll"),
+            "--output", str(tmp_path / "pred.conll"),
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_file}: damaged checkpoint archive" in err
         assert "Traceback" not in err
 
 

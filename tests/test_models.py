@@ -1,16 +1,25 @@
+import base64
+import io
 import itertools
+import json
 import math
 import re
+import struct
+import time
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import mention
+from conftest import mention, npy_bytes, rewrite_checkpoint, save_v1
 from nestner import codec, training
 from nestner.autodiff import Parameters, Tape
 from nestner.core import Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
-from nestner.embeddings import EmbeddingConfig
+from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
     CrfTagger,
     ModelFormatError,
@@ -20,6 +29,7 @@ from nestner.models import (
     crf_nll,
     load_model,
     save_model,
+    saved_copy,
     softmax,
     viterbi,
 )
@@ -74,6 +84,24 @@ def brute_argmax(emissions, trans):
         if s > best_score:
             best_path, best_score = list(p), s
     return best_path
+
+
+def reference_viterbi(emissions, trans):
+    """Viterbi over ``[i, j]`` score tables, one fresh table per token."""
+    n, k = emissions.shape
+    delta = emissions[0] + trans[k, :k]
+    backptr = []
+    for t in range(1, n):
+        scores = delta[:, None] + trans[:k, :k]
+        best_prev = np.argmax(scores, axis=0)
+        delta = scores[best_prev, np.arange(k)] + emissions[t]
+        backptr.append(best_prev)
+    delta = delta + trans[:k, k + 1]
+    path = [int(np.argmax(delta))]
+    for bp in reversed(backptr):
+        path.append(int(bp[path[-1]]))
+    path.reverse()
+    return path
 
 
 def random_instance(rng, n, k):
@@ -193,6 +221,25 @@ class TestViterbi:
 
     def test_ties_break_toward_lower_id(self):
         assert viterbi(np.zeros((3, 3)), np.zeros((5, 5))) == [0, 0, 0]
+
+    def test_integer_scores_with_ties_match_enumeration_and_reference(self):
+        """On random and tie-heavy integer tables (exact sums) the path is
+        the best path whose every argmax takes the first maximum: the lowest
+        last label, then the lowest predecessor of each label, i.e. the
+        smallest optimal path read right to left. It also equals the path of
+        the step-by-step reference."""
+        rng = np.random.default_rng(12)
+        for case in range(150):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            high = 1 if case % 2 else 4  # every other table is mostly ties
+            emissions = rng.integers(-high, high + 1, (n, k)).astype(float)
+            trans = rng.integers(-high, high + 1, (k + 2, k + 2)).astype(float)
+            paths = list(itertools.product(range(k), repeat=n))
+            scores = [path_score(emissions, trans, p) for p in paths]
+            best = max(scores)
+            expected = min(p[::-1] for p, s in zip(paths, scores) if s == best)[::-1]
+            assert viterbi(emissions, trans) == list(expected)
+            assert viterbi(emissions, trans) == reference_viterbi(emissions, trans)
 
 
 class TestCrfTagger:
@@ -395,6 +442,17 @@ class TestOverfitCourtFixture:
         assert model.predict(court_sentence) == court_sentence.mentions
 
 
+def emit_bias(replace):
+    """A checkpoint damage that sets member ``crf.emit.b.npy`` to
+    ``replace(stored array)``."""
+
+    def damage(envelope, members):
+        stored = np.load(io.BytesIO(members["crf.emit.b.npy"]))
+        members["crf.emit.b.npy"] = replace(stored)
+
+    return damage
+
+
 class TestSerialization:
     def test_round_trip_predictions_identical(self, tmp_path):
         corpus = tiny_corpus()
@@ -434,29 +492,118 @@ class TestSerialization:
             )
 
     def test_version_mismatch_rejected(self, tmp_path):
+        """Each container claiming the other's format version is rejected."""
         model = build("crf")
         path = tmp_path / "model.json"
         save_model(model, path)
-        import json
-
+        rewrite_checkpoint(path, lambda env, members: env.update(format_version=1))
+        with pytest.raises(ModelFormatError, match="format_version 1"):
+            load_model(path)
+        save_v1(model, path)
         envelope = json.loads(path.read_text())
         envelope["format_version"] = 2
         path.write_text(json.dumps(envelope))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="format_version 2"):
             load_model(path)
 
     def test_missing_pretrained_rejected(self, tmp_path):
-        import json
-
-        model = build("crf")
         path = tmp_path / "model.json"
-        save_model(model, path)
-        envelope = json.loads(path.read_text())
-        envelope["config"]["embedding"]["pretrained_dim"] = 4
-        path.write_text(json.dumps(envelope))
+        save_model(build("crf"), path)
+        rewrite_checkpoint(
+            path, lambda env, members: env["config"]["embedding"].update(pretrained_dim=4)
+        )
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_other_pretrained_table_rejected(self, tmp_path):
+        """A table of the right width but other rows or values is named, not
+        silently used."""
+        table = PretrainedTable({"aa": 0, "bb": 1}, np.array([[0.5, 1.0], [2.0, -1.0]]))
+        embedding = EmbeddingConfig(pretrained_dim=2, trainable_dim=4, char_dim=0, char_rnn_dim=0)
+        model = build("crf", embedding=embedding, pretrained=table)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        same = PretrainedTable({"aa": 0, "bb": 1}, np.array([[0.5, 1.0], [2.0, -1.0]]))
+        loaded = load_model(path, pretrained=same)
+        sentence = tiny_corpus().sentences[0]
+        assert loaded.predict(sentence) == saved_copy(model).predict(sentence)
+        others = [
+            PretrainedTable({"aa": 0, "bb": 1}, np.array([[0.5, 1.0], [2.0, -1.5]])),
+            PretrainedTable({"bb": 0, "aa": 1}, np.array([[0.5, 1.0], [2.0, -1.0]])),
+            PretrainedTable(
+                {"aa": 0, "bb": 1, "cc": 2}, np.array([[0.5, 1.0], [2.0, -1.0], [0.0, 0.0]])
+            ),
+        ]
+        for other in others:
+            with pytest.raises(ModelFormatError, match="is not the one the model was trained"):
+                load_model(path, pretrained=other)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda env, members: env.pop("alphabets"), "'alphabets'"),
+            (lambda env, members: env["config"].pop("hidden_dim"),
+             "'enc.fw.wx' has shape [8, 24]"),
+            (lambda env, members: (env["parameters"].remove("enc.fw.wh"),
+                                   members.pop("enc.fw.wh.npy")), "'enc.fw.wh' is missing"),
+            (lambda env, members: (env["parameters"].append("extra"),
+                                   members.update({"extra.npy": members["crf.emit.b.npy"]})),
+             "unexpected parameter 'extra'"),
+            (lambda env, members: members.update({"crf.emit.b.npy": npy_bytes(
+                np.zeros((1, 1), dtype="<f4"))}), "has shape [1, 1]"),
+            (lambda env, members: members.update({"crf.emit.b.npy": b"AAAA"}),
+             "'crf.emit.b': not a .npy member"),
+            (lambda env, members: env.update(parameters=5), "'parameters' is not a list of names"),
+            (lambda env, members: env.update(parameters=[1, 2]),
+             "'parameters' is not a list of names"),
+            (lambda env, members: env["config"].update(hidden_dim="4"),
+             "malformed checkpoint envelope"),
+            (lambda env, members: env["config"].update(hidden_dim=-4), "negative dimensions"),
+            (lambda env, members: env.update(format_version=1),
+             "unsupported model format_version 1"),
+            (lambda env, members: env.update(model_kind=[1]), "unknown model_kind [1]"),
+            (b"not json\n", "Expecting value"),
+            (b"\xff\xfe{}", "codec can't decode"),
+            (lambda env, members: members.pop("enc.fw.wh.npy"), "'enc.fw.wh' is missing"),
+            (lambda env, members: members.update({"notes.txt": b"x"}),
+             "unexpected member 'notes.txt'"),
+            (lambda env, members: members.update({"crf.emit.b.npy": npy_bytes(
+                np.array([None] * 3, dtype=object), allow_pickle=True)}), "has dtype object"),
+            (lambda env, members: members.update({"crf.emit.b.npy": npy_bytes(
+                np.zeros(3, dtype="<f8"))}), "has dtype float64"),
+            (lambda env, members: members.update({"crf.trans.npy": npy_bytes(np.asfortranarray(
+                np.load(io.BytesIO(members["crf.trans.npy"]))))}), "stored in Fortran order"),
+            (emit_bias(lambda b: npy_bytes(np.where(b == b, np.nan, b))), "non-finite values"),
+            (emit_bias(lambda b: npy_bytes(b) + b"\0"), "wrong number of bytes"),
+            (emit_bias(lambda b: npy_bytes(b)[:-1]), "wrong number of bytes"),
+            (lambda env, members: env.pop("pretrained"), "'pretrained'"),
+            (lambda env, members: members.update({"envelope.json": b"{"}),
+             "envelope.json is not JSON"),
+            (lambda env, members: members.update({"envelope.json": b"\xff{}"}),
+             "codec can't decode"),
+        ],
+        ids=[
+            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data",
+            "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
+            "format-version", "model-kind-list", "not-json", "not-utf8",
+            "missing-member", "extra-member", "pickled", "float64", "fortran-order", "non-finite",
+            "trailing-bytes", "short-member", "no-pretrained", "envelope-not-json",
+            "envelope-not-utf8",
+        ],
+    )
+    def test_malformed_checkpoint_rejected(self, tmp_path, damage, message):
+        """Every malformation is a ModelFormatError naming the file; ``damage``
+        edits the saved archive's envelope and members (see
+        ``rewrite_checkpoint``), or is the bytes of the whole file."""
+        path = tmp_path / "model.json"
+        save_model(build("crf"), path)
+        if isinstance(damage, bytes):
+            path.write_bytes(damage)
+        else:
+            rewrite_checkpoint(path, damage)
+        with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -468,6 +615,9 @@ class TestSerialization:
              "unexpected parameter 'extra'"),
             (lambda env: env["parameters"]["crf.emit.b"].update(shape=[1, 1]), "has shape [1, 1]"),
             (lambda env: env["parameters"]["crf.emit.b"].update(data="AAAA"), "'crf.emit.b'"),
+            (lambda env: env["parameters"]["crf.emit.b"].update(
+                data=base64.b64encode(np.full(5, np.inf, "<f4").tobytes()).decode()),
+             "non-finite values"),
             (lambda env: env.update(parameters=5), "'parameters' is not a mapping"),
             (lambda env: env.update(parameters=list(env["parameters"])),
              "'parameters' is not a mapping"),
@@ -475,46 +625,108 @@ class TestSerialization:
             (lambda env: env["config"].update(hidden_dim=-4), "negative dimensions"),
             (lambda env: env.update(format_version=2), "unsupported model format_version 2"),
             (lambda env: env.update(model_kind=[1]), "unknown model_kind [1]"),
-            (b"not json\n", "Expecting value"),
-            (b"\xff\xfe{}", "codec can't decode"),
         ],
         ids=[
-            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data",
+            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data", "non-finite",
             "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
-            "format-version", "model-kind-list", "not-json", "not-utf8",
+            "format-version", "model-kind-list",
         ],
     )
-    def test_malformed_checkpoint_rejected(self, tmp_path, damage, message):
-        """Every malformation is a ModelFormatError naming the file; ``damage``
-        edits the saved envelope, or is the bytes of the whole file."""
-        import json
-
+    def test_malformed_v1_checkpoint_rejected(self, tmp_path, damage, message):
+        """The JSON reader keeps every check of format v1; ``damage`` edits
+        the envelope of a v1 checkpoint."""
         path = tmp_path / "model.json"
-        save_model(build("crf"), path)
-        if isinstance(damage, bytes):
-            path.write_bytes(damage)
-        else:
-            envelope = json.loads(path.read_text())
-            damage(envelope)
-            path.write_text(json.dumps(envelope))
+        save_v1(build("crf"), path)
+        envelope = json.loads(path.read_text())
+        damage(envelope)
+        path.write_text(json.dumps(envelope))
         with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("damage", ["bad-crc", "cut-in-member", "cut-directory", "cut-end"])
+    def test_damaged_archive_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.json"
+        save_model(build("crf"), path)
+        data = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("crf.trans.npy")
+        member_end = info.header_offset + 30 + len(info.filename) + info.file_size
+        if damage == "bad-crc":
+            data[member_end - 1] ^= 0x01  # a float byte; the stored CRC no longer holds
+        elif damage == "cut-in-member":
+            del data[member_end - 1 :]
+        elif damage == "cut-directory":
+            del data[member_end + 10 :]
+        else:
+            del data[-1:]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="damaged checkpoint archive") as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_member_size_beyond_the_file_rejected_before_reading(self, tmp_path):
+        """A central directory that claims a 2 GB envelope is rejected before
+        zipfile allocates a buffer of that size for the read."""
+        path = tmp_path / "model.json"
+        save_model(build("crf"), path)
+        data = bytearray(path.read_bytes())
+        record = data.find(b"PK\x01\x02")  # the envelope's directory entry
+        struct.pack_into("<II", data, record + 20, 0x7FFFFFF0, 0x7FFFFFF0)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="'envelope.json' runs past the end"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+    def test_two_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        """Also an hour apart: no member records the time it was written."""
+        model = build("seq2seq")
+        save_model(model, tmp_path / "one.json")
+        later = time.time() + 3600.0
+        monkeypatch.setattr(zipfile.time, "time", lambda: later)
+        save_model(model, tmp_path / "two.json")
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    def test_v1_checkpoint_loads_as_v2(self, tmp_path, kind):
+        """A checkpoint written in format v1 loads to the same model as the
+        v2 checkpoint of the same parameters."""
+        corpus = tiny_corpus()
+        model = build(kind, corpus)
+        save_v1(model, tmp_path / "v1.json")
+        save_model(model, tmp_path / "v2.json")
+        old, new = load_model(tmp_path / "v1.json"), load_model(tmp_path / "v2.json")
+        assert old.params.names() == new.params.names()
+        for name, arr in new.params.items():
+            assert old.params[name].tobytes() == arr.tobytes()
+        for sentence in corpus:
+            assert old.predict(sentence) == new.predict(sentence)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         first, second = build("crf", seed=3), build("crf", seed=4)
         path = tmp_path / "model.json"
         save_model(first, path)
         saved = path.read_bytes()
+        write_array = np.lib.format.write_array
+        written = []
 
-        def broken_dump(envelope, handle):
-            handle.write('{"format_version": ')
-            raise RuntimeError("disk full")
+        def broken_write(handle, array, **kwargs):
+            if written:
+                handle.write(b"\x93NUMPY")
+                raise RuntimeError("disk full")
+            written.append(array)
+            write_array(handle, array, **kwargs)
 
-        monkeypatch.setattr("nestner.models.json.dump", broken_dump)
+        monkeypatch.setattr("nestner.models.np.lib.format.write_array", broken_write)
         with pytest.raises(RuntimeError):
             save_model(second, path)
         monkeypatch.undo()
+        assert len(written) == 1  # failed on the second member
         assert path.read_bytes() == saved
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         loaded = load_model(path)
@@ -525,6 +737,56 @@ class TestSerialization:
         for kind in ("crf", "seq2seq"):
             model = build(kind)
             assert model.parameter_shapes() == {n: a.shape for n, a in model.params.items()}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_model(build("crf"), path)
+    return path.read_bytes()
+
+
+def _loads_or_format_error(tmp_path, data: bytes) -> None:
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(data)
+    try:
+        load_model(path)
+    except ModelFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestCheckpointFuzz:
+    """Any bytes load to a model or fail with a ModelFormatError naming the
+    file; no other exception escapes ``load_model``."""
+
+    @_FUZZ
+    @given(data=st.binary(max_size=512))
+    def test_arbitrary_bytes(self, tmp_path, data):
+        _loads_or_format_error(tmp_path, data)
+
+    @_FUZZ
+    @given(data=st.binary(max_size=256))
+    def test_arbitrary_bytes_after_zip_magic(self, tmp_path, data):
+        _loads_or_format_error(tmp_path, b"PK\x03\x04" + data)
+
+    @_FUZZ
+    @given(cut=st.integers(min_value=0))
+    def test_truncations(self, tmp_path, tiny_checkpoint, cut):
+        _loads_or_format_error(tmp_path, tiny_checkpoint[: cut % len(tiny_checkpoint)])
+
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                          min_size=1, max_size=4))
+    def test_byte_flips(self, tmp_path, tiny_checkpoint, flips):
+        data = bytearray(tiny_checkpoint)
+        for offset, mask in flips:
+            data[offset % len(data)] ^= mask
+        _loads_or_format_error(tmp_path, bytes(data))
 
 
 def test_softmax_matches_definition():

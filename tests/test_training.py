@@ -133,6 +133,26 @@ class TestLazyAdam:
         assert sparse.v["t"][[1, 4]].tobytes() == dense.v["t"].tobytes()
         assert sparse_params["t"][[0, 2, 3]].tobytes() == table[[0, 2, 3]].tobytes()
 
+    def test_matches_the_bias_corrected_textbook_update(self):
+        """Folding the bias corrections into the step size and epsilon gives
+        Kingma & Ba's Algorithm 1 up to rounding, over many steps."""
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((6, 5))
+        params = Parameters()
+        params.add("w", w)
+        adam = LazyAdam(params, OptimizerConfig(learning_rate=0.01))
+        b1, b2, eps = LazyAdam.BETA1, LazyAdam.BETA2, LazyAdam.EPSILON
+        m, v = np.zeros_like(w), np.zeros_like(w)
+        for t in range(1, 51):
+            g = rng.standard_normal(w.shape) * (1e-6 if t % 7 == 0 else 1.0)
+            adam.step(self._grads(w=g))
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            w = w - 0.01 * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        np.testing.assert_allclose(params["w"], w, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(adam.m["w"], m, rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(adam.v["w"], v, rtol=1e-12, atol=1e-24)
+
 
 class TestWordDropout:
     def test_rate_zero_is_identity(self):
@@ -248,6 +268,28 @@ class TestTrainLoop:
         metrics = train(model, corpus, TrainConfig(epochs=4, seed=6), dev=dev)
         best = max(record["dev_f1"] for record in metrics)
         assert evaluate_model(model, dev) == pytest.approx(best)
+
+    def test_dev_f1_is_scored_on_the_parameters_as_saved(self, tmp_path, monkeypatch):
+        """Emission biases 1 and 1 + 1e-12 tag every token U-X in float64
+        and O once rounded to float32 (a tie goes to the lower id). The
+        logged dev F1, the returned model and the checkpoint must all be
+        those of the rounded parameters."""
+        corpus = TaggedCorpus(
+            tuple(Sentence((Token(f),), frozenset({mention("X", 0, 1)})) for f in "abcd")
+        )
+        model = build_model("crf", corpus, embedding=TINY, hidden_dim=4)
+        assert model.alphabet.strings == ("O", "U-X")
+        model.params["crf.emit.w"][:] = 0.0
+        model.params["crf.trans"][:] = 0.0
+        model.params["crf.emit.b"][:] = [1.0, 1.0 + 1e-12]
+        assert evaluate_model(model, corpus) == 1.0
+        monkeypatch.setattr(LazyAdam, "step", lambda adam, grads: None)
+        checkpoint = tmp_path / "ckpt.json"
+        metrics = train(model, corpus, TrainConfig(epochs=1), dev=corpus,
+                        checkpoint_path=checkpoint)
+        assert metrics[0]["dev_f1"] == 0.0
+        assert evaluate_model(model, corpus) == 0.0
+        assert evaluate_model(training.models.load_model(checkpoint), corpus) == 0.0
 
     def test_rejected_step_names_epoch_and_batch_and_keeps_checkpoint(
         self, tmp_path, monkeypatch
