@@ -6,13 +6,14 @@ row per position, or single ``(d,)`` vectors; weights are matrices, and no op
 broadcasts beyond what its docstring says. The ops are the ones the two
 taggers call, and no others. The recurrent layers (:meth:`Tape.lstm`,
 :meth:`Tape.gru`) and the CRF (:meth:`Tape.crf_nll`) are each one fused op
-over a sequence with a hand-written backward. A recurrence reads its gate
-pre-activations, which the caller computes with one :meth:`Tape.affine`
-GEMM ahead of it, so the input projection and its gradients are written
-once. A weight's gradient is one ``Xᵀ·G`` product over every sequence of a
-batch instead of one outer product per token. :meth:`Tape.gru` also takes
-packed sequences, which it advances together, one ``(n, hidden) @ wh``
-product per step. Calling
+with a hand-written backward, over packed sequences: the rows of several
+consecutive sequences advance together, longest first, so each step is one
+``(n_s, d) @ w`` product over the sequences still running, and a training
+batch goes through each layer once. A single sequence is read in place. A
+recurrence reads its gate pre-activations, which the caller computes with
+one :meth:`Tape.affine` GEMM ahead of it, so the input projection and its
+gradients are written once. A weight's gradient is one ``Xᵀ·G`` product
+over every row of a batch instead of one outer product per token. Calling
 :meth:`Tape.backward` on a scalar loss returns per-parameter gradients. A
 table read through :meth:`Tape.lookup` gets one row-sparse block, a
 :class:`RowGradient` of its sorted distinct row ids and their summed
@@ -23,9 +24,10 @@ Parameters must not be mutated while a tape built on them is still in use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,23 +177,111 @@ def _acc_product(grads: _Partials, w: Var, x: np.ndarray, g: np.ndarray) -> None
     )
 
 
-def _log_matvec(v: np.ndarray, log_w: np.ndarray, exp_w: np.ndarray, w_max: np.ndarray):
-    """``log(exp(v) @ exp(log_w))`` for a vector ``v``: one matrix-vector
-    product in exp space, with ``exp_w = exp(log_w - w_max)`` shifted per
-    column. A column whose sum falls below ``tiny / eps``, where terms may
-    have underflowed, is recomputed as an exact logsumexp."""
-    m = v.max()
+def _log_matmul(v: np.ndarray, log_w: np.ndarray, exp_w: np.ndarray, w_max: np.ndarray):
+    """``log(exp(v) @ exp(log_w))`` for the rows of ``v`` (n, k): one matrix
+    product in exp space, with each row of ``v`` shifted by its maximum and
+    ``exp_w = exp(log_w - w_max)`` shifted per column. An entry whose sum
+    falls below ``tiny / eps``, where terms may have underflowed, is
+    recomputed as an exact logsumexp."""
+    m = v.max(axis=1, keepdims=True)
     s = np.exp(v - m) @ exp_w
     info = np.finfo(s.dtype)
     low = s < info.tiny / info.eps
     if not low.any():
         return np.log(s) + (m + w_max)
     out = np.empty_like(s)
-    out[~low] = np.log(s[~low]) + (m + w_max[~low])
-    scores = v[:, None] + log_w[:, low]
-    top = scores.max(axis=0)
-    out[low] = top + np.log(np.exp(scores - top).sum(axis=0))
+    out[~low] = np.log(s[~low]) + (m + w_max)[~low]
+    rows, cols = np.nonzero(low)
+    scores = v[rows] + log_w[:, cols].T
+    top = scores.max(axis=1)
+    out[low] = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
     return out
+
+
+class _Packing(NamedTuple):
+    """Consecutive sequences of a block's rows, laid out to advance together.
+
+    The ``n_seq`` sequences run longest first (``order``), so those still
+    running at step s are a prefix and step s is the packed positions
+    ``bounds[s]:bounds[s + 1]``, one per running sequence. ``rows`` maps each
+    packed position to its row of the block.
+
+    A recurrence keeps its states in one buffer: the initial states in
+    running order, then the state written at each packed position. Step 0
+    reads the first ``bounds[1]`` rows and step s the states of step s-1's
+    first ``bounds[s + 1] - bounds[s]`` positions, so every read is a view.
+    ``finals`` is the buffer row of each sequence's final state; an empty
+    sequence's is its initial state. For a single sequence ``rows`` and
+    ``order`` are slices and ``finals`` an int, so packing makes no gather.
+    """
+
+    rows: np.ndarray | slice
+    bounds: Sequence[int]
+    order: np.ndarray | slice
+    finals: np.ndarray | int
+    n_seq: int
+
+    def unpacked(self, values: np.ndarray) -> np.ndarray:
+        """Packed rows of ``values`` put back in block row order."""
+        if isinstance(self.rows, slice):
+            return values[self.rows]  # a view: a single sequence, maybe reversed
+        out = np.empty_like(values)
+        out[self.rows] = values
+        return out
+
+    def previous(self) -> np.ndarray:
+        """The packed position each position after step 0 follows."""
+        b = self.bounds
+        return np.concatenate(
+            [np.arange(lo, lo + hi - nxt) for lo, nxt, hi in zip(b, b[1:], b[2:])]
+            + [np.zeros(0, dtype=np.intp)]
+        )
+
+    def reads(self) -> np.ndarray | slice:
+        """The state buffer row that each packed position reads."""
+        if isinstance(self.rows, slice):
+            return slice(0, self.bounds[-1])
+        return np.concatenate((np.arange(self.bounds[1]), self.n_seq + self.previous()))
+
+
+def _pack(n_rows: int, lengths: Sequence[int] | None, reverse: bool) -> _Packing:
+    """How the rows of ``lengths`` sequences advance together (all ``n_rows``
+    rows as one sequence without ``lengths``); ``reverse`` reads each
+    sequence last row to first."""
+    if lengths is None:
+        rows = slice(None, None, -1) if reverse else slice(None)
+        return _Packing(rows, range(n_rows + 1), slice(None), n_rows, 1)
+    lens = np.array(lengths, dtype=np.intp)
+    assert lens.sum() == n_rows and (lens >= 0).all(), (lens, n_rows)
+    n_seq = len(lens)
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    step = np.arange(sorted_lens.max(initial=0))[:, None]
+    running = step < sorted_lens
+    starts = (np.cumsum(lens) - lens)[order]
+    rows = (starts + (sorted_lens - 1 - step if reverse else step))[running]
+    bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
+    alive = int(np.count_nonzero(sorted_lens))
+    finals = np.empty(n_seq, dtype=np.intp)
+    finals[order[:alive]] = n_seq + bounds[sorted_lens[:alive] - 1] + np.arange(alive)
+    finals[order[alive:]] = np.arange(alive, n_seq)
+    return _Packing(rows, bounds.tolist(), order, finals, n_seq)
+
+
+@functools.lru_cache(maxsize=None)
+def _lstm_gate_affine(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (1, 4*hidden) ``scale`` and ``shift``, with
+    ``tanh(a * scale) * scale + shift`` the LSTM gate activations:
+    sigmoid(a) = 0.5 * tanh(a / 2) + 0.5 on the input, forget and output
+    gates, plain tanh on the cell input. They are 2-d because numpy
+    broadcasts a (1, d) operand over rows faster than a (d,) one."""
+    scale = np.full((1, 4 * hidden), 0.5, dtype=dtype)
+    scale[:, 2 * hidden : 3 * hidden] = 1.0
+    shift = np.full((1, 4 * hidden), 0.5, dtype=dtype)
+    shift[:, 2 * hidden : 3 * hidden] = 0.0
+    scale.setflags(write=False)
+    shift.setflags(write=False)
+    return scale, shift
 
 
 def _ids(rows) -> int | np.ndarray:
@@ -269,17 +359,6 @@ class Tape:
         return var
 
     # -------------------------------------------------------------- arithmetic
-
-    def add_n(self, items: Sequence[Var]) -> Var:
-        assert items, "add_n needs at least one input"
-        first = items[0].shape
-        assert all(v.shape == first for v in items)
-
-        def back(g, grads):
-            for v in items:
-                _acc(grads, v, g)
-
-        return self._new(sum(v.value for v in items[1:]) + items[0].value, back)
 
     def scale(self, a: Var, k: float) -> Var:
         def back(g, grads):
@@ -373,75 +452,106 @@ class Tape:
 
     # --------------------------------------------------------------------- CRF
 
-    def crf_nll(self, emissions: Var, trans: Var, path: Sequence[int] | None = None) -> Var:
-        """Negative log-likelihood of ``path`` under a linear-chain CRF, or log Z
-        when no path is given.
+    def crf_nll(
+        self,
+        emissions: Var,
+        trans: Var,
+        path: Sequence[int] | None = None,
+        lengths: Sequence[int] | None = None,
+    ) -> Var:
+        """Summed negative log-likelihood of the gold paths of linear-chain
+        CRF sequences, or their summed log Z when no path is given.
 
-        ``emissions`` is (T, k) and ``trans`` (k+2, k+2): row k holds start
-        transitions and column k+1 stop transitions. Each forward step is
-        one k x k matrix-vector product in exp space (:func:`_log_matvec`,
-        exact where terms underflow). Backward runs the backward algorithm
-        and takes the gradient from the marginals. The expected transition
-        counts of all steps are one (k, T) x (T, k) GEMM while the
-        transition block spans less than half the dtype's exponent range,
-        so that no factor of a count can overflow or underflow unnoticed;
-        wider blocks sum the k x k step marginals one step at a time. No
-        per-token k x k scores are kept.
+        ``emissions`` is (L, k); ``lengths`` splits its rows into consecutive
+        sequences of at least one row each (all L rows are one sequence
+        without it), and ``path`` holds the L gold labels in the same order.
+        ``trans`` is (k+2, k+2): row k holds start transitions and column k+1
+        stop transitions. The sequences advance together as in :meth:`gru`,
+        so each forward step is one (n_s, k) x (k, k) product in exp space
+        (:func:`_log_matmul`, exact per entry where terms underflow), and the
+        transition block is exponentiated once per call. Backward runs the
+        backward algorithm the same way and takes the gradient from the
+        marginals. The expected transition counts of every step of every
+        sequence are one (k, P) x (P, k) GEMM, each row scaled by its
+        sequence's log Z, while the transition block spans less than half the
+        dtype's exponent range, so that no factor of a count can overflow or
+        underflow unnoticed; wider blocks sum the k x k step marginals one
+        step at a time. No per-token k x k scores are kept.
         """
         e = emissions.value
         a = trans.value
         n, k = e.shape
-        assert n >= 1 and a.shape == (k + 2, k + 2)
+        assert a.shape == (k + 2, k + 2)
+        pack = _pack(n, lengths, reverse=False)
+        bounds = pack.bounds
+        first = bounds[1]  # every sequence's first row is in step 0
+        assert n >= 1 and first == pack.n_seq, "every sequence needs a row"
+        last_rows = np.reshape(pack.finals, -1) - pack.n_seq  # packed, by sequence
         inner = a[:k, :k]
         col_max = inner.max(axis=0)
         exp_cols = np.exp(inner - col_max)
-        alpha = np.empty_like(e)
-        alpha[0] = e[0] + a[k, :k]
-        for t in range(1, n):
-            alpha[t] = _log_matvec(alpha[t - 1], inner, exp_cols, col_max) + e[t]
-        last = alpha[-1] + a[:k, k + 1]
-        m = last.max()
-        log_z = m + np.log(np.exp(last - m).sum())
-        value = log_z
+        e_p = e[pack.rows]  # packed order
+        alpha = np.empty_like(e_p)
+        alpha[:first] = e_p[:first] + a[k, :k]
+        for lo, hi, nxt in zip(bounds, bounds[1:], bounds[2:]):
+            alpha[hi:nxt] = _log_matmul(alpha[lo : lo + nxt - hi], inner, exp_cols, col_max)
+            alpha[hi:nxt] += e_p[hi:nxt]
+        last = alpha[last_rows] + a[:k, k + 1]
+        m = last.max(axis=1, keepdims=True)
+        log_z = m[:, 0] + np.log(np.exp(last - m).sum(axis=1))  # by sequence
+        value = log_z.sum()
         if path is not None:
             p = np.asarray(path, dtype=np.intp)
             assert p.shape == (n,)
-            value = log_z - (
-                a[k, p[0]] + e[np.arange(n), p].sum() + inner[p[:-1], p[1:]].sum() + a[p[-1], k + 1]
+            ends = np.cumsum([n] if lengths is None else lengths)
+            starts = np.concatenate(([0], ends[:-1]))
+            inside = np.ones(n - 1, dtype=bool)  # row t and t+1 are in one sequence
+            inside[ends[:-1] - 1] = False
+            before, after = p[:-1][inside], p[1:][inside]
+            value = value - (
+                a[k, p[starts]].sum() + e[np.arange(n), p].sum()
+                + inner[before, after].sum() + a[p[ends - 1], k + 1].sum()
             )
 
         def back(g, grads):
             row_max = inner.max(axis=1)
             exp_rows_t = np.exp(inner.T - row_max)
             beta = np.empty_like(alpha)
-            beta[-1] = a[:k, k + 1]
-            for t in range(n - 2, -1, -1):
-                beta[t] = _log_matvec(e[t + 1] + beta[t + 1], inner.T, exp_rows_t, row_max)
-            d_e = np.exp(alpha + beta - log_z)
+            beta[last_rows] = a[:k, k + 1]
+            for lo, hi, nxt in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
+                beta[lo : lo + nxt - hi] = _log_matmul(
+                    e_p[hi:nxt] + beta[hi:nxt], inner.T, exp_rows_t, row_max
+                )
+            # each packed position's slot in its step is its sequence's place in running order
+            slot = np.arange(len(e_p)) - np.repeat(bounds[:-1], np.diff(bounds))
+            log_z_at = log_z[pack.order][slot][:, None]
+            d_e = np.exp(alpha + beta - log_z_at)
             d_a = np.zeros_like(a)
-            d_a[k, :k] = d_e[0]
-            d_a[:k, k + 1] = d_e[-1]
-            if n > 1:
-                # sum_t exp(alpha[t-1, i] + inner[i, j] + v[t, j] - log_z), v = e + beta
-                prev = alpha[:-1]
-                nxt = e[1:] + beta[1:]
+            d_a[k, :k] = d_e[:first].sum(axis=0)
+            d_a[:k, k + 1] = d_e[last_rows].sum(axis=0)
+            if len(e_p) > first:
+                # sum over steps of exp(alpha[t-1, i] + inner[i, j] + v[t, j] - log_z), v = e + beta
+                prev = alpha[pack.previous()]
+                nxt = e_p[first:] + beta[first:]
                 if np.ptp(inner) < -0.5 * np.log(np.finfo(a.dtype).tiny):
                     # every factor shifted to at most 1; the last is at most exp(ptp(inner))
                     m_prev = prev.max(axis=1, keepdims=True)
                     m_next = nxt.max(axis=1, keepdims=True)
-                    shift = m_prev + m_next
+                    shift = m_prev + m_next - log_z_at[first:]
                     top = shift.max()
                     counts = np.exp(prev - m_prev).T @ (np.exp(nxt - m_next) * np.exp(shift - top))
-                    d_a[:k, :k] = np.exp(inner + (top - log_z)) * counts
+                    d_a[:k, :k] = np.exp(inner + top) * counts
                 else:
-                    for t in range(n - 1):
-                        d_a[:k, :k] += np.exp(prev[t][:, None] + inner + (nxt[t] - log_z))
+                    nxt -= log_z_at[first:]
+                    for t in range(len(prev)):
+                        d_a[:k, :k] += np.exp(prev[t][:, None] + inner + nxt[t])
+            d_rows = pack.unpacked(d_e)
             if path is not None:
-                d_e[np.arange(n), p] -= 1.0
-                d_a[k, p[0]] -= 1.0
-                np.add.at(d_a, (p[:-1], p[1:]), -1.0)
-                d_a[p[-1], k + 1] -= 1.0
-            _acc(grads, emissions, g * d_e)
+                d_rows[np.arange(n), p] -= 1.0
+                np.add.at(d_a, (k, p[starts]), -1.0)
+                np.add.at(d_a, (before, after), -1.0)
+                np.add.at(d_a, (p[ends - 1], k + 1), -1.0)
+            _acc(grads, emissions, g * d_rows)
             _acc(grads, trans, g * d_a)
 
         return self._new(np.asarray(value, dtype=self.dtype), back)
@@ -455,84 +565,100 @@ class Tape:
         h0: Var | None = None,
         c0: Var | None = None,
         reverse: bool = False,
+        lengths: Sequence[int] | None = None,
     ) -> tuple[Var, tuple[Var, Var]]:
-        """An LSTM over the rows of ``p`` (T, 4*hidden), the gate
-        pre-activations ``x @ wx + b`` of each input row; a (4*hidden,)
-        vector is one step.
+        """LSTMs over packed sequences; returns ``(H, (h, c))``.
 
-        Gate layout along the 4*hidden axis is [input|forget|cell|output].
-        The caller projects the inputs with one :meth:`affine` ahead of the
-        recurrence, so only ``h @ wh`` runs per step. Backward finds the gate
-        pre-activation gradients ``dP`` of the whole sequence, sends them to
-        ``p`` and queues ``dwh = H_prevᵀ·dP``, so every sequence in a batch
-        shares one GEMM. The state starts at ``(h0, c0)``, zeros where
-        omitted. With ``reverse`` the rows are read last to first; row t of
-        the output is still the state after reading row t. Returns
-        ``(H, (h, c))``: the (T, hidden) states and the final state.
+        ``p`` (L, 4*hidden) holds the gate pre-activations ``x @ wx + b`` of
+        every row, made by one :meth:`affine` ahead of the recurrence, so
+        only ``h @ wh`` runs per step. ``lengths`` splits its rows into
+        consecutive sequences, whose states start at the rows of ``h0`` and
+        ``c0`` (N, hidden), zeros where omitted. ``H`` (L, hidden) holds the
+        state after reading each row, in the rows' order, and ``h`` and ``c``
+        (N, hidden) are each sequence's final state; an empty sequence keeps
+        its initial state. Without ``lengths`` the rows (a (4*hidden,) vector
+        is one row) are one sequence, ``h0`` and ``c0`` hold ``hidden``
+        values each, ``h`` and ``c`` are (hidden,), and the rows are read in
+        place, with no sort and no gather. Gate layout along the 4*hidden
+        axis is [input|forget|cell|output]. The sequences advance together
+        as in :meth:`gru`, one ``(n_s, hidden) @ wh`` product per step.
+        Backward finds the gate pre-activation gradients ``dP``, sends them
+        to ``p`` and queues ``dwh = H_prevᵀ·dP``, so every recurrence sharing
+        ``wh`` in a batch adds to one GEMM. With ``reverse`` each sequence is
+        read last row to first; row t of ``H`` is still the state after
+        reading row t.
         """
         hidden = wh.shape[0]
         cell = slice(2 * hidden, 3 * hidden)
-        proj = p.value.reshape(-1, 4 * hidden)
-        n = proj.shape[0]
-        order = np.arange(n)[::-1] if reverse else np.arange(n)
+        forget = slice(hidden, 2 * hidden)
+        out_gate = slice(3 * hidden, 4 * hidden)
+        pre = p.value.reshape(-1, 4 * hidden)
+        pack = _pack(len(pre), lengths, reverse)
+        bounds, n_seq = pack.bounds, pack.n_seq
+        total = bounds[-1]
+        proj = pre[pack.rows]
         dtype = proj.dtype
-        # sigmoid(a) = 0.5 * tanh(a / 2) + 0.5 on the gates, plain tanh on the cell input
-        scale = np.full(4 * hidden, 0.5, dtype=dtype)
-        scale[cell] = 1.0
-        shift = np.full(4 * hidden, 0.5, dtype=dtype)
-        shift[cell] = 0.0
-        # states in reading order: hs[s + 1] is the state after reading row order[s]
-        hs = np.zeros((n + 1, hidden), dtype=dtype)
-        cs = np.zeros((n + 1, hidden), dtype=dtype)
-        if h0 is not None:
-            hs[0] = h0.value.reshape(hidden)
-        if c0 is not None:
-            cs[0] = c0.value.reshape(hidden)
-        acts = np.empty((n, 4 * hidden), dtype=dtype)
-        tanh_c = np.empty((n, hidden), dtype=dtype)
+        scale, shift = _lstm_gate_affine(hidden, dtype)
+        hs = np.empty((n_seq + total, hidden), dtype=dtype)  # state buffers, see _Packing
+        cs = np.empty((n_seq + total, hidden), dtype=dtype)
+        for states, v in ((hs, h0), (cs, c0)):
+            states[:n_seq] = 0.0 if v is None else v.value.reshape(n_seq, hidden)[pack.order]
+        acts = np.empty((total, 4 * hidden), dtype=dtype)
+        tanh_c = np.empty((total, hidden), dtype=dtype)
         w_h = wh.value
-        for s, row in enumerate(order):
-            act = acts[s]
-            np.tanh((proj[row] + hs[s] @ w_h) * scale, out=act)
+        read = 0  # the buffer row where the states the step reads start
+        for lo, hi in zip(bounds, bounds[1:]):
+            n = hi - lo
+            act = np.matmul(hs[read : read + n], w_h, out=acts[lo:hi])
+            act += proj[lo:hi]
+            act *= scale
+            np.tanh(act, out=act)
             act *= scale
             act += shift
-            c = cs[s + 1]
-            np.multiply(act[hidden : 2 * hidden], cs[s], out=c)
-            c += act[:hidden] * act[cell]
-            np.tanh(c, out=tanh_c[s])
-            np.multiply(act[3 * hidden :], tanh_c[s], out=hs[s + 1])
+            c = np.multiply(act[:, forget], cs[read : read + n], out=cs[n_seq + lo : n_seq + hi])
+            c += act[:, :hidden] * act[:, cell]
+            squashed = np.tanh(c, out=tanh_c[lo:hi])
+            np.multiply(act[:, out_gate], squashed, out=hs[n_seq + lo : n_seq + hi])
+            read = n_seq + lo
 
         def back(gs, grads):
             g_out, g_h, g_c = gs
-            g_rows = None if g_out is None else g_out[order]
-            dh = np.zeros(hidden, dtype=dtype) if g_h is None else g_h
-            dc = np.zeros(hidden, dtype=dtype) if g_c is None else g_c
+            # gradients of the state buffers, in their layout
+            d_hs = np.zeros((n_seq + total, hidden), dtype=dtype)
+            d_cs = np.zeros((n_seq + total, hidden), dtype=dtype)
+            if g_out is not None:
+                d_hs[n_seq:] = g_out.reshape(-1, hidden)[pack.rows]
+            for d_states, g_final in ((d_hs, g_h), (d_cs, g_c)):
+                if g_final is not None:
+                    d_states[pack.finals] += g_final
             deriv = acts * (1.0 - acts)
             deriv[:, cell] = 1.0 - acts[:, cell] ** 2
-            out_deriv = acts[:, 3 * hidden :] * (1.0 - tanh_c * tanh_c)
-            d_pre = np.empty((n, 4 * hidden), dtype=dtype)
+            out_deriv = acts[:, out_gate] * (1.0 - tanh_c * tanh_c)
+            d_pre = np.empty((total, 4 * hidden), dtype=dtype)
             w_h_t = w_h.T
-            for s in range(n - 1, -1, -1):
-                if g_rows is not None:
-                    dh = dh + g_rows[s]
-                act = acts[s]
-                dc = dc + dh * out_deriv[s]
-                dp = d_pre[s]
-                np.multiply(dc, act[cell], out=dp[:hidden])
-                np.multiply(dc, cs[s], out=dp[hidden : 2 * hidden])
-                np.multiply(dc, act[:hidden], out=dp[cell])
-                np.multiply(dh, tanh_c[s], out=dp[3 * hidden :])
-                dp *= deriv[s]
-                dc = dc * act[hidden : 2 * hidden]
-                dh = dp @ w_h_t
-            _acc(grads, p, d_pre[order].reshape(p.shape))
-            _acc_product(grads, wh, hs[:n], d_pre)
-            if h0 is not None:
-                _acc(grads, h0, dh.reshape(h0.shape))
-            if c0 is not None:
-                _acc(grads, c0, dc.reshape(c0.shape))
+            for s in range(len(bounds) - 2, -1, -1):
+                lo, hi = bounds[s], bounds[s + 1]
+                read = n_seq + bounds[s - 1] if s else 0
+                dh, act, dp = d_hs[n_seq + lo : n_seq + hi], acts[lo:hi], d_pre[lo:hi]
+                dc = d_cs[n_seq + lo : n_seq + hi] + dh * out_deriv[lo:hi]
+                np.multiply(dc, act[:, cell], out=dp[:, :hidden])
+                np.multiply(dc, cs[read : read + hi - lo], out=dp[:, forget])
+                np.multiply(dc, act[:, :hidden], out=dp[:, cell])
+                np.multiply(dh, tanh_c[lo:hi], out=dp[:, out_gate])
+                dp *= deriv[lo:hi]
+                dc *= act[:, forget]
+                d_hs[read : read + hi - lo] += dp @ w_h_t
+                d_cs[read : read + hi - lo] += dc
+            _acc(grads, p, pack.unpacked(d_pre).reshape(p.shape))
+            _acc_product(grads, wh, hs[pack.reads()], d_pre)
+            for v, d_states in ((h0, d_hs), (c0, d_cs)):
+                if v is not None:
+                    d_init = np.empty((n_seq, hidden), dtype=dtype)
+                    d_init[pack.order] = d_states[:n_seq]
+                    _acc(grads, v, d_init.reshape(v.shape))
 
-        out, h_last, c_last = self._new_multi((hs[1:][order], hs[n], cs[n]), back)
+        finals = (hs[pack.finals], cs[pack.finals])
+        out, h_last, c_last = self._new_multi((pack.unpacked(hs[n_seq:]), *finals), back)
         return out, (h_last, c_last)
 
     def gru(
@@ -561,47 +687,36 @@ class Tape:
         gates = slice(0, 2 * hidden)
         cand = slice(2 * hidden, 3 * hidden)
         pre = p.value.reshape(-1, 3 * hidden)
-        lens = np.array([len(pre)] if lengths is None else lengths, dtype=np.intp)
-        assert lens.sum() == len(pre) and (lens >= 0).all(), (lens, len(pre))
-        # packed positions run step by step; within a step, by descending length
-        by_len = np.argsort(-lens, kind="stable")
-        sorted_lens = lens[by_len]
-        step = np.arange(sorted_lens.max(initial=0))[:, None]
-        running = step < sorted_lens
-        starts = (np.cumsum(lens) - lens)[by_len]
-        rows = (starts + (sorted_lens - 1 - step if reverse else step))[running]
-        bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
-        alive = np.count_nonzero(sorted_lens)
-        last = bounds[sorted_lens[:alive] - 1] + np.arange(alive)
-        proj = pre[rows]
+        pack = _pack(len(pre), lengths, reverse)
+        bounds, n_seq = pack.bounds, pack.n_seq
+        total = bounds[-1]
+        proj = pre[pack.rows]
         dtype = proj.dtype
-        total = len(rows)
-        h_prev = np.zeros((total, hidden), dtype=dtype)  # the state each position reads
-        h_next = np.empty((total, hidden), dtype=dtype)  # the state it writes
+        hs = np.empty((n_seq + total, hidden), dtype=dtype)  # laid out as in lstm
+        hs[:n_seq] = 0.0
         zr = np.empty((total, 2 * hidden), dtype=dtype)  # update | reset gates
         cands = np.empty((total, hidden), dtype=dtype)
         phs = np.empty((total, 3 * hidden), dtype=dtype)  # h @ wh at each position
         w_h = wh.value
-        for s in range(len(bounds) - 1):
-            lo, hi = bounds[s], bounds[s + 1]
-            if s:
-                h_prev[lo:hi] = h_next[bounds[s - 1] : bounds[s - 1] + hi - lo]
+        read = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            h_old = hs[read : read + hi - lo]
             px = proj[lo:hi]
-            ph = np.matmul(h_prev[lo:hi], w_h, out=phs[lo:hi])
+            ph = np.matmul(h_old, w_h, out=phs[lo:hi])
             gate = zr[lo:hi]
             np.tanh(0.5 * (px[:, gates] + ph[:, gates]), out=gate)
             gate += 1.0
             gate *= 0.5
             np.tanh(px[:, cand] + gate[:, hidden:] * ph[:, cand], out=cands[lo:hi])
             z = gate[:, :hidden]
-            np.multiply(z, h_prev[lo:hi], out=h_next[lo:hi])
-            h_next[lo:hi] += (1.0 - z) * cands[lo:hi]
-        final = np.zeros((len(lens), hidden), dtype=dtype)
-        final[by_len[:alive]] = h_next[last]
+            h_new = np.multiply(z, h_old, out=hs[n_seq + lo : n_seq + hi])
+            h_new += (1.0 - z) * cands[lo:hi]
+            read = n_seq + lo
 
         def back(g, grads):
-            dh_next = np.zeros((total, hidden), dtype=dtype)
-            dh_next[last] = g.reshape(-1, hidden)[by_len[:alive]]
+            h_prev = hs[pack.reads()]
+            d_hs = np.zeros((n_seq + total, hidden), dtype=dtype)
+            d_hs[pack.finals] = g
             gate_deriv = zr * (1.0 - zr)
             cand_deriv = (1.0 - zr[:, :hidden]) * (1.0 - cands * cands)
             keep_minus_cand = h_prev - cands
@@ -610,22 +725,20 @@ class Tape:
             w_h_t = w_h.T
             for s in range(len(bounds) - 2, -1, -1):
                 lo, hi = bounds[s], bounds[s + 1]
-                dh, dpx, dph = dh_next[lo:hi], d_px[lo:hi], d_ph[lo:hi]
+                dh, dpx, dph = d_hs[n_seq + lo : n_seq + hi], d_px[lo:hi], d_ph[lo:hi]
                 np.multiply(dh, cand_deriv[lo:hi], out=dpx[:, cand])
                 np.multiply(dpx[:, cand], zr[lo:hi, hidden:], out=dph[:, cand])
                 np.multiply(dh, keep_minus_cand[lo:hi], out=dpx[:, :hidden])
                 np.multiply(dpx[:, cand], phs[lo:hi, cand], out=dpx[:, hidden : 2 * hidden])
                 dpx[:, gates] *= gate_deriv[lo:hi]
                 dph[:, gates] = dpx[:, gates]
-                if s:
-                    prev = bounds[s - 1]
-                    dh_next[prev : prev + hi - lo] += dh * zr[lo:hi, :hidden] + dph @ w_h_t
-            d_rows = np.empty_like(d_px)
-            d_rows[rows] = d_px
-            _acc(grads, p, d_rows.reshape(p.shape))
+                if s:  # the zero initial state takes no gradient
+                    read = n_seq + bounds[s - 1]
+                    d_hs[read : read + hi - lo] += dh * zr[lo:hi, :hidden] + dph @ w_h_t
+            _acc(grads, p, pack.unpacked(d_px).reshape(p.shape))
             _acc_product(grads, wh, h_prev, d_ph)
 
-        return self._new(final if lengths is not None else final[0], back)
+        return self._new(hs[pack.finals], back)
 
     # ---------------------------------------------------------------- backward
 

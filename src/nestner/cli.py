@@ -308,15 +308,19 @@ def cmd_gradcheck(args) -> int:
             label_embed_dim=4,
             seed=args.seed,
         )
-        report = grad_check(
-            lambda tape: model.loss(tape, sentence),
-            model.params,
-            epsilon=args.eps,
-            tolerance=args.tolerance,
-        )
-        print(f"== {kind} ==")
-        print(report)
-        failed = failed or not report.passed
+        # the packed path: a batch of two sentences of different lengths
+        batch = [
+            model.example(s, target=model.gold_ids(codec.encode(s))) for s in corpus.sentences
+        ]
+        losses = {
+            kind: lambda tape: model.loss(tape, sentence),
+            f"{kind}, batch of {len(batch)}": lambda tape: model.batch_loss(tape, batch),
+        }
+        for name, loss_fn in losses.items():
+            report = grad_check(loss_fn, model.params, epsilon=args.eps, tolerance=args.tolerance)
+            print(f"== {name} ==")
+            print(report)
+            failed = failed or not report.passed
     return 1 if failed else 0
 
 

@@ -86,11 +86,18 @@ def crf_log_partition(tape: Tape, emissions: Var | Sequence[Var], trans: Var, k:
 
 
 def crf_nll(
-    tape: Tape, emissions: Var | Sequence[Var], trans: Var, k: int, path: Sequence[int]
+    tape: Tape,
+    emissions: Var | Sequence[Var],
+    trans: Var,
+    k: int,
+    path: Sequence[int],
+    lengths: Sequence[int] | None = None,
 ) -> Var:
-    """Negative log-likelihood of the gold path; non-negative."""
+    """Negative log-likelihood of the gold path; non-negative. With
+    ``lengths``, the summed NLL of the consecutive sentences they split the
+    (L, k) emissions and the L gold labels into."""
     assert trans.shape == (k + 2, k + 2)
-    return tape.crf_nll(_emission_matrix(tape, emissions), trans, path)
+    return tape.crf_nll(_emission_matrix(tape, emissions), trans, path, lengths)
 
 
 def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
@@ -136,6 +143,33 @@ class _ShapeRecorder:
         return self.zeros(name, shape)
 
 
+@dataclass(frozen=True)
+class Example:
+    """One sentence as a forward pass reads it.
+
+    ``contextual`` is its (T, contextual_dim) sidecar block. A training step
+    draws the rest before the pass: ``lookup_forms`` replace the forms for
+    the table lookups (word dropout), ``input_mask`` (T, token_dim) and
+    ``output_mask`` (T, 2*hidden) are the scaled dropout masks of the token
+    vectors and the encoder outputs, and ``target`` holds the gold ids that
+    the model's ``gold_ids`` makes.
+    """
+
+    sentence: Sentence
+    contextual: np.ndarray | None = None
+    lookup_forms: Sequence[str] | None = None
+    input_mask: np.ndarray | None = None
+    output_mask: np.ndarray | None = None
+    target: np.ndarray | None = None
+
+
+def _stacked(blocks: Sequence[np.ndarray | None]) -> np.ndarray | None:
+    """Per-sentence row blocks as one matrix, or None when they are None."""
+    if blocks[0] is None:
+        return None
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 class _NeuralTagger:
     """Embedding + BiLSTM encoder shared by both model kinds."""
 
@@ -168,7 +202,58 @@ class _NeuralTagger:
             bias = params.zeros(f"{prefix}.b", (4 * h,))
             bias[h : 2 * h] = 1.0  # forget gate starts open
 
-    def _encode(
+    def example(
+        self,
+        sentence: Sentence,
+        contextual: np.ndarray | None = None,
+        lookup_forms: Sequence[str] | None = None,
+        dropout: float = 0.0,
+        rng: np.random.Generator | None = None,
+        target: np.ndarray | None = None,
+    ) -> Example:
+        """``sentence`` ready for a forward pass, with dropout masks at rate
+        ``dropout`` drawn from ``rng``, the input mask first."""
+        if dropout <= 0.0:
+            return Example(sentence, contextual, lookup_forms, target=target)
+        assert rng is not None, "dropout needs a seeded generator"
+        n, dtype = len(sentence.tokens), self.params.dtype
+        input_mask = dropout_mask(rng, (n, self.embedder.config.token_dim), dropout, dtype)
+        output_mask = dropout_mask(rng, (n, 2 * self.hidden_dim), dropout, dtype)
+        return Example(sentence, contextual, lookup_forms, input_mask, output_mask, target)
+
+    def _encode(self, tape: Tape, examples: Sequence[Example]) -> tuple[Var, Var, Var]:
+        """Token vectors of a batch of sentences through the BiLSTM, as one
+        packed pass; returns the (ΣT, 2*hidden) outputs, the sentences' rows
+        one after another, and the (N, hidden) final states of each
+        direction, (hidden,) vectors for a batch of one."""
+        tokens = [token for ex in examples for token in ex.sentence.tokens]
+        lookup_forms = [
+            form for ex in examples
+            for form in (ex.sentence.forms() if ex.lookup_forms is None else ex.lookup_forms)
+        ]
+        contextual = None
+        if self.embedder.config.contextual_dim:
+            contextual = _stacked([ex.contextual for ex in examples])
+        xs = self.embedder.token_vector(tape, tokens, lookup_forms, contextual)
+        input_mask = _stacked([ex.input_mask for ex in examples])
+        if input_mask is not None:
+            xs = tape.dropout(xs, input_mask)
+        # one sentence is read in place; a batch is packed
+        lengths = [len(ex.sentence.tokens) for ex in examples] if len(examples) > 1 else None
+        states = []
+        for prefix, reverse in (("enc.fw", False), ("enc.bw", True)):
+            pre = tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
+            states.append(
+                tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=reverse, lengths=lengths)
+            )
+        (fw, (final_fw, _)), (bw, (final_bw, _)) = states
+        outputs = tape.concat([fw, bw])
+        output_mask = _stacked([ex.output_mask for ex in examples])
+        if output_mask is not None:
+            outputs = tape.dropout(outputs, output_mask)
+        return outputs, final_fw, final_bw
+
+    def loss(
         self,
         tape: Tape,
         sentence: Sentence,
@@ -176,22 +261,11 @@ class _NeuralTagger:
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
         contextual: np.ndarray | None = None,
-    ) -> tuple[Var, Var, Var]:
-        """Token vectors through the BiLSTM; returns the (T, 2*hidden) outputs
-        and the final state of each direction."""
-        assert dropout == 0.0 or rng is not None, "dropout needs a seeded generator"
-        xs = self.embedder.token_vector(tape, sentence.tokens, lookup_forms, contextual)
-        if dropout > 0.0:
-            xs = tape.dropout(xs, dropout_mask(rng, xs.shape, dropout, tape.dtype))
-        states = []
-        for prefix, reverse in (("enc.fw", False), ("enc.bw", True)):
-            pre = tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
-            states.append(tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=reverse))
-        (fw, (final_fw, _)), (bw, (final_bw, _)) = states
-        outputs = tape.concat([fw, bw])
-        if dropout > 0.0:
-            outputs = tape.dropout(outputs, dropout_mask(rng, outputs.shape, dropout, tape.dtype))
-        return outputs, final_fw, final_bw
+    ) -> Var:
+        """The loss of one sentence: :meth:`batch_loss` of a batch of one."""
+        target = self.gold_ids(codec.encode(sentence))
+        example = self.example(sentence, contextual, lookup_forms, dropout, rng, target)
+        return self.batch_loss(tape, [example])
 
 
 # ------------------------------------------------------------------ LSTM-CRF
@@ -224,38 +298,29 @@ class CrfTagger(_NeuralTagger):
         params.zeros("crf.emit.b", (k,))
         params.uniform("crf.trans", (k + 2, k + 2), rng, fan_in=k + 2)
 
-    def emissions(
-        self,
-        tape: Tape,
-        sentence: Sentence,
-        lookup_forms: Sequence[str] | None = None,
-        dropout: float = 0.0,
-        rng: np.random.Generator | None = None,
-        contextual: np.ndarray | None = None,
-    ) -> Var:
-        """(T, k) emission scores."""
-        outputs, _, _ = self._encode(tape, sentence, lookup_forms, dropout, rng, contextual)
+    def _emissions(self, tape: Tape, examples: Sequence[Example]) -> Var:
+        """(ΣT, k) emission scores of a batch."""
+        outputs, _, _ = self._encode(tape, examples)
         return tape.affine(outputs, tape.param("crf.emit.w"), tape.param("crf.emit.b"))
 
-    def gold_path(self, sentence: Sentence) -> list[int]:
-        return [self.alphabet.id_of(s) for s in codec.encode(sentence).strings()]
+    def gold_ids(self, encoded: EncodedSentence) -> np.ndarray:
+        """The gold path of an encoded sentence, as label ids."""
+        return np.array([self.alphabet.id_of(s) for s in encoded.strings()], dtype=np.intp)
 
-    def loss(
-        self,
-        tape: Tape,
-        sentence: Sentence,
-        lookup_forms: Sequence[str] | None = None,
-        dropout: float = 0.0,
-        rng: np.random.Generator | None = None,
-        contextual: np.ndarray | None = None,
-    ) -> Var:
-        emissions = self.emissions(tape, sentence, lookup_forms, dropout, rng, contextual)
+    def gold_path(self, sentence: Sentence) -> list[int]:
+        return self.gold_ids(codec.encode(sentence)).tolist()
+
+    def batch_loss(self, tape: Tape, examples: Sequence[Example]) -> Var:
+        """Summed NLL of the examples' gold paths, in one packed pass."""
+        emissions = self._emissions(tape, examples)
+        paths = np.concatenate([ex.target for ex in examples])
+        lengths = [len(ex.sentence.tokens) for ex in examples]
         trans = tape.param("crf.trans")
-        return crf_nll(tape, emissions, trans, len(self.alphabet), self.gold_path(sentence))
+        return crf_nll(tape, emissions, trans, len(self.alphabet), paths, lengths)
 
     def predict_labels(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
         tape = Tape(self.params)
-        scores = self.emissions(tape, sentence, contextual=contextual).value
+        scores = self._emissions(tape, [Example(sentence, contextual)]).value
         path = viterbi(scores, self.params["crf.trans"])
         return [self.alphabet.string_of(i) for i in path]
 
@@ -315,14 +380,18 @@ class Seq2seqTagger(_NeuralTagger):
         params.zeros("dec.out.b", (n_out,))
 
     def _init_state(self, tape: Tape, final_fw: Var, final_bw: Var) -> tuple[Var, Var]:
+        """The decoder's initial ``(h, c)``: one per row of (N, hidden)
+        encoder final states, or one vector from (hidden,) vectors."""
         cat = tape.concat([final_fw, final_bw])
         h0 = tape.tanh(tape.affine(cat, tape.param("dec.init_h.w"), tape.param("dec.init_h.b")))
         c0 = tape.tanh(tape.affine(cat, tape.param("dec.init_c.w"), tape.param("dec.init_c.b")))
         return h0, c0
 
-    def _decoder_lstm(self, tape: Tape, x: Var, state: tuple[Var, Var]):
+    def _decoder_lstm(
+        self, tape: Tape, x: Var, state: tuple[Var, Var], lengths: Sequence[int] | None = None
+    ):
         pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
-        return tape.lstm(pre, tape.param("dec.wh"), *state)
+        return tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
 
     def _step(
         self,
@@ -360,46 +429,42 @@ class Seq2seqTagger(_NeuralTagger):
     def gold_stream(self, sentence: Sentence) -> tuple[str, ...]:
         return codec.flatten(codec.encode(sentence))
 
-    def loss(
-        self,
-        tape: Tape,
-        sentence: Sentence,
-        lookup_forms: Sequence[str] | None = None,
-        dropout: float = 0.0,
-        rng: np.random.Generator | None = None,
-        contextual: np.ndarray | None = None,
-    ) -> Var:
-        """Teacher-forced negative log-likelihood of the gold component stream.
+    def gold_ids(self, encoded: EncodedSentence) -> np.ndarray:
+        """The gold component stream of an encoded sentence, as ids."""
+        return np.array(
+            [self.components.id_of(s) for s in codec.flatten(encoded)], dtype=np.intp
+        )
+
+    def batch_loss(self, tape: Tape, examples: Sequence[Example]) -> Var:
+        """Summed teacher-forced negative log-likelihood of the examples'
+        gold component streams.
 
         Every decoder input (the encoder row under the pointer and the
-        previous gold label's embedding) is known in advance, so the whole
-        stream is one decoder LSTM call.
+        previous gold label's embedding) is known in advance, so the streams
+        of the whole batch are one packed decoder LSTM call.
         """
-        enc_outputs, final_fw, final_bw = self._encode(
-            tape, sentence, lookup_forms, dropout, rng, contextual
-        )
+        enc_outputs, final_fw, final_bw = self._encode(tape, examples)
         state = self._init_state(tape, final_fw, final_bw)
-        targets, pointers, prev_ids = [], [], []
-        t, prev = 0, self.bos_id
-        for symbol in self.gold_stream(sentence):
-            symbol_id = self.components.id_of(symbol)
-            targets.append(symbol_id)
-            pointers.append(t)
-            prev_ids.append(prev)
-            prev = symbol_id
-            if symbol == EOW:
-                t += 1
-        x = tape.concat(
-            [tape.gather(enc_outputs, pointers), tape.lookup("dec.labels", prev_ids)]
-        )
-        hidden, _ = self._decoder_lstm(tape, x, state)
+        pointers, prev_ids = [], []
+        offset = 0
+        for ex in examples:
+            eow = ex.target == 0  # <eow> moves the pointer to the next token
+            pointers.append(offset + np.cumsum(eow) - eow)
+            prev_ids.append(np.concatenate(([self.bos_id], ex.target[:-1])))
+            offset += len(ex.sentence.tokens)
+        x = tape.concat([
+            tape.gather(enc_outputs, np.concatenate(pointers)),
+            tape.lookup("dec.labels", np.concatenate(prev_ids)),
+        ])
+        lengths = [len(ex.target) for ex in examples]
+        hidden, _ = self._decoder_lstm(tape, x, state, lengths)
         logits = tape.affine(hidden, tape.param("dec.out.w"), tape.param("dec.out.b"))
-        return tape.softmax_cross_entropy(logits, targets)
+        return tape.softmax_cross_entropy(logits, np.concatenate([ex.target for ex in examples]))
 
     def predict_stream(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
         """Greedy decode; bounded by n * (max_components_per_token + 1) steps."""
         tape = Tape(self.params)
-        enc_outputs, final_fw, final_bw = self._encode(tape, sentence, contextual=contextual)
+        enc_outputs, final_fw, final_bw = self._encode(tape, [Example(sentence, contextual)])
         state = self._init_state(tape, final_fw, final_bw)
         prev = self.bos_id
         stream: list[str] = []
@@ -500,8 +565,12 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
         with zipfile.ZipFile(partial, "w") as archive:
             archive.writestr(_member_info(_ENVELOPE_MEMBER), json.dumps(envelope))
             for name, arr in model.params.items():
+                stored = np.ascontiguousarray(arr, dtype=_STORED)
+                header = np.lib.format.header_data_from_array_1_0(stored)
                 with archive.open(_member_info(f"{name}.npy"), "w") as member:
-                    np.lib.format.write_array(member, arr.astype(_STORED), allow_pickle=False)
+                    # the data straight from the array's buffer: no chunk copies
+                    np.lib.format.write_array_header_1_0(member, header)
+                    member.write(memoryview(stored).cast("B"))
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)

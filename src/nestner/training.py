@@ -131,9 +131,9 @@ def word_dropout(forms: Sequence[str], rate: float, rng: np.random.Generator) ->
 # ---------------------------------------------------------------- model build
 
 
-def _check_nesting_depth(corpus: TaggedCorpus, limit: int) -> None:
-    for i, sentence in enumerate(corpus.sentences):
-        for t, label in enumerate(codec.encode(sentence).labels):
+def _check_nesting_depth(encoded: Sequence[codec.EncodedSentence], limit: int) -> None:
+    for i, sentence in enumerate(encoded):
+        for t, label in enumerate(sentence.labels):
             if len(label) > limit:
                 raise NestnerError(
                     f"sentence {i}, token {t}: nesting depth {len(label)} exceeds "
@@ -185,7 +185,7 @@ def build_model(
             config, vocab, multilabel_alphabet(corpus), pretrained, rng=rng, dtype=dtype
         )
     if kind == "seq2seq":
-        _check_nesting_depth(corpus, max_components_per_token)
+        _check_nesting_depth([codec.encode(s) for s in corpus.sentences], max_components_per_token)
         config = models.Seq2seqConfig(
             embedding=embedding,
             hidden_dim=hidden_dim,
@@ -220,26 +220,21 @@ def _train_batch(
 ) -> float:
     """One optimizer step on the mean loss of ``batch``; returns the summed loss.
 
-    The batch's graph is local to this call, so it is freed on return,
-    before the next batch's forward pass starts.
+    Each sentence's word dropout and dropout masks are drawn in turn, then
+    the whole batch runs through the network as one packed forward and
+    backward pass. The batch's graph is local to this call, so it is freed
+    on return, before the next batch's forward pass starts.
     """
     tape = Tape(model.params)
-    losses = []
-    for sentence, contextual in batch:
+    examples = []
+    for sentence, contextual, target in batch:
         lookup_forms = word_dropout(sentence.forms(), regularization.word_dropout_rate, rng)
-        losses.append(
-            model.loss(
-                tape,
-                sentence,
-                lookup_forms=lookup_forms,
-                dropout=regularization.dropout_rate,
-                rng=rng,
-                contextual=contextual,
-            )
-        )
-    batch_loss = tape.scale(tape.add_n(losses), 1.0 / len(losses))
-    adam.step(tape.backward(batch_loss))
-    return float(sum(l.value for l in losses))
+        examples.append(model.example(
+            sentence, contextual, lookup_forms, regularization.dropout_rate, rng, target
+        ))
+    loss = model.batch_loss(tape, examples)
+    adam.step(tape.backward(tape.scale(loss, 1.0 / len(examples))))
+    return float(loss.value)
 
 
 def evaluate_model(model, corpus: TaggedCorpus) -> float:
@@ -280,14 +275,16 @@ def train(
     if config.include_dev_in_train and dev is not None:
         corpus = merge(corpus, dev)
         dev = None
+    encoded = [codec.encode(sentence) for sentence in corpus.sentences]
     if model.kind == "seq2seq":
-        _check_nesting_depth(corpus, model.config.max_components_per_token)
+        _check_nesting_depth(encoded, model.config.max_components_per_token)
     rng = np.random.default_rng(config.seed)
     adam = LazyAdam(model.params, optimizer)
     items = [
         (
             sentence,
             corpus.contextual[i] if corpus.contextual is not None else None,
+            model.gold_ids(encoded[i]),
         )
         for i, sentence in enumerate(corpus.sentences)
     ]

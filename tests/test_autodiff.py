@@ -117,11 +117,11 @@ class TestBackward:
     def test_lookup_rows_tracked_sparsely(self):
         params = make_params([("table", (5, 3))])
         tape = Tape(params)
-        both = tape.add_n([tape.lookup("table", 3), tape.lookup("table", 1)])
+        both = tape.concat([tape.lookup("table", 3), tape.lookup("table", 1)])
         grads = tape.backward(tape.softmax_cross_entropy(both, 0))
         g = _cross_entropy_grad(both.value, 0)
         np.testing.assert_array_equal(grads.rows["table"].ids, [1, 3])
-        np.testing.assert_allclose(grads.rows["table"].values, [g, g], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grads.rows["table"].values, [g[3:], g[:3]], rtol=0, atol=1e-15)
         assert len(grads.rows["table"]) == 2
         assert "table" not in grads.dense
 
@@ -130,16 +130,14 @@ class TestBackward:
         tape = Tape(params)
         row = tape.lookup("table", 0)
         rows = tape.lookup("table", [1, 0])
-        pair = tape.add_n([row, tape.lookup("table", 0)])
-        loss = tape.add_n(
-            [tape.softmax_cross_entropy(pair, 0), tape.softmax_cross_entropy(rows, [0, 1])]
-        )
-        grads = tape.backward(loss)
-        g_pair = _cross_entropy_grad(pair.value, 0)
-        g_rows = [_cross_entropy_grad(rows.value[0], 0), _cross_entropy_grad(rows.value[1], 1)]
+        # [row 0 | row 1] and [row 0 | row 0]: row 0 is read three times
+        both = tape.concat([tape.stack([row, tape.lookup("table", 0)]), rows])
+        grads = tape.backward(tape.softmax_cross_entropy(both, [0, 3]))
+        g = [_cross_entropy_grad(both.value[0], 0), _cross_entropy_grad(both.value[1], 3)]
         np.testing.assert_array_equal(grads.rows["table"].ids, [0, 1])
         np.testing.assert_allclose(
-            grads.rows["table"].values, [2 * g_pair + g_rows[1], g_rows[0]], rtol=0, atol=1e-15
+            grads.rows["table"].values, [g[0][:2] + g[1][:2] + g[1][2:], g[0][2:]],
+            rtol=0, atol=1e-15,
         )
 
     def test_two_layer_net_matches_fd(self):
@@ -170,7 +168,8 @@ class TestBackward:
 def _lstm_loss(t, reverse=False):
     pre = t.affine(t.param("s43"), t.param("wx38"), t.param("b8"))
     out, (h, c) = t.lstm(pre, t.param("wh28"), t.param("h2"), t.param("c2"), reverse=reverse)
-    return t.add_n([_scalar(t, t.tanh(out)), _scalar(t, t.concat([h, c]))])
+    # a loss on every output row and on both final states
+    return _scalar(t, t.concat([t.tanh(out), t.stack([h, c, h, c])]))
 
 
 def _gru_loss(t, reverse=False):
@@ -186,14 +185,24 @@ def _packed_gru_loss(t, reverse=False):
     return t.softmax_cross_entropy(h, [1, 0, 1])
 
 
+def _packed_lstm_loss(t, reverse=False):
+    # a state per sequence, the longest last; the empty one keeps its own
+    pre = t.affine(t.param("s43"), t.param("wx38"), t.param("b8"))
+    out, (h, c) = t.lstm(
+        pre, t.param("wh28"), t.param("h32"), t.param("c32"), reverse=reverse, lengths=[1, 0, 3]
+    )
+    # a per-row target on every output row and on every sequence's final state
+    finals = t.gather(t.concat([h, c]), [0, 1, 2, 0])
+    return t.softmax_cross_entropy(t.concat([t.tanh(out), finals]), [0, 3, 1, 5])
+
+
 OP_CASES = {
-    "add_n": lambda t, p: _scalar(t, t.add_n([t.param("a3"), t.param("b3"), t.param("a3")])),
     "scale": lambda t, p: _scalar(t, t.scale(t.param("a3"), -2.5)),
     "affine": lambda t, p: _scalar(t, t.affine(t.param("a3"), t.param("m34"), t.param("b4"))),
     "affine_rows": lambda t, p: _scalar(
         t, t.tanh(t.affine(t.param("m33"), t.param("m34"), t.param("b4")))
     ),
-    "affine_shared_weight": lambda t, p: _scalar(t, t.tanh(t.add_n([
+    "affine_shared_weight": lambda t, p: _scalar(t, t.tanh(t.concat([
         t.affine(t.param("a3"), t.param("m34"), t.param("b4")),
         t.affine(t.param("b3"), t.param("m34"), t.param("b4")),
     ]))),
@@ -220,12 +229,17 @@ OP_CASES = {
     "lookup_rows": lambda t, p: _scalar(t, t.tanh(t.lookup("m34", [1, 2, 1]))),
     "lstm": lambda t, p: _lstm_loss(t),
     "lstm_reverse": lambda t, p: _lstm_loss(t, reverse=True),
+    "lstm_packed": lambda t, p: _packed_lstm_loss(t),
+    "lstm_packed_reverse": lambda t, p: _packed_lstm_loss(t, reverse=True),
     "lstm_cell_state_only": lambda t, p: _scalar(t, t.lstm(
         t.affine(t.param("a3"), t.param("wx38"), t.param("b8")), t.param("wh28")
     )[1][1]),
     "gru": lambda t, p: _gru_loss(t),
     "gru_reverse": lambda t, p: _gru_loss(t, reverse=True),
-    "gru_shared_weights": lambda t, p: t.add_n([_gru_loss(t), _gru_loss(t, reverse=True)]),
+    "gru_shared_weights": lambda t, p: _scalar(t, t.concat([
+        t.gru(t.affine(t.param("s43"), t.param("wx36"), t.param("b6")), t.param("wh26"), reverse=r)
+        for r in (False, True)
+    ])),
     "gru_packed": lambda t, p: _packed_gru_loss(t),
     "gru_packed_reverse": lambda t, p: _packed_gru_loss(t, reverse=True),
 }
@@ -245,6 +259,7 @@ def test_operator_gradients_match_fd_20_seeds(name):
         for extra, shape in (
             ("m66", (6, 6)), ("s43", (4, 3)), ("wx38", (3, 8)), ("wh28", (2, 8)), ("b8", (8,)),
             ("wx36", (3, 6)), ("wh26", (2, 6)), ("b6", (6,)), ("h2", (2,)), ("c2", (2,)),
+            ("h32", (3, 2)), ("c32", (3, 2)),
         ):
             params.add(extra, rng.standard_normal(shape))
         report = grad_check(lambda t: OP_CASES[name](t, mask), params)
@@ -393,6 +408,57 @@ class TestRecurrentCells:
         np.testing.assert_allclose(packed.value, np.stack(separate), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(packed.value[2], np.zeros(2))
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_lstm_matches_separate_calls(self, reverse):
+        """Outputs, final states and every gradient of one packed call equal
+        those of one call per sequence; the empty sequence keeps its initial
+        state and passes its gradient straight back to it."""
+        p = make_params(
+            [("xs", (9, 3)), ("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)),
+             ("h0", (4, 2)), ("c0", (4, 2))],
+            seed=8,
+        )
+        lengths = [2, 4, 0, 3]
+        bounds = np.cumsum([0, *lengths])
+
+        def loss(tape, out, finals):
+            # every output row and every sequence's final (h, c) reach the loss
+            picked = tape.gather(finals, [0, 1, 2, 3, 0, 1, 2, 3, 2])
+            return tape.softmax_cross_entropy(
+                tape.tanh(tape.concat([out, picked])), np.arange(9) % 6
+            )
+
+        tape = Tape(p)
+        wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
+        out, (h, c) = tape.lstm(
+            tape.affine(tape.param("xs"), wx, b), wh, tape.param("h0"), tape.param("c0"),
+            reverse=reverse, lengths=lengths,
+        )
+        packed = tape.backward(loss(tape, out, tape.concat([h, c])))
+        np.testing.assert_array_equal(h.value[2], p["h0"][2])
+        np.testing.assert_array_equal(c.value[2], p["c0"][2])
+
+        tape = Tape(p)
+        wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
+        rows, finals = [], []
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            one_out, (one_h, one_c) = tape.lstm(
+                tape.affine(tape.gather(tape.param("xs"), list(range(lo, hi))), wx, b), wh,
+                tape.gather(tape.param("h0"), i), tape.gather(tape.param("c0"), i),
+                reverse=reverse,
+            )
+            np.testing.assert_allclose(one_out.value, out.value[lo:hi], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(one_h.value, h.value[i], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(one_c.value, c.value[i], rtol=0, atol=1e-15)
+            rows.extend(tape.gather(one_out, t) for t in range(hi - lo))
+            finals.append(tape.concat([one_h, one_c]))
+        separate = tape.backward(loss(tape, tape.stack(rows), tape.stack(finals)))
+        for name, arr in p.items():
+            np.testing.assert_allclose(
+                packed.materialize(name, arr.shape), separate.materialize(name, arr.shape),
+                rtol=0, atol=1e-15, err_msg=name,
+            )
+
     def test_gru_saturated_update_gate_keeps_state(self):
         hidden = 3
         params = Parameters()
@@ -488,6 +554,96 @@ class TestCrf:
         np.testing.assert_allclose(d_a, ref_d_a, **close)
 
 
+class TestPackedCrf:
+    """One :meth:`Tape.crf_nll` call over consecutive sentences of mixed
+    lengths, against one call per sentence and the enumeration oracle."""
+
+    LENGTHS = [3, 1, 5, 1, 4]
+
+    @staticmethod
+    def _run(emissions, trans, lengths, path=None, dtype=np.float64):
+        params = Parameters(dtype)
+        params.add("e", emissions)
+        params.add("a", trans)
+        tape = Tape(params)
+        out = tape.crf_nll(tape.param("e"), tape.param("a"), path, lengths)
+        grads = tape.backward(out)
+        return float(out.value), grads.dense["e"], grads.dense["a"]
+
+    @staticmethod
+    def _watch_underflow(monkeypatch) -> list:
+        """Whether each forward or backward step had an entry that took the
+        exact logsumexp fallback, by the op's own criterion."""
+        seen = []
+        original = nestner.autodiff._log_matmul
+
+        def watched(v, log_w, exp_w, w_max):
+            s = np.exp(v - v.max(axis=1, keepdims=True)) @ exp_w
+            info = np.finfo(s.dtype)
+            seen.append(bool((s < info.tiny / info.eps).any()))
+            return original(v, log_w, exp_w, w_max)
+
+        monkeypatch.setattr(nestner.autodiff, "_log_matmul", watched)
+        return seen
+
+    @staticmethod
+    def _wide(trans, k) -> bool:
+        """Whether the transition block is too wide for the counts GEMM, so
+        backward sums the step marginals one step at a time."""
+        return np.ptp(trans[:k, :k]) >= -0.5 * np.log(np.finfo(trans.dtype).tiny)
+
+    @pytest.mark.parametrize("spread", [1.0, 400.0])
+    def test_matches_per_sentence_calls(self, monkeypatch, spread):
+        rng = np.random.default_rng(13)
+        k, n = 4, sum(self.LENGTHS)
+        emissions = rng.standard_normal((n, k)) * spread
+        trans = rng.standard_normal((k + 2, k + 2)) * spread
+        path = rng.integers(0, k, n)
+        seen = self._watch_underflow(monkeypatch)
+        value, d_e, d_a = self._run(emissions, trans, self.LENGTHS, path)
+        # a spread of 400 takes both exact branches: underflowed entries
+        # and per-step marginals
+        assert any(seen) == self._wide(trans, k) == (spread > 1.0)
+        total, ref_e, ref_a = 0.0, np.zeros_like(d_e), np.zeros_like(d_a)
+        bounds = np.cumsum([0, *self.LENGTHS])
+        for lo, hi in zip(bounds, bounds[1:]):
+            one, one_e, one_a = self._run(emissions[lo:hi], trans, None, path[lo:hi])
+            total += one
+            ref_e[lo:hi] = one_e
+            ref_a += one_a
+        assert value == pytest.approx(total, rel=1e-12)
+        np.testing.assert_allclose(d_e, ref_e, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_a, ref_a, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dtype, spread, rel, close",
+        [
+            (np.float64, 3.0, 1e-12, dict(rtol=0, atol=1e-10)),
+            # float32 log scores near 1e3 carry ~1e-4 relative error into the marginals
+            (np.float32, 60.0, 1e-6, dict(rtol=3e-4, atol=1e-5)),
+        ],
+    )
+    def test_log_partition_matches_path_enumeration(self, monkeypatch, dtype, spread, rel, close):
+        rng = np.random.default_rng(21)
+        k, n = 4, sum(self.LENGTHS)
+        emissions = (rng.standard_normal((n, k)) * spread).astype(dtype)
+        trans = (rng.standard_normal((k + 2, k + 2)) * spread).astype(dtype)
+        seen = self._watch_underflow(monkeypatch)
+        value, d_e, d_a = self._run(emissions, trans, self.LENGTHS, dtype=dtype)
+        if dtype == np.float32:
+            assert any(seen) and self._wide(trans, k)
+        total, ref_e, ref_a = 0.0, np.zeros(d_e.shape), np.zeros(d_a.shape)
+        bounds = np.cumsum([0, *self.LENGTHS])
+        for lo, hi in zip(bounds, bounds[1:]):
+            log_z, one_e, one_a = _enumerated_crf(emissions[lo:hi], trans)
+            total += log_z
+            ref_e[lo:hi] = one_e
+            ref_a += one_a
+        assert value == pytest.approx(total, rel=rel)
+        np.testing.assert_allclose(d_e, ref_e, **close)
+        np.testing.assert_allclose(d_a, ref_a, **close)
+
+
 class TestGradCheckReport:
     def test_corrupted_gradient_reported_by_name(self):
         params = make_params([("good", (3,)), ("evil", (3,))], seed=3)
@@ -497,7 +653,7 @@ class TestGradCheckReport:
             b = tape.param("evil")
             # a deliberately wrong backward: claims d(sum(2b))/db == 1
             wrong = tape._new(2.0 * b.value, lambda g, grads: grads.__setitem__(b.idx, g))
-            return _scalar(tape, tape.add_n([a, wrong]))
+            return _scalar(tape, tape.concat([a, wrong]))
 
         report = grad_check(loss_fn, params)
         assert not report.passed

@@ -414,7 +414,9 @@ class TestDiagnostics:
     def test_gradcheck_command(self, capsys):
         assert run("gradcheck", "--seed", "2") == 0
         out = capsys.readouterr().out
-        assert "crf" in out and "seq2seq" in out and "PASS" in out
+        for kind in ("crf", "seq2seq"):
+            assert f"== {kind} ==" in out and f"== {kind}, batch of 2 ==" in out
+        assert out.count("PASS") == 4 and "FAIL" not in out
 
 
 class TestErrors:

@@ -263,10 +263,10 @@ class TestSentenceVectors:
         )
         tape = Tape(params)
         rows = self._token_by_token(embedder, tape, contextual)
-        by_rows = tape.backward(tape.add_n([
-            tape.softmax_cross_entropy(tape.tanh(tape.dropout(r, w[None])), [target])
-            for r, w, target in zip(rows, weights, targets)
-        ]))
+        stacked = tape.stack([tape.gather(r, 0) for r in rows])
+        by_rows = tape.backward(
+            tape.softmax_cross_entropy(tape.tanh(tape.dropout(stacked, weights)), targets)
+        )
         assert set(by_matrix.rows) == set(by_rows.rows)
         assert set(by_matrix.dense) == set(by_rows.dense)
         for name, arr in params.items():

@@ -21,7 +21,9 @@ from nestner.core import Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
+    _member_info,
     CrfTagger,
+    Example,
     ModelFormatError,
     Seq2seqConfig,
     Seq2seqTagger,
@@ -397,7 +399,7 @@ class TestSeq2seqLoss:
 
         # hand-rolled oracle: walk the gold stream multiplying step probabilities
         tape2 = Tape(model.params)
-        enc, f_fw, f_bw = model._encode(tape2, sentence)
+        enc, f_fw, f_bw = model._encode(tape2, [Example(sentence)])
         state = model._init_state(tape2, f_fw, f_bw)
         t, prev = 0, model.bos_id
         log_prob = 0.0
@@ -707,22 +709,41 @@ class TestSerialization:
         for sentence in corpus:
             assert old.predict(sentence) == new.predict(sentence)
 
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_archive_bytes_match_numpy_write_array(self, tmp_path, kind, dtype):
+        """Each member's header and data are written directly, and the
+        archive is byte for byte the one ``np.lib.format.write_array`` made
+        through the same members."""
+        model = build(kind, dtype=dtype)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with zipfile.ZipFile(path) as archive:
+            envelope = archive.read("envelope.json")
+        reference = tmp_path / "reference.json"
+        with zipfile.ZipFile(reference, "w") as archive:
+            archive.writestr(_member_info("envelope.json"), envelope)
+            for name, arr in model.params.items():
+                with archive.open(_member_info(f"{name}.npy"), "w") as member:
+                    np.lib.format.write_array(member, arr.astype("<f4"), allow_pickle=False)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         first, second = build("crf", seed=3), build("crf", seed=4)
         path = tmp_path / "model.json"
         save_model(first, path)
         saved = path.read_bytes()
-        write_array = np.lib.format.write_array
+        write_header = np.lib.format.write_array_header_1_0
         written = []
 
-        def broken_write(handle, array, **kwargs):
+        def broken_write(handle, header):
             if written:
                 handle.write(b"\x93NUMPY")
                 raise RuntimeError("disk full")
-            written.append(array)
-            write_array(handle, array, **kwargs)
+            written.append(header)
+            write_header(handle, header)
 
-        monkeypatch.setattr("nestner.models.np.lib.format.write_array", broken_write)
+        monkeypatch.setattr("nestner.models.np.lib.format.write_array_header_1_0", broken_write)
         with pytest.raises(RuntimeError):
             save_model(second, path)
         monkeypatch.undo()

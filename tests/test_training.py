@@ -6,8 +6,8 @@ import pytest
 
 import synthgrammar
 from conftest import mention
-from nestner import training
-from nestner.autodiff import Gradients, Parameters, RowGradient
+from nestner import codec, training
+from nestner.autodiff import Gradients, Parameters, RowGradient, Tape, dropout_mask
 from nestner.core import NestnerError, Sentence, Token
 from nestner.corpus import UNK, TaggedCorpus, build_vocabulary, merge
 from nestner.embeddings import EmbeddingConfig
@@ -384,3 +384,66 @@ class TestTrainingArithmetic:
                 gc.enable()
             assert alive_when_created == [0, 0, 0], kind
             assert alive_after == [False, False, False], kind
+
+
+class TestPackedBatch:
+    """A training batch runs through the network as one packed pass: the
+    same loss and gradients as its sentences one at a time, from the same
+    random stream."""
+
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    def test_batch_loss_equals_batches_of_one(self, kind):
+        corpus = synthgrammar.generate(6, seed=17)
+        lengths = [len(s.tokens) for s in corpus]
+        assert len(set(lengths)) > 1
+        forms = [[t.form for t in s.tokens] for s in corpus]
+        assert any(set(a) & set(b) for a, b in zip(forms, forms[1:]))  # a repeated form
+        rng = np.random.default_rng(4)
+        contextual = [rng.standard_normal((n, 3)) for n in lengths]
+        embedding = EmbeddingConfig(trainable_dim=4, char_dim=3, char_rnn_dim=2, contextual_dim=3)
+        model = build_model(
+            kind, corpus, embedding=embedding, hidden_dim=4, decoder_dim=4, label_embed_dim=3,
+            seed=6,
+        )
+        dropout, word_rate = 0.5, 0.2
+
+        # the packed pass, with every sentence's draws made first, in turn
+        rng = np.random.default_rng(8)
+        examples = []
+        for sentence, ctx in zip(corpus, contextual):
+            lookup_forms = word_dropout(sentence.forms(), word_rate, rng)
+            target = model.gold_ids(codec.encode(sentence))
+            examples.append(model.example(sentence, ctx, lookup_forms, dropout, rng, target))
+        tape = Tape(model.params)
+        loss = model.batch_loss(tape, examples)
+        packed = tape.backward(loss)
+
+        # the draws, sentence by sentence, in the order of a per-sentence
+        # forward pass: word dropout, the token-vector mask, the encoder-output mask
+        ref_rng = np.random.default_rng(8)
+        for sentence, example in zip(corpus, examples):
+            n = len(sentence.tokens)
+            assert word_dropout(sentence.forms(), word_rate, ref_rng) == example.lookup_forms
+            widths = (embedding.token_dim, 2 * model.hidden_dim)
+            for mask, width in zip((example.input_mask, example.output_mask), widths):
+                np.testing.assert_array_equal(mask, dropout_mask(ref_rng, (n, width), dropout))
+        assert ref_rng.bit_generator.state == rng.bit_generator.state
+
+        # batches of one, through model.loss with the same draws
+        one_rng = np.random.default_rng(8)
+        total, summed = 0.0, {name: 0.0 for name in model.params.names()}
+        for sentence, ctx in zip(corpus, contextual):
+            lookup_forms = word_dropout(sentence.forms(), word_rate, one_rng)
+            tape = Tape(model.params)
+            one = model.loss(tape, sentence, lookup_forms, dropout, one_rng, ctx)
+            grads = tape.backward(one)
+            total += float(one.value)
+            for name, arr in model.params.items():
+                summed[name] = summed[name] + grads.materialize(name, arr.shape)
+        assert one_rng.bit_generator.state == rng.bit_generator.state
+        assert float(loss.value) == pytest.approx(total, rel=0, abs=1e-12)
+        for name, arr in model.params.items():
+            np.testing.assert_allclose(
+                packed.materialize(name, arr.shape), summed[name], rtol=0, atol=1e-12,
+                err_msg=name,
+            )
