@@ -12,10 +12,12 @@ consecutive sequences advance together, longest first, so each step is one
 batch goes through each layer once. A single sequence is read in place. A
 recurrence reads its gate pre-activations, which the caller computes with
 one :meth:`Tape.affine` GEMM ahead of it, so the input projection and its
-gradients are written once. A weight's gradient is one ``Xᵀ·G`` product
-over every row of a batch instead of one outer product per token. Calling
-:meth:`Tape.backward` on a scalar loss returns per-parameter gradients. A
-table read through :meth:`Tape.lookup` gets one row-sparse block, a
+gradients are written once. Since a batch passes through each layer once,
+a weight's gradient is one ``Xᵀ·G`` product over every row of the batch,
+added as soon as its op's backward runs. :meth:`Tape.backward` on a scalar
+loss is one reverse pass that sums each node's gradient in one list, by
+node index; a parameter's entry in that list is its gradient. A table read
+through :meth:`Tape.lookup` gets one row-sparse block, a
 :class:`RowGradient` of its sorted distinct row ids and their summed
 gradients, so the optimizer can skip rows that never appeared in a batch.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -74,12 +77,6 @@ class Parameters:
 
     def items(self):
         return self._arrays.items()
-
-    def copy(self) -> "Parameters":
-        clone = Parameters(self.dtype)
-        for name, arr in self._arrays.items():
-            clone._arrays[name] = arr.copy()
-        return clone
 
     def load_state(self, other: "Parameters") -> None:
         """Overwrite array contents in place from another store with equal names."""
@@ -145,36 +142,14 @@ class Var:
         return self.value.shape
 
 
-class _Partials(list):
-    """The gradient reaching each tape node during one backward pass, by index.
-
-    Weight gradients ``xᵀ·g`` are queued per node by :func:`_acc_product`
-    and summed as one GEMM over every queued row when :meth:`total` needs
-    the node's gradient: one product per batch instead of one per call.
-    """
-
-    def __init__(self, n: int):
-        super().__init__([None] * n)
-        self.products: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    def total(self, var: Var) -> np.ndarray | None:
-        queued = self.products.pop(var.idx, None)
-        if queued:
-            xs, gs = zip(*queued)
-            _acc(self, var, np.concatenate(xs).T @ np.concatenate(gs))
-        return self[var.idx]
-
-
 def _acc(grads: list, var: Var, g: np.ndarray) -> None:
     cur = grads[var.idx]
     grads[var.idx] = g if cur is None else cur + g
 
 
-def _acc_product(grads: _Partials, w: Var, x: np.ndarray, g: np.ndarray) -> None:
+def _acc_product(grads: list, w: Var, x: np.ndarray, g: np.ndarray) -> None:
     """Add ``xᵀ·g``, the gradient of ``x @ w``, to ``w``'s gradient."""
-    grads.products.setdefault(w.idx, []).append(
-        (x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1]))
-    )
+    _acc(grads, w, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
 
 def _log_matmul(v: np.ndarray, log_w: np.ndarray, exp_w: np.ndarray, w_max: np.ndarray):
@@ -583,9 +558,9 @@ class Tape:
         axis is [input|forget|cell|output]. The sequences advance together
         as in :meth:`gru`, one ``(n_s, hidden) @ wh`` product per step.
         Backward finds the gate pre-activation gradients ``dP``, sends them
-        to ``p`` and queues ``dwh = H_prevᵀ·dP``, so every recurrence sharing
-        ``wh`` in a batch adds to one GEMM. With ``reverse`` each sequence is
-        read last row to first; row t of ``H`` is still the state after
+        to ``p`` and adds ``dwh = H_prevᵀ·dP``, one GEMM over every row of
+        every sequence, to ``wh``'s gradient. With ``reverse`` each sequence
+        is read last row to first; row t of ``H`` is still the state after
         reading row t.
         """
         hidden = wh.shape[0]
@@ -680,7 +655,7 @@ class Tape:
         saturated update gate keeps the old state. The sequences advance
         together, longest first, so those still running at step s are a
         prefix and each step is one ``(n_s, hidden) @ wh`` product. Backward
-        sends ``dP`` to ``p`` and queues ``wh``'s gradient as in
+        sends ``dP`` to ``p`` and adds ``wh``'s gradient as one GEMM, as in
         :meth:`lstm`. ``reverse`` reads each sequence last row to first.
         """
         hidden = wh.shape[0]
@@ -745,22 +720,20 @@ class Tape:
     def backward(self, loss: Var) -> Gradients:
         """Reverse-mode gradients of a scalar loss over this tape."""
         assert loss.value.shape == (), "loss must be a scalar"
-        partials = _Partials(len(self.nodes))
+        partials: list[np.ndarray | None] = [None] * len(self.nodes)
         partials[loss.idx] = np.asarray(1.0, dtype=self.dtype)
         for var in reversed(self.nodes):
-            if var._back is None:
-                continue
-            g = partials.total(var)
-            if g is not None:
+            g = partials[var.idx]
+            if var._back is not None and g is not None:
                 var._back(g, partials)
         grads = Gradients()
         for name, var in self._param_vars.items():
-            g = partials.total(var)
+            g = partials[var.idx]
             if g is not None:
                 grads.dense[name] = g
         looked_up: dict[str, tuple[list, list]] = {}
         for name, ids, var in self._lookups:
-            g = partials.total(var)
+            g = partials[var.idx]
             if g is not None:
                 id_parts, g_parts = looked_up.setdefault(name, ([], []))
                 id_parts.append(np.reshape(ids, -1))
@@ -828,6 +801,8 @@ def grad_check(
     finite-difference noise for a correct gradient and reaches order one for
     a broken one.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     tape = Tape(params)
     grads = tape.backward(loss_fn(tape))
     report: dict[str, float] = {}

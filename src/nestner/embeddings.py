@@ -61,6 +61,12 @@ class EmbeddingConfig:
                 raise ValueError(f"{name} must be >= 0")
         if bool(self.char_dim) != bool(self.char_rnn_dim):
             raise ValueError("char_dim and char_rnn_dim must be enabled together")
+        sources = (
+            "pretrained_dim", "trainable_dim", "lemma_dim", "char_dim", "use_pos_onehot",
+            "contextual_dim",
+        )
+        if not any(getattr(self, name) for name in sources):
+            raise ValueError(f"no token-vector source is enabled; set one of {', '.join(sources)}")
 
     @property
     def token_dim(self) -> int:

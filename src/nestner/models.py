@@ -37,8 +37,6 @@ from .core import LabelAlphabet, Mention, NestnerError, Sentence
 from .corpus import Vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable, TokenEmbedder
 
-FORMAT_VERSION = 1
-
 
 class ModelFormatError(NestnerError):
     """A serialized model cannot be loaded."""
@@ -253,19 +251,11 @@ class _NeuralTagger:
             outputs = tape.dropout(outputs, output_mask)
         return outputs, final_fw, final_bw
 
-    def loss(
-        self,
-        tape: Tape,
-        sentence: Sentence,
-        lookup_forms: Sequence[str] | None = None,
-        dropout: float = 0.0,
-        rng: np.random.Generator | None = None,
-        contextual: np.ndarray | None = None,
-    ) -> Var:
-        """The loss of one sentence: :meth:`batch_loss` of a batch of one."""
+    def loss(self, tape: Tape, sentence: Sentence) -> Var:
+        """The loss of one sentence without dropout: :meth:`batch_loss` of a
+        batch of one."""
         target = self.gold_ids(codec.encode(sentence))
-        example = self.example(sentence, contextual, lookup_forms, dropout, rng, target)
-        return self.batch_loss(tape, [example])
+        return self.batch_loss(tape, [Example(sentence, target=target)])
 
 
 # ------------------------------------------------------------------ LSTM-CRF
@@ -544,8 +534,19 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
     """Write ``model`` to ``path`` in format v2.
 
     The archive is written beside the destination and renamed over it, so a
-    failed write leaves the previous checkpoint whole.
+    failed write leaves the previous checkpoint whole. A parameter with a
+    value that is not finite in float32 is a :class:`ModelFormatError`
+    raised before anything is written.
     """
+    with np.errstate(over="ignore"):
+        stored = {
+            name: np.ascontiguousarray(arr, dtype=_STORED) for name, arr in model.params.items()
+        }
+    for name, arr in stored.items():
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(
+                f"parameter {name!r}: values are not finite in float32; checkpoint not written"
+            )
     if model.kind == "crf":
         alphabets = {"labels": list(model.alphabet.strings)}
     else:
@@ -564,13 +565,12 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
     try:
         with zipfile.ZipFile(partial, "w") as archive:
             archive.writestr(_member_info(_ENVELOPE_MEMBER), json.dumps(envelope))
-            for name, arr in model.params.items():
-                stored = np.ascontiguousarray(arr, dtype=_STORED)
-                header = np.lib.format.header_data_from_array_1_0(stored)
+            for name, arr in stored.items():
+                header = np.lib.format.header_data_from_array_1_0(arr)
                 with archive.open(_member_info(f"{name}.npy"), "w") as member:
                     # the data straight from the array's buffer: no chunk copies
                     np.lib.format.write_array_header_1_0(member, header)
-                    member.write(memoryview(stored).cast("B"))
+                    member.write(memoryview(arr).cast("B"))
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)

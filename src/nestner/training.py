@@ -9,6 +9,7 @@ identical seeds give identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -33,8 +34,8 @@ class OptimizerConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

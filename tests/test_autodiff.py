@@ -36,9 +36,10 @@ class TestParameters:
         arr = params.uniform("w", (100, 3), rng)
         assert np.all(np.abs(arr) <= math.sqrt(1 / 100))
 
-    def test_copy_and_load_state(self):
+    def test_load_state(self):
         params = make_params([("w", (3,))])
-        snapshot = params.copy()
+        snapshot = Parameters()
+        snapshot.add("w", params["w"])  # add copies
         params["w"][:] += 1.0
         assert not np.array_equal(params["w"], snapshot["w"])
         params.load_state(snapshot)
@@ -151,6 +152,12 @@ class TestBackward:
         report = grad_check(loss_fn, params)
         assert report.passed, str(report)
         assert max(report.max_rel_err.values()) < 1e-7
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_grad_check_rejects_a_step_that_is_not_finite_and_positive(self, epsilon):
+        params = make_params([("w", (2,))])
+        with pytest.raises(ValueError, match="epsilon"):
+            grad_check(lambda tape: tape.param("w"), params, epsilon=epsilon)
 
     def test_determinism_bit_identical(self):
         params = make_params([("w", (6, 6)), ("b", (6,)), ("x", (6,))], seed=9)

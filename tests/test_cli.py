@@ -439,6 +439,32 @@ class TestErrors:
         assert f"{bad}:2: token form must be non-empty" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--lr", "nan"), "learning_rate"),
+            (("--lr", "1e300"), "parameter 'embed.form'"),  # float32 overflow at save
+            (("--embed-dim", "0", "--char-dim", "0", "--char-rnn-dim", "0"), "trainable_dim"),
+            (("gradcheck", "--eps", "0"), "epsilon"),
+        ],
+    )
+    def test_bad_setting_exits_1_naming_it(self, tmp_path, capsys, flags, name):
+        if flags[0] == "gradcheck":
+            argv = flags
+        else:
+            train_file = tmp_path / "train.conll"
+            write_conll(synthgrammar.generate(4, seed=21), train_file)
+            argv = (
+                "train", "--train", str(train_file), "--save", str(tmp_path / "model"),
+                "--epochs", "1", "--hidden", "4", "--embed-dim", "4", "--char-dim", "0",
+                "--char-rnn-dim", "0", *flags,
+            )
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) in ([], [tmp_path / "train.conll"])  # nothing saved
+
+
 class TestContextualSidecars:
     """A sidecar of the wrong width, or one the model cannot use, stops the
     command before any training or prediction, naming the file and line or

@@ -115,6 +115,12 @@ class TestEmbeddingConfig:
         with pytest.raises(ValueError):
             EmbeddingConfig(char_dim=8, char_rnn_dim=0)
 
+    def test_needs_one_source(self):
+        with pytest.raises(ValueError, match="trainable_dim"):
+            EmbeddingConfig(trainable_dim=0, char_dim=0, char_rnn_dim=0)
+        # a POS one-hot alone is a source
+        EmbeddingConfig(trainable_dim=0, char_dim=0, char_rnn_dim=0, use_pos_onehot=True)
+
 
 class TestTokenVector:
     def test_full_width_812(self, vocab, tmp_path):

@@ -754,6 +754,20 @@ class TestSerialization:
         for name, arr in first.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr.astype("<f4").astype(np.float64))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [1e300, -1e300, np.inf, np.nan])
+    def test_value_not_finite_in_float32_refused_before_writing(self, tmp_path, dtype, bad):
+        first, second = build("crf", seed=3, dtype=dtype), build("crf", seed=4, dtype=dtype)
+        path = tmp_path / "model.json"
+        save_model(first, path)
+        saved = path.read_bytes()
+        with np.errstate(over="ignore"):  # 1e300 is inf in a float32 model already
+            second.params["enc.fw.wh"][1, 2] = bad
+        with pytest.raises(ModelFormatError, match="parameter 'enc.fw.wh'"):
+            save_model(second, path)
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_expected_shapes_match_a_trained_model(self):
         for kind in ("crf", "seq2seq"):
             model = build(kind)

@@ -1,3 +1,4 @@
+import collections
 import gc
 import weakref
 
@@ -6,7 +7,7 @@ import pytest
 
 import synthgrammar
 from conftest import mention
-from nestner import codec, training
+from nestner import autodiff, codec, training
 from nestner.autodiff import Gradients, Parameters, RowGradient, Tape, dropout_mask
 from nestner.core import NestnerError, Sentence, Token
 from nestner.corpus import UNK, TaggedCorpus, build_vocabulary, merge
@@ -32,9 +33,12 @@ def small_corpus():
 
 
 class TestConfigs:
-    @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"learning_rate": rate} for rate in (0.0, float("nan"), float("inf"), -float("inf"))],
+    )
     def test_optimizer_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="learning_rate"):
             OptimizerConfig(**kwargs)
 
     def test_optimizer_defaults_match_training_regimen(self):
@@ -429,21 +433,54 @@ class TestPackedBatch:
                 np.testing.assert_array_equal(mask, dropout_mask(ref_rng, (n, width), dropout))
         assert ref_rng.bit_generator.state == rng.bit_generator.state
 
-        # batches of one, through model.loss with the same draws
-        one_rng = np.random.default_rng(8)
+        # the same examples as batches of one
         total, summed = 0.0, {name: 0.0 for name in model.params.names()}
-        for sentence, ctx in zip(corpus, contextual):
-            lookup_forms = word_dropout(sentence.forms(), word_rate, one_rng)
+        for example in examples:
             tape = Tape(model.params)
-            one = model.loss(tape, sentence, lookup_forms, dropout, one_rng, ctx)
+            one = model.batch_loss(tape, [example])
             grads = tape.backward(one)
             total += float(one.value)
             for name, arr in model.params.items():
                 summed[name] = summed[name] + grads.materialize(name, arr.shape)
-        assert one_rng.bit_generator.state == rng.bit_generator.state
         assert float(loss.value) == pytest.approx(total, rel=0, abs=1e-12)
         for name, arr in model.params.items():
             np.testing.assert_allclose(
                 packed.materialize(name, arr.shape), summed[name], rtol=0, atol=1e-12,
                 err_msg=name,
             )
+
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    def test_one_weight_gradient_product_per_batch(self, kind, monkeypatch):
+        """Every dense weight gets exactly one ``Xᵀ·G`` product in a training
+        step, so ``Tape.backward`` has no products to merge; a layer that
+        went back to one call per sentence would add three here."""
+        corpus = synthgrammar.generate(3, seed=17)
+        assert len({len(s.tokens) for s in corpus}) == 3
+        forms = [t.form for s in corpus for t in s.tokens]
+        assert len(set(forms)) < len(forms)  # a repeated form
+        embedding = EmbeddingConfig(trainable_dim=4, char_dim=3, char_rnn_dim=2)
+        model = build_model(
+            kind, corpus, embedding=embedding, hidden_dim=4, decoder_dim=4, label_embed_dim=3,
+        )
+        names = {id(arr): name for name, arr in model.params.items()}
+        calls: collections.Counter = collections.Counter()
+        node_names: dict[int, str] = {}
+        real = autodiff._acc_product
+
+        def counting(grads, w, x, g):
+            calls[w.idx] += 1
+            node_names[w.idx] = names[id(w.value)]
+            real(grads, w, x, g)
+
+        monkeypatch.setattr(autodiff, "_acc_product", counting)
+        batch = [(s, None, model.gold_ids(codec.encode(s))) for s in corpus]
+        adam = LazyAdam(model.params)
+        rng = np.random.default_rng(1)
+        training._train_batch(model, adam, batch, RegularizationConfig(0.5, 0.2), rng)
+        weights = {
+            name for name, arr in model.params.items()
+            if arr.ndim == 2 and name.endswith((".w", ".wx", ".wh"))
+        }
+        assert len(weights) == (9 if kind == "crf" else 13)
+        assert sorted(node_names.values()) == sorted(weights)
+        assert set(calls.values()) == {1}, {node_names[i]: n for i, n in calls.items()}
