@@ -20,6 +20,8 @@ node index; a parameter's entry in that list is its gradient. A table read
 through :meth:`Tape.lookup` gets one row-sparse block, a
 :class:`RowGradient` of its sorted distinct row ids and their summed
 gradients, so the optimizer can skip rows that never appeared in a batch.
+Inference runs the same ops on a :class:`ForwardTape`, which records
+nothing, so a pass keeps only the values still in use.
 
 Parameters must not be mutated while a tape built on them is still in use.
 """
@@ -747,6 +749,24 @@ class Tape:
         return grads
 
 
+class ForwardTape(Tape):
+    """A :class:`Tape` that records nothing, for inference: every op computes
+    its value with the same code, and its Var keeps no backward closure and
+    no place on the tape."""
+
+    def _new(self, value: np.ndarray, back: Callable | None) -> Var:
+        return Var(value, -1, None)
+
+    def _new_multi(self, values: Sequence[np.ndarray], back: Callable) -> list[Var]:
+        return [Var(value, -1, None) for value in values]
+
+    def lookup(self, name: str, rows) -> Var:
+        return self._new(self.params[name][_ids(rows)], None)
+
+    def backward(self, loss: Var) -> Gradients:
+        raise TypeError("a ForwardTape records nothing to differentiate")
+
+
 def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype=np.float64) -> np.ndarray:
     """Inverted-dropout mask of ``shape`` (an int or a tuple): kept entries
     scaled by 1/(1-rate). One (T, d) mask draws the same numbers from ``rng``
@@ -803,6 +823,8 @@ def grad_check(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     tape = Tape(params)
     grads = tape.backward(loss_fn(tape))
     report: dict[str, float] = {}

@@ -251,12 +251,9 @@ def cmd_predict(args) -> int:
         )
     if args.contextual:
         corpus = _with_sidecar(corpus, args.contextual, contextual_dim)
-    predicted = []
-    for i, sentence in enumerate(corpus.sentences):
-        ctx = corpus.contextual[i] if corpus.contextual is not None else None
-        mentions = model.predict(sentence, contextual=ctx)
-        predicted.append(Sentence(sentence.tokens, mentions))
-    out = TaggedCorpus(tuple(predicted), scheme="bilou")
+    mentions = model.predict_batch(corpus.sentences, corpus.contextual)
+    predicted = tuple(Sentence(s.tokens, m) for s, m in zip(corpus.sentences, mentions))
+    out = TaggedCorpus(predicted, scheme="bilou")
     out_columns = ColumnSpec(token_columns.names + ("label",))
     corpus_io.write_conll(out, args.output, columns=out_columns)
     return 0

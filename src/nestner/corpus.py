@@ -464,6 +464,8 @@ def build_vocabulary(corpus: TaggedCorpus, min_freq: int = 1) -> Vocabulary:
     Forms and lemmas below ``min_freq`` map to the unk id; characters of all
     training forms are kept.
     """
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     form_counts: Counter = Counter()
     lemma_counts: Counter = Counter()
     char_counts: Counter = Counter()

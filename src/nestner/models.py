@@ -7,45 +7,68 @@ from an LSTM decoder that attends to exactly one encoder position (the
 current token) and moves on when it outputs ``<eow>``; a token's components
 come out highest priority first.
 
+Training runs each batch of sentences through every layer as one packed pass
+on a :class:`~nestner.autodiff.Tape`. Prediction records no tape: it runs the
+same ops on a :class:`~nestner.autodiff.ForwardTape`, over blocks of up to
+:data:`PREDICT_BLOCK` consecutive sentences, each encoded in one packed pass,
+and ``predict`` is a block of one. The CRF decodes each sentence's slice of
+the block's emissions with Viterbi. The seq2seq decoder's input projection
+is split and computed before decoding starts, once per block: its encoder
+part for every encoder row, its label part for every label. A greedy step is then one ``h @ dec.wh`` product plus
+two row gathers, and the sentences of a block decode in lockstep, one
+product per step over those still running.
+
 Decoded label sequences from either model go through the repair decoder, so
 any label sequence the models can emit yields a valid mention set.
 
 :func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
-and one float32 ``.npy`` member per parameter (format v2); :func:`load_model`
-reads it, and the base64 JSON checkpoints of format v1.
+and one float32 ``.npy`` member per parameter (format v2), and
+:func:`load_model` reads it.
 """
 
 from __future__ import annotations
 
-import base64
 import copy
-import functools
+import itertools
 import json
 import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import codec
-from .autodiff import Parameters, Tape, Var, dropout_mask
+from .autodiff import ForwardTape, Parameters, Tape, Var, dropout_mask
 from .codec import EOW, EncodedSentence
 from .core import LabelAlphabet, Mention, NestnerError, Sentence
 from .corpus import Vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable, TokenEmbedder
 
 
+# sentences per packed inference pass, so memory stays bounded on large inputs
+PREDICT_BLOCK = 32
+
+
 class ModelFormatError(NestnerError):
     """A serialized model cannot be loaded."""
+
+
+def _require_positive(config, names: Sequence[str]) -> None:
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
 
 
 @dataclass(frozen=True)
 class CrfConfig:
     embedding: EmbeddingConfig
     hidden_dim: int = 256
+
+    def __post_init__(self) -> None:
+        _require_positive(self, ("hidden_dim",))
 
 
 @dataclass(frozen=True)
@@ -55,6 +78,11 @@ class Seq2seqConfig:
     decoder_dim: int = 256
     label_embed_dim: int = 128
     max_components_per_token: int = 16
+
+    def __post_init__(self) -> None:
+        _require_positive(
+            self, ("hidden_dim", "decoder_dim", "label_embed_dim", "max_components_per_token")
+        )
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -257,6 +285,30 @@ class _NeuralTagger:
         target = self.gold_ids(codec.encode(sentence))
         return self.batch_loss(tape, [Example(sentence, target=target)])
 
+    def predict_batch(
+        self, sentences: Sequence[Sentence], contextual: Sequence[np.ndarray] | None = None
+    ) -> list[frozenset[Mention]]:
+        """The mentions of each sentence. ``contextual`` holds each sentence's
+        sidecar block. Blocks of up to :data:`PREDICT_BLOCK` consecutive
+        sentences each go through the network as one packed pass on a tape
+        that records nothing."""
+        examples = [
+            Example(s, None if contextual is None else contextual[i])
+            for i, s in enumerate(sentences)
+        ]
+        mentions = []
+        for start in range(0, len(examples), PREDICT_BLOCK):
+            block = examples[start : start + PREDICT_BLOCK]
+            for encoded in self._decode_block(ForwardTape(self.params), block):
+                mentions.append(codec.decode(encoded, policy="repair"))
+        return mentions
+
+    def predict(
+        self, sentence: Sentence, contextual: np.ndarray | None = None
+    ) -> frozenset[Mention]:
+        """The mentions of one sentence: :meth:`predict_batch` of a block of one."""
+        return self.predict_batch([sentence], None if contextual is None else [contextual])[0]
+
 
 # ------------------------------------------------------------------ LSTM-CRF
 
@@ -308,18 +360,31 @@ class CrfTagger(_NeuralTagger):
         trans = tape.param("crf.trans")
         return crf_nll(tape, emissions, trans, len(self.alphabet), paths, lengths)
 
-    def predict_labels(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
-        tape = Tape(self.params)
-        scores = self._emissions(tape, [Example(sentence, contextual)]).value
-        path = viterbi(scores, self.params["crf.trans"])
-        return [self.alphabet.string_of(i) for i in path]
-
-    def predict(self, sentence: Sentence, contextual: np.ndarray | None = None) -> frozenset[Mention]:
-        encoded = EncodedSentence.from_strings(self.predict_labels(sentence, contextual))
-        return codec.decode(encoded, policy="repair")
+    def _decode_block(self, tape: Tape, examples: Sequence[Example]) -> list[EncodedSentence]:
+        """Viterbi labels of each sentence, on its slice of the block's emissions."""
+        scores = self._emissions(tape, examples).value
+        trans = self.params["crf.trans"]
+        encoded = []
+        start = 0
+        for ex in examples:
+            stop = start + len(ex.sentence.tokens)
+            path = viterbi(scores[start:stop], trans)
+            encoded.append(EncodedSentence.from_strings([self.alphabet.string_of(i) for i in path]))
+            start = stop
+        return encoded
 
 
 # -------------------------------------------------------------------- seq2seq
+
+
+class _Projections(NamedTuple):
+    """The two parts of the greedy decoder's gate pre-activations, computed
+    before decoding: ``encoder`` is ``enc_outputs @ dec.wx[:2*hidden]``, one
+    row per encoder row of a block, and ``labels`` is
+    ``dec.labels @ dec.wx[2*hidden:] + dec.b``, one row per previous label."""
+
+    encoder: np.ndarray
+    labels: np.ndarray
 
 
 class Seq2seqTagger(_NeuralTagger):
@@ -377,30 +442,34 @@ class Seq2seqTagger(_NeuralTagger):
         c0 = tape.tanh(tape.affine(cat, tape.param("dec.init_c.w"), tape.param("dec.init_c.b")))
         return h0, c0
 
-    def _decoder_lstm(
-        self, tape: Tape, x: Var, state: tuple[Var, Var], lengths: Sequence[int] | None = None
-    ):
-        pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
-        return tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
-
     def _step(
         self,
         tape: Tape,
         state: tuple[Var, Var],
-        t: int,
-        prev_id: int,
-        enc_outputs: Var | Sequence[Var],
+        t: int | Sequence[int],
+        prev_id: int | Sequence[int],
+        enc_outputs: Var | Sequence[Var] | _Projections,
     ) -> tuple[Var, tuple[Var, Var]]:
         """One decoder step attending only to encoder position ``t``.
 
-        ``enc_outputs`` is the (T, 2*hidden) encoder output or a list of its rows.
+        ``enc_outputs`` is the (T, 2*hidden) encoder output or a list of its
+        rows, projected through the whole of ``dec.wx``, or the
+        :class:`_Projections` of greedy decoding, whose step input is two row
+        gathers. With projections, ``t`` and ``prev_id`` may also be lists,
+        one entry per row of an (n, decoder_dim) state; each row is then a
+        sequence of one step.
         """
-        if isinstance(enc_outputs, Var):
-            enc_row = tape.gather(enc_outputs, t)
+        if isinstance(enc_outputs, _Projections):
+            pre = tape.const(enc_outputs.encoder[t] + enc_outputs.labels[prev_id])
         else:
-            enc_row = enc_outputs[t]
-        x = tape.concat([enc_row, tape.lookup("dec.labels", prev_id)])
-        _, state = self._decoder_lstm(tape, x, state)
+            if isinstance(enc_outputs, Var):
+                enc_row = tape.gather(enc_outputs, t)
+            else:
+                enc_row = enc_outputs[t]
+            x = tape.concat([enc_row, tape.lookup("dec.labels", prev_id)])
+            pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
+        lengths = [1] * len(pre.value) if pre.value.ndim == 2 else None
+        _, state = tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
         logits = tape.affine(state[0], tape.param("dec.out.w"), tape.param("dec.out.b"))
         return logits, state
 
@@ -447,48 +516,88 @@ class Seq2seqTagger(_NeuralTagger):
             tape.lookup("dec.labels", np.concatenate(prev_ids)),
         ])
         lengths = [len(ex.target) for ex in examples]
-        hidden, _ = self._decoder_lstm(tape, x, state, lengths)
+        pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
+        hidden, _ = tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
         logits = tape.affine(hidden, tape.param("dec.out.w"), tape.param("dec.out.b"))
         return tape.softmax_cross_entropy(logits, np.concatenate([ex.target for ex in examples]))
 
-    def predict_stream(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
-        """Greedy decode; bounded by n * (max_components_per_token + 1) steps."""
-        tape = Tape(self.params)
-        enc_outputs, final_fw, final_bw = self._encode(tape, [Example(sentence, contextual)])
-        state = self._init_state(tape, final_fw, final_bw)
-        prev = self.bos_id
-        stream: list[str] = []
-        for t in range(len(sentence.tokens)):
-            emitted = 0
-            while True:
-                logits, state = self._step(tape, state, t, prev, enc_outputs)
-                symbol_id = int(np.argmax(logits.value))
-                if emitted >= self.config.max_components_per_token:
-                    symbol_id = 0  # force <eow>: guarantees termination
-                stream.append(self.components.string_of(symbol_id))
-                prev = symbol_id
-                if symbol_id == 0:
-                    break
-                emitted += 1
-        return stream
+    def _projections(self, enc_outputs: np.ndarray) -> _Projections:
+        """The greedy decoder's input projections for a block's encoder
+        outputs. They are computed per block and never kept on the model,
+        whose parameters training changes in place."""
+        wx = self.params["dec.wx"]
+        encoder = enc_outputs @ wx[: 2 * self.hidden_dim]
+        labels = self.params["dec.labels"] @ wx[2 * self.hidden_dim :] + self.params["dec.b"]
+        return _Projections(encoder, labels)
 
-    def predict(self, sentence: Sentence, contextual: np.ndarray | None = None) -> frozenset[Mention]:
-        stream = self.predict_stream(sentence, contextual)
-        encoded = codec.unflatten(stream, len(sentence.tokens))
-        return codec.decode(encoded, policy="repair")
+    def _greedy_ids(self, tape: Tape, examples: Sequence[Example]) -> list[list[int]]:
+        """Greedy component ids of each sentence of a block, decoded in lockstep.
+
+        Every :meth:`_step` call advances each sentence still running by one
+        step, with its own pointer and previous label, as one row of the
+        state; a sentence leaves the rows when its pointer passes its last
+        token. A token's ``<eow>`` is forced after
+        ``max_components_per_token`` components, so a sentence of n tokens
+        takes at most n * (max_components_per_token + 1) steps.
+        """
+        enc_outputs, final_fw, final_bw = self._encode(tape, examples)
+        state = self._init_state(tape, final_fw, final_bw)
+        projections = self._projections(enc_outputs.value)
+        limit = self.config.max_components_per_token
+        ends = list(itertools.accumulate(len(ex.sentence.tokens) for ex in examples))
+        streams: list[list[int]] = [[] for _ in examples]
+        # one entry per state row: its sentence, its pointer into the block's
+        # encoder rows, its previous id and the components its token has so far
+        sentence = list(range(len(examples)))
+        pointer = [end - len(ex.sentence.tokens) for ex, end in zip(examples, ends)]
+        prev = [self.bos_id] * len(examples)
+        emitted = [0] * len(examples)
+        while sentence:
+            if len(sentence) == 1:  # one sentence's state is a vector, read in place
+                logits, state = self._step(tape, state, pointer[0], prev[0], projections)
+            else:
+                logits, state = self._step(tape, state, pointer, prev, projections)
+            symbols = logits.value.reshape(len(sentence), -1).argmax(axis=1).tolist()
+            keep = []
+            for row, symbol in enumerate(symbols):
+                if emitted[row] >= limit:
+                    symbol = 0  # force <eow>: guarantees termination
+                streams[sentence[row]].append(symbol)
+                prev[row] = symbol
+                emitted[row] = emitted[row] + 1 if symbol else 0
+                pointer[row] += symbol == 0
+                if pointer[row] < ends[sentence[row]]:
+                    keep.append(row)
+            if len(keep) < len(sentence):
+                sentence, pointer, prev, emitted = (
+                    [column[row] for row in keep] for column in (sentence, pointer, prev, emitted)
+                )
+                if keep:
+                    state = tuple(tape.gather(s, keep) for s in state)
+        return streams
+
+    def _decode_block(self, tape: Tape, examples: Sequence[Example]) -> list[EncodedSentence]:
+        strings = self.components.string_of
+        return [
+            codec.unflatten([strings(i) for i in ids], len(ex.sentence.tokens))
+            for ex, ids in zip(examples, self._greedy_ids(tape, examples))
+        ]
+
+    def predict_stream(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
+        """Greedy decode of one sentence, as component strings."""
+        ids = self._greedy_ids(ForwardTape(self.params), [Example(sentence, contextual)])[0]
+        return [self.components.string_of(i) for i in ids]
 
 
 # -------------------------------------------------------------- serialization
 #
-# Format v2 (written): a zip archive of uncompressed members, first
-# ``envelope.json`` (format_version, model_kind, config, alphabets,
-# vocabulary, the pretrained-table fingerprint and the parameter names in
-# registration order), then one ``<name>.npy`` member per parameter, float32
-# little-endian. Format v1 (read only): one JSON envelope whose "parameters"
-# map names to {"shape", "data": base64 of the float32 bytes}.
+# Format v2: a zip archive of uncompressed members, first ``envelope.json``
+# (format_version, model_kind, config, alphabets, vocabulary, the
+# pretrained-table fingerprint and the parameter names in registration
+# order), then one ``<name>.npy`` member per parameter, float32
+# little-endian.
 
 FORMAT_VERSION = 2
-_JSON_FORMAT_VERSION = 1
 _ZIP_MAGIC = b"PK\x03\x04"
 _ENVELOPE_MEMBER = "envelope.json"
 _STORED = np.dtype("<f4")
@@ -576,7 +685,7 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
         partial.unlink(missing_ok=True)
 
 
-_ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "parameters")
+_ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "pretrained", "parameters")
 
 
 def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
@@ -589,7 +698,7 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
         raise ModelFormatError(
             "model was trained with pretrained vectors; supply the same table to load it"
         )
-    trained_with = envelope.get("pretrained")  # v1 checkpoints have no fingerprint
+    trained_with = envelope["pretrained"]
     if trained_with is not None and pretrained is not None:
         if pretrained.fingerprint != trained_with:
             raise ModelFormatError(
@@ -605,72 +714,6 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
             Seq2seqConfig(**config), vocab, alphabet, pretrained=pretrained, dtype=dtype
         )
     raise ModelFormatError(f"unknown model_kind {kind!r}")
-
-
-def _check_envelope(envelope, version: int, keys: tuple[str, ...]) -> None:
-    if not isinstance(envelope, dict):
-        raise ModelFormatError("not a model checkpoint")
-    found = envelope.get("format_version")
-    if found != version:
-        raise ModelFormatError(f"unsupported model format_version {found!r}")
-    for key in keys:
-        if key not in envelope:
-            raise ModelFormatError(f"checkpoint has no {key!r}")
-
-
-def _build(
-    envelope: dict, stored: Collection[str], read, pretrained: PretrainedTable | None, dtype
-):
-    """The model ``envelope`` describes, holding the ``stored`` parameters.
-
-    ``read(name, shape)`` returns parameter ``name`` as a float32 array,
-    raising :class:`ModelFormatError` unless it has ``shape``.
-    """
-    try:
-        model = _unloaded_model(envelope, pretrained, dtype)
-        expected = model.parameter_shapes()
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
-    for name in expected:
-        if name not in stored:
-            raise ModelFormatError(f"parameter {name!r} is missing")
-    for name in stored:
-        if name not in expected:
-            raise ModelFormatError(f"unexpected parameter {name!r}")
-    for name, shape in expected.items():
-        values = read(name, shape)
-        try:
-            model.params.add(name, values)  # the one conversion to ``dtype``
-        except ValueError as exc:
-            raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
-    return model
-
-
-def _shape_error(name: str, found, shape: tuple[int, ...]) -> ModelFormatError:
-    return ModelFormatError(f"parameter {name!r} has shape {list(found)}, expected {list(shape)}")
-
-
-def _load_json(handle, pretrained: PretrainedTable | None, dtype):
-    try:
-        envelope = json.loads(handle.read().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
-        raise ModelFormatError(f"not a JSON model checkpoint ({exc})") from exc
-    _check_envelope(envelope, _JSON_FORMAT_VERSION, _ENVELOPE_KEYS)
-    stored = envelope["parameters"]
-    if not isinstance(stored, dict):
-        raise ModelFormatError("'parameters' is not a mapping of names to arrays")
-
-    def read(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        entry = stored[name]
-        try:
-            if tuple(entry["shape"]) != shape:
-                raise _shape_error(name, entry["shape"], shape)
-            raw = base64.b64decode(entry["data"])
-            return np.frombuffer(raw, dtype=_STORED).reshape(shape)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
-
-    return _build(envelope, stored, read, pretrained, dtype)
 
 
 def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -690,7 +733,9 @@ def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...]) ->
         if dtype != _STORED:
             raise ModelFormatError(f"parameter {name!r} has dtype {dtype}, expected {_STORED}")
         if tuple(found) != shape:
-            raise _shape_error(name, found, shape)
+            raise ModelFormatError(
+                f"parameter {name!r} has shape {list(found)}, expected {list(shape)}"
+            )
         if fortran_order:
             raise ModelFormatError(f"parameter {name!r} is stored in Fortran order")
         size = _STORED.itemsize * math.prod(shape)
@@ -713,7 +758,14 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
             envelope = json.loads(archive.read(_ENVELOPE_MEMBER).decode("utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ModelFormatError(f"{_ENVELOPE_MEMBER} is not JSON ({exc})") from exc
-        _check_envelope(envelope, FORMAT_VERSION, _ENVELOPE_KEYS + ("pretrained",))
+        if not isinstance(envelope, dict):
+            raise ModelFormatError("not a model checkpoint")
+        found = envelope.get("format_version")
+        if found != FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format_version {found!r}")
+        for key in _ENVELOPE_KEYS:
+            if key not in envelope:
+                raise ModelFormatError(f"checkpoint has no {key!r}")
         names = envelope["parameters"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ModelFormatError("'parameters' is not a list of names")
@@ -721,11 +773,24 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
         for member in members:
             if member != _ENVELOPE_MEMBER and member not in listed:
                 raise ModelFormatError(f"unexpected member {member!r}")
-        for name in names:
+        try:
+            model = _unloaded_model(envelope, pretrained, dtype)
+            expected = model.parameter_shapes()
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
+        for name in expected:
             if f"{name}.npy" not in members:
                 raise ModelFormatError(f"parameter {name!r} is missing")
-        read = functools.partial(_read_member, archive)
-        return _build(envelope, names, read, pretrained, dtype)
+        for name in names:
+            if name not in expected:
+                raise ModelFormatError(f"unexpected parameter {name!r}")
+        for name, shape in expected.items():
+            values = _read_member(archive, name, shape)
+            try:
+                model.params.add(name, values)  # the one conversion to ``dtype``
+            except ValueError as exc:
+                raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
+        return model
 
 
 # what zipfile raises on a damaged archive: bad records or CRC, cut data,
@@ -740,25 +805,25 @@ def load_model(
     pretrained: PretrainedTable | None = None,
     dtype=np.float64,
 ) -> CrfTagger | Seq2seqTagger:
-    """Read a checkpoint written by :func:`save_model` (format v2) or by an
-    earlier version (format v1, JSON), told apart by the first four bytes.
+    """Read a checkpoint written by :func:`save_model` (format v2).
 
     The stored parameters must be exactly those a fresh model of the stored
     kind and config registers, with the same shapes, stored as float32; a
     model trained with pretrained vectors needs the same table (by row count
-    and content hash, for v2). A damaged archive or a non-JSON file, a
-    missing, extra or malformed envelope key, member or parameter, or a
+    and content hash). A file that is not a zip archive, a damaged archive,
+    a missing, extra or malformed envelope key, member or parameter, or a
     non-finite value raises :class:`ModelFormatError` with a message that
     starts with ``path``.
     """
     with open(path, "rb") as handle:
         try:
-            if handle.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-                try:
-                    return _load_zip(handle, pretrained, dtype)
-                except _ARCHIVE_ERRORS as exc:
-                    raise ModelFormatError(f"damaged checkpoint archive ({exc!r})") from exc
-            handle.seek(0)
-            return _load_json(handle, pretrained, dtype)
+            if handle.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                raise ModelFormatError(
+                    f"not a zip archive; only checkpoint format {FORMAT_VERSION} is read"
+                )
+            try:
+                return _load_zip(handle, pretrained, dtype)
+            except _ARCHIVE_ERRORS as exc:
+                raise ModelFormatError(f"damaged checkpoint archive ({exc!r})") from exc
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc

@@ -239,14 +239,10 @@ def _train_batch(
 
 
 def evaluate_model(model, corpus: TaggedCorpus) -> float:
-    """Strict micro F1 of the model's predictions over a corpus."""
-    gold = []
-    pred = []
-    for i, sentence in enumerate(corpus.sentences):
-        contextual = corpus.contextual[i] if corpus.contextual is not None else None
-        gold.append(sentence.mentions)
-        pred.append(model.predict(sentence, contextual=contextual))
-    overall, _ = score_mentions(gold, pred)
+    """Strict micro F1 of the model's predictions over a corpus, made in
+    blocks by ``predict_batch`` as ``nestner predict`` makes them."""
+    pred = model.predict_batch(corpus.sentences, corpus.contextual)
+    overall, _ = score_mentions([sentence.mentions for sentence in corpus.sentences], pred)
     return overall.f1
 
 

@@ -1,8 +1,6 @@
-import base64
 import io
 import json
 import zipfile
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -73,37 +71,3 @@ def rewrite_checkpoint(path, damage) -> None:
         archive.writestr("envelope.json", raw_envelope)
         for name, data in members.items():
             archive.writestr(name, data)
-
-
-def save_v1(model, path) -> None:
-    """Checkpoint format v1, as earlier versions of ``save_model`` wrote it:
-    one JSON envelope holding each parameter as base64 of its float32 bytes."""
-    if model.kind == "crf":
-        alphabets = {"labels": list(model.alphabet.strings)}
-    else:
-        alphabets = {"components": list(model.components.strings)}
-    vocab = model.vocab
-    envelope = {
-        "format_version": 1,
-        "model_kind": model.kind,
-        "config": asdict(model.config),
-        "alphabets": alphabets,
-        "vocabulary": {
-            "forms": vocab.form_strings(),
-            "chars": vocab.char_strings(),
-            "lemmas": vocab.lemma_strings(),
-            "pos": list(vocab.pos_tags),
-        },
-        "parameters": {
-            name: {
-                "shape": list(arr.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(arr, dtype="<f4").tobytes()
-                ).decode("ascii"),
-            }
-            for name, arr in model.params.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
-        handle.write("\n")

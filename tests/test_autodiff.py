@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import nestner
-from nestner.autodiff import Gradients, Parameters, RowGradient, Tape, dropout_mask, grad_check
+from nestner.autodiff import (
+    ForwardTape, Gradients, Parameters, RowGradient, Tape, dropout_mask, grad_check,
+)
 
 
 def make_params(entries, seed=0):
@@ -91,6 +93,22 @@ class TestForwardValues:
         manual = -math.log(np.exp(logits[1]) / np.exp(logits).sum())
         assert float(loss.value) == pytest.approx(manual, abs=1e-12)
 
+    def test_forward_tape_computes_the_same_values_and_records_nothing(self):
+        params = make_params([("emb", (5, 3)), ("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,))])
+
+        def run(tape):
+            x = tape.lookup("emb", [4, 0, 4])
+            pre = tape.affine(x, tape.param("wx"), tape.param("b"))
+            out, (h, c) = tape.lstm(pre, tape.param("wh"), lengths=[2, 1])
+            return [out.value, h.value, c.value]
+
+        forward = ForwardTape(params)
+        for a, b in zip(run(forward), run(Tape(params))):
+            assert a.tobytes() == b.tobytes()
+        assert forward.nodes == [] and forward._lookups == []
+        with pytest.raises(TypeError):
+            forward.backward(forward.const(0.0))
+
     def test_dropout_mask_statistics(self):
         rng = np.random.default_rng(4)
         mask = dropout_mask(rng, 10000, 0.5)
@@ -158,6 +176,12 @@ class TestBackward:
         params = make_params([("w", (2,))])
         with pytest.raises(ValueError, match="epsilon"):
             grad_check(lambda tape: tape.param("w"), params, epsilon=epsilon)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+    def test_grad_check_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        params = make_params([("w", (2,))])
+        with pytest.raises(ValueError, match="tolerance"):
+            grad_check(lambda tape: tape.param("w"), params, tolerance=tolerance)
 
     def test_determinism_bit_identical(self):
         params = make_params([("w", (6, 6)), ("b", (6,)), ("x", (6,))], seed=9)

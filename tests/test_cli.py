@@ -446,6 +446,12 @@ class TestErrors:
             (("--lr", "1e300"), "parameter 'embed.form'"),  # float32 overflow at save
             (("--embed-dim", "0", "--char-dim", "0", "--char-rnn-dim", "0"), "trainable_dim"),
             (("gradcheck", "--eps", "0"), "epsilon"),
+            (("--hidden", "0"), "hidden_dim"),
+            (("--hidden", "-1"), "hidden_dim"),
+            (("--min-freq", "-5"), "min_freq"),
+            (("gradcheck", "--tolerance", "nan"), "tolerance"),
+            (("gradcheck", "--tolerance", "0"), "tolerance"),
+            (("gradcheck", "--tolerance", "-1"), "tolerance"),
         ],
     )
     def test_bad_setting_exits_1_naming_it(self, tmp_path, capsys, flags, name):

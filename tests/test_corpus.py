@@ -238,6 +238,12 @@ class TestVocabulary:
         vocab = build_vocabulary(corpus, min_freq=2)
         assert vocab.n_forms == 2  # pad + unk
 
+    @pytest.mark.parametrize("min_freq", [0, -5])
+    def test_min_freq_below_one_rejected(self, min_freq):
+        corpus = corpus_of(Sentence((Token("a"),)))
+        with pytest.raises(ValueError, match="min_freq"):
+            build_vocabulary(corpus, min_freq=min_freq)
+
     def test_shuffled_corpus_same_vocabulary(self):
         sents = [
             Sentence((Token("x"), Token("y"))),

@@ -1,4 +1,3 @@
-import base64
 import io
 import itertools
 import json
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import mention, npy_bytes, rewrite_checkpoint, save_v1
+from conftest import mention, npy_bytes, rewrite_checkpoint
 from nestner import codec, training
 from nestner.autodiff import Parameters, Tape
 from nestner.core import Sentence, Token, build_alphabet
@@ -22,6 +21,7 @@ from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
     _member_info,
+    CrfConfig,
     CrfTagger,
     Example,
     ModelFormatError,
@@ -494,19 +494,18 @@ class TestSerialization:
             )
 
     def test_version_mismatch_rejected(self, tmp_path):
-        """Each container claiming the other's format version is rejected."""
+        """An archive claiming format 1 is rejected, and so is a JSON
+        envelope, the container of format 1, claiming format 2."""
         model = build("crf")
         path = tmp_path / "model.json"
         save_model(model, path)
         rewrite_checkpoint(path, lambda env, members: env.update(format_version=1))
         with pytest.raises(ModelFormatError, match="format_version 1"):
             load_model(path)
-        save_v1(model, path)
-        envelope = json.loads(path.read_text())
-        envelope["format_version"] = 2
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(ModelFormatError, match="format_version 2"):
+        path.write_text(json.dumps({"format_version": 2, "model_kind": "crf"}))
+        with pytest.raises(ModelFormatError, match="not a zip archive") as err:
             load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_missing_pretrained_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -560,12 +559,13 @@ class TestSerialization:
              "'parameters' is not a list of names"),
             (lambda env, members: env["config"].update(hidden_dim="4"),
              "malformed checkpoint envelope"),
-            (lambda env, members: env["config"].update(hidden_dim=-4), "negative dimensions"),
+            (lambda env, members: env["config"].update(hidden_dim=-4),
+             "hidden_dim must be >= 1, got -4"),
             (lambda env, members: env.update(format_version=1),
              "unsupported model format_version 1"),
             (lambda env, members: env.update(model_kind=[1]), "unknown model_kind [1]"),
-            (b"not json\n", "Expecting value"),
-            (b"\xff\xfe{}", "codec can't decode"),
+            (b"not json\n", "not a zip archive"),
+            (b"\xff\xfe{}", "not a zip archive"),
             (lambda env, members: members.pop("enc.fw.wh.npy"), "'enc.fw.wh' is missing"),
             (lambda env, members: members.update({"notes.txt": b"x"}),
              "unexpected member 'notes.txt'"),
@@ -603,45 +603,6 @@ class TestSerialization:
             path.write_bytes(damage)
         else:
             rewrite_checkpoint(path, damage)
-        with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
-            load_model(path)
-        assert str(err.value).startswith(f"{path}: ")
-
-    @pytest.mark.parametrize(
-        "damage, message",
-        [
-            (lambda env: env.pop("alphabets"), "'alphabets'"),
-            (lambda env: env["config"].pop("hidden_dim"), "'enc.fw.wx' has shape [8, 24]"),
-            (lambda env: env["parameters"].pop("enc.fw.wh"), "'enc.fw.wh' is missing"),
-            (lambda env: env["parameters"].update(extra=env["parameters"]["crf.emit.b"]),
-             "unexpected parameter 'extra'"),
-            (lambda env: env["parameters"]["crf.emit.b"].update(shape=[1, 1]), "has shape [1, 1]"),
-            (lambda env: env["parameters"]["crf.emit.b"].update(data="AAAA"), "'crf.emit.b'"),
-            (lambda env: env["parameters"]["crf.emit.b"].update(
-                data=base64.b64encode(np.full(5, np.inf, "<f4").tobytes()).decode()),
-             "non-finite values"),
-            (lambda env: env.update(parameters=5), "'parameters' is not a mapping"),
-            (lambda env: env.update(parameters=list(env["parameters"])),
-             "'parameters' is not a mapping"),
-            (lambda env: env["config"].update(hidden_dim="4"), "malformed checkpoint envelope"),
-            (lambda env: env["config"].update(hidden_dim=-4), "negative dimensions"),
-            (lambda env: env.update(format_version=2), "unsupported model format_version 2"),
-            (lambda env: env.update(model_kind=[1]), "unknown model_kind [1]"),
-        ],
-        ids=[
-            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data", "non-finite",
-            "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
-            "format-version", "model-kind-list",
-        ],
-    )
-    def test_malformed_v1_checkpoint_rejected(self, tmp_path, damage, message):
-        """The JSON reader keeps every check of format v1; ``damage`` edits
-        the envelope of a v1 checkpoint."""
-        path = tmp_path / "model.json"
-        save_v1(build("crf"), path)
-        envelope = json.loads(path.read_text())
-        damage(envelope)
-        path.write_text(json.dumps(envelope))
         with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -693,21 +654,6 @@ class TestSerialization:
         monkeypatch.setattr(zipfile.time, "time", lambda: later)
         save_model(model, tmp_path / "two.json")
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-
-    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
-    def test_v1_checkpoint_loads_as_v2(self, tmp_path, kind):
-        """A checkpoint written in format v1 loads to the same model as the
-        v2 checkpoint of the same parameters."""
-        corpus = tiny_corpus()
-        model = build(kind, corpus)
-        save_v1(model, tmp_path / "v1.json")
-        save_model(model, tmp_path / "v2.json")
-        old, new = load_model(tmp_path / "v1.json"), load_model(tmp_path / "v2.json")
-        assert old.params.names() == new.params.names()
-        for name, arr in new.params.items():
-            assert old.params[name].tobytes() == arr.tobytes()
-        for sentence in corpus:
-            assert old.predict(sentence) == new.predict(sentence)
 
     @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -822,6 +768,19 @@ class TestCheckpointFuzz:
         for offset, mask in flips:
             data[offset % len(data)] ^= mask
         _loads_or_format_error(tmp_path, bytes(data))
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("crf", "hidden_dim")]
+    + [("seq2seq", f) for f in
+       ("hidden_dim", "decoder_dim", "label_embed_dim", "max_components_per_token")],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_width_below_one_rejected_naming_the_field(kind, field, value):
+    config = CrfConfig if kind == "crf" else Seq2seqConfig
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        config(embedding=TINY_EMBEDDING, **{field: value})
 
 
 def test_softmax_matches_definition():
