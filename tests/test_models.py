@@ -1,3 +1,4 @@
+import base64
 import io
 import itertools
 import json
@@ -604,6 +605,57 @@ class TestSerialization:
         else:
             rewrite_checkpoint(path, damage)
         with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda env: env.pop("alphabets"),
+            lambda env: env["config"].pop("hidden_dim"),
+            lambda env: env["parameters"].pop("enc.fw.wh"),
+            lambda env: env["parameters"].update(extra=env["parameters"]["crf.emit.b"]),
+            lambda env: env["parameters"]["crf.emit.b"].update(shape=[1, 1]),
+            lambda env: env["parameters"]["crf.emit.b"].update(data="AAAA"),
+            lambda env: env["parameters"]["crf.emit.b"].update(
+                data=base64.b64encode(np.full(5, np.inf, "<f4").tobytes()).decode()),
+            lambda env: env.update(parameters=5),
+            lambda env: env.update(parameters=list(env["parameters"])),
+            lambda env: env["config"].update(hidden_dim="4"),
+            lambda env: env["config"].update(hidden_dim=-4),
+            lambda env: env.update(format_version=2),
+            lambda env: env.update(model_kind=[1]),
+        ],
+        ids=[
+            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data", "non-finite",
+            "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
+            "format-version", "model-kind-list",
+        ],
+    )
+    def test_malformed_v1_checkpoint_rejected(self, tmp_path, damage):
+        """Format v1 (one JSON envelope, each parameter as base64 of its
+        float32 bytes) is no longer read: a v1 file, whatever ``damage`` did
+        to its envelope, is rejected by the container check, naming the path,
+        before any of its content is looked at."""
+        path = tmp_path / "model.json"
+        save_model(build("crf"), path)
+        with zipfile.ZipFile(path) as archive:
+            envelope = json.loads(archive.read("envelope.json"))
+            envelope["parameters"] = {
+                name: {
+                    "shape": list(arr.shape),
+                    "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+                }
+                for name in envelope["parameters"]
+                for arr in [np.load(io.BytesIO(archive.read(f"{name}.npy")))]
+            }
+        envelope.update(format_version=1)
+        envelope.pop("pretrained")
+        damage(envelope)
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(
+            ModelFormatError, match="not a zip archive; only checkpoint format 2 is read"
+        ) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
