@@ -46,6 +46,10 @@ class CorpusError(NestnerError):
     """A corpus file is malformed; the message carries file/line coordinates."""
 
 
+# one read's tokens by their declared (form, lemma, pos) column values
+TokenTable = dict[tuple[str, str | None, str | None], Token]
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Declared column layout of a vertical file, e.g. form,lemma,pos,label."""
@@ -120,41 +124,77 @@ def _check_contextual(sentences: Sequence[Sentence], rows: Sequence[np.ndarray])
             )
 
 
+def text_lines(path: str | Path, error: type[NestnerError]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of a UTF-8 text file. A byte
+    that is not UTF-8 raises ``error`` with ``<path>:<line>: not valid UTF-8``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from enumerate(handle, start=1)
+        except UnicodeDecodeError:
+            raise error(_not_utf8(path)) from None
+
+
+def _not_utf8(path: str | Path) -> str:
+    """The message for a file that failed to decode, naming the line of its
+    first bad byte; the file is read again as bytes, on the error path only."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        # text mode ends a line at \n, \r\n or a lone \r
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"{path}:{line}: not valid UTF-8"
+    return f"{path}: not valid UTF-8"
+
+
 def _read_blocks(path: str | Path) -> Iterator[tuple[int, list[tuple[int, list[str]]]]]:
     """Yield (first line number, [(line number, fields), ...]) per sentence block."""
     block: list[tuple[int, list[str]]] = []
     first = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                if block:
-                    yield first, block
-                    block = []
-                continue
-            if not block:
-                first = lineno
-            block.append((lineno, line.split("\t")))
+    for lineno, raw in text_lines(path, CorpusError):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            if block:
+                yield first, block
+                block = []
+            continue
+        if not block:
+            first = lineno
+        block.append((lineno, line.split("\t")))
     if block:
         yield first, block
 
 
-def _parse_token(path: str | Path, lineno: int, fields: list[str], columns: ColumnSpec) -> Token:
-    """The token in one line's fields, which must fill every declared column."""
+def _parse_token(
+    path: str | Path,
+    lineno: int,
+    fields: list[str],
+    columns: ColumnSpec,
+    seen: TokenTable,
+) -> Token:
+    """The token in one line's fields, which must fill every declared column,
+    taken from ``seen`` when an earlier line of this read had the same values.
+    Values that fail are never stored."""
     if len(fields) < len(columns):
         raise CorpusError(
             f"{path}:{lineno}: expected at least {len(columns)} tab-separated "
             f"columns, found {len(fields)}"
         )
     form_i, lemma_i, pos_i = columns.token_indices
-    try:
-        return Token(
-            form=fields[form_i],
-            lemma=fields[lemma_i] if lemma_i is not None else None,
-            pos=fields[pos_i] if pos_i is not None else None,
-        )
-    except ValueError as exc:
-        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+    key = (
+        fields[form_i],
+        fields[lemma_i] if lemma_i is not None else None,
+        fields[pos_i] if pos_i is not None else None,
+    )
+    token = seen.get(key)
+    if token is None:
+        try:
+            token = Token(*key)
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        seen[key] = token
+    return token
 
 
 def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -> list[str]:
@@ -166,11 +206,19 @@ def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -
     return fields
 
 
-def _parse_label(path: str | Path, lineno: int, label: str) -> Multilabel:
-    try:
-        return Multilabel.parse(label)
-    except NestnerError as exc:
-        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+def _parse_label(
+    path: str | Path, lineno: int, label: str, seen: dict[str, Multilabel]
+) -> Multilabel:
+    """One BILOU label, taken from ``seen`` (this read's parsed labels) when
+    an earlier line had it. A label that fails is never stored."""
+    parsed = seen.get(label)
+    if parsed is None:
+        try:
+            parsed = Multilabel.parse(label)
+        except NestnerError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        seen[label] = parsed
+    return parsed
 
 
 def _block_to_sentence(
@@ -180,10 +228,14 @@ def _block_to_sentence(
     columns: ColumnSpec,
     scheme: str,
     policy: codec.RepairPolicy,
+    tokens_seen: TokenTable,
+    labels_seen: dict[str, Multilabel],
 ) -> Sentence:
-    """One sentence block. Each label is parsed once, BIO labels after their
+    """One sentence block. Each label is parsed, BIO labels after their
     conversion to BILOU, and a bad one is reported with its line number."""
-    tokens = tuple(_parse_token(path, lineno, fields, columns) for lineno, fields in block)
+    tokens = tuple(
+        _parse_token(path, lineno, fields, columns, tokens_seen) for lineno, fields in block
+    )
     label_i = columns.index("label")
     if label_i is None:
         return Sentence(tokens)
@@ -193,7 +245,10 @@ def _block_to_sentence(
             labels = bio_to_bilou(labels)
         except CorpusError as exc:
             raise CorpusError(f"{path}: sentence {sentence_index}: {exc}") from exc
-    parsed = tuple(_parse_label(path, lineno, label) for (lineno, _), label in zip(block, labels))
+    parsed = tuple(
+        _parse_label(path, lineno, label, labels_seen)
+        for (lineno, _), label in zip(block, labels)
+    )
     try:
         mentions = codec.decode(codec.EncodedSentence(parsed), policy=policy)
     except codec.DecodeError as exc:
@@ -211,13 +266,20 @@ def read_conll(
 
     Gold data should use the default strict policy so corpus errors surface
     loudly; ``repair`` is for reading raw model output.
+
+    Each distinct label string and each distinct set of token column values
+    is parsed once per call and its frozen ``Multilabel`` or ``Token`` shared
+    by every line that repeats it; the tables are dropped when the call
+    returns. A bad label or form is reported at the first line holding it.
     """
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
+    tokens_seen: TokenTable = {}
+    labels_seen: dict[str, Multilabel] = {}
     sentences = [
-        _block_to_sentence(path, i, block, columns, scheme, policy)
+        _block_to_sentence(path, i, block, columns, scheme, policy, tokens_seen, labels_seen)
         for i, (_, block) in enumerate(_read_blocks(path))
     ]
     return TaggedCorpus(tuple(sentences), source=str(path), scheme=scheme)
@@ -243,18 +305,24 @@ def write_conll(
 
 
 def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCorpus:
-    """Read a span file: token columns plus optional trailing mention lists."""
+    """Read a span file: token columns plus optional trailing mention lists.
+
+    As in :func:`read_conll`, each distinct set of token column values is
+    parsed once per call into one shared ``Token``.
+    """
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
     _check_span_columns(columns)
+    tokens_seen: TokenTable = {}
+    spans_i = len(columns)  # the optional mention list follows the token columns
     sentences = []
     for _, block in _read_blocks(path):
         tokens = []
         mentions: list[Mention] = []
         for lineno, fields in block:
-            tokens.append(_parse_token(path, lineno, fields, columns))
-            if len(fields) > len(columns) and fields[len(columns)]:
-                mentions.extend(_parse_span_list(path, lineno, fields[len(columns)]))
+            tokens.append(_parse_token(path, lineno, fields, columns, tokens_seen))
+            if len(fields) > spans_i and fields[spans_i]:
+                mentions.extend(_parse_span_list(path, lineno, fields[spans_i]))
         unique = frozenset(mentions)
         if len(unique) < len(mentions):
             log.warning(
@@ -501,25 +569,22 @@ def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarra
             sentences.append(np.asarray(rows, dtype=np.float64))
             rows = []
 
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                flush()
-                continue
-            try:
-                values = [float(x) for x in line.split()]
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
-            if not np.all(np.isfinite(values)):
-                raise CorpusError(f"{path}:{lineno}: non-finite value")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected {dim} values, found {len(values)}"
-                )
-            rows.append(values)
+    for lineno, raw in text_lines(path, CorpusError):
+        line = raw.strip()
+        if not line:
+            flush()
+            continue
+        try:
+            values = [float(x) for x in line.split()]
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
+        if not np.all(np.isfinite(values)):
+            raise CorpusError(f"{path}:{lineno}: non-finite value")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise CorpusError(f"{path}:{lineno}: expected {dim} values, found {len(values)}")
+        rows.append(values)
     flush()
     return tuple(sentences)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Parameters, Tape, Var
 from .core import NestnerError, Token
-from .corpus import UNK, Vocabulary
+from .corpus import UNK, Vocabulary, text_lines
 
 
 class PretrainedFormatError(NestnerError):
@@ -127,32 +127,31 @@ def load_pretrained(path: str | Path, expected_dim: int) -> PretrainedTable:
     """
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            fields = raw.rstrip("\n").split(" ")
-            fields = [f for f in fields if f]
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
-                if int(fields[1]) != expected_dim:
-                    raise PretrainedFormatError(
-                        f"{path}:1: header declares dimension {fields[1]}, expected {expected_dim}"
-                    )
-                continue
-            word, values = fields[0], fields[1:]
-            if len(values) != expected_dim:
+    for lineno, raw in text_lines(path, PretrainedFormatError):
+        fields = raw.rstrip("\n").split(" ")
+        fields = [f for f in fields if f]
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
+            if int(fields[1]) != expected_dim:
                 raise PretrainedFormatError(
-                    f"{path}:{lineno}: expected {expected_dim} values, found {len(values)}"
+                    f"{path}:1: header declares dimension {fields[1]}, expected {expected_dim}"
                 )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise PretrainedFormatError(f"{path}:{lineno}: non-numeric field") from exc
-            if not np.all(np.isfinite(vec)):
-                raise PretrainedFormatError(f"{path}:{lineno}: non-finite value")
-            if word not in index:
-                index[word] = len(rows)
-                rows.append(vec)
+            continue
+        word, values = fields[0], fields[1:]
+        if len(values) != expected_dim:
+            raise PretrainedFormatError(
+                f"{path}:{lineno}: expected {expected_dim} values, found {len(values)}"
+            )
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise PretrainedFormatError(f"{path}:{lineno}: non-numeric field") from exc
+        if not np.all(np.isfinite(vec)):
+            raise PretrainedFormatError(f"{path}:{lineno}: non-finite value")
+        if word not in index:
+            index[word] = len(rows)
+            rows.append(vec)
     matrix = np.vstack(rows) if rows else np.zeros((0, expected_dim))
     return PretrainedTable(index, matrix)
 

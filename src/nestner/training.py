@@ -67,21 +67,25 @@ class LazyAdam:
     """Adam with bias correction by global step, skipping untouched rows.
 
     A table gradient's touched rows are read, updated and written back as
-    one block; every other row and its moments stay bit-identical.
+    one block; every other row and its moments stay bit-identical. Each
+    dense parameter and each row block is updated in consecutive pieces of
+    ``BLOCK`` elements, so that the update's passes over one piece of the
+    parameter, its moments, its gradient and the scratch stay in cache;
+    every element gets the same arithmetic as in a one-piece update.
     """
 
     BETA1 = 0.9
     BETA2 = 0.98
     EPSILON = 1e-8
+    # five float64 pieces of 32k elements take 1.3 MB, inside a 4 MiB L2
+    BLOCK = 1 << 15
 
     def __init__(self, params: Parameters, config: OptimizerConfig | None = None):
         self.params = params
         self.config = config or OptimizerConfig()
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
-        # one scratch buffer for every update, as large as the largest parameter
-        size = max((arr.size for _, arr in params.items()), default=0)
-        self._scratch = np.empty(size, dtype=params.dtype)
+        self._scratch = np.empty(self.BLOCK, dtype=params.dtype)
         self.step_count = 0
 
     def _apply(self, target: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
@@ -107,6 +111,18 @@ class LazyAdam:
         scratch *= lr_t
         target -= scratch
 
+    def _apply_blocked(
+        self, target: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray
+    ) -> None:
+        if g.size <= self.BLOCK:  # one piece, without the views' cost per call
+            self._apply(target, m, v, g)
+            return
+        # target, m and v are C-contiguous (parameters, their moments and
+        # gathered rows), so their flat pieces are views written in place
+        flat = [a.reshape(-1) for a in (target, m, v, g)]
+        for lo in range(0, g.size, self.BLOCK):
+            self._apply(*(a[lo : lo + self.BLOCK] for a in flat))
+
     def step(self, grads: Gradients) -> None:
         """One update. Rejects the whole step if any gradient is non-finite."""
         bad = grads.nonfinite_names()
@@ -114,11 +130,11 @@ class LazyAdam:
             raise OptimizerError(f"non-finite gradient for parameter {bad[0]}; step rejected")
         self.step_count += 1
         for name, g in grads.dense.items():
-            self._apply(self.params[name], self.m[name], self.v[name], g)
+            self._apply_blocked(self.params[name], self.m[name], self.v[name], g)
         for name, block in grads.rows.items():
             arr, m, v, ids = self.params[name], self.m[name], self.v[name], block.ids
             rows, m_rows, v_rows = arr[ids], m[ids], v[ids]
-            self._apply(rows, m_rows, v_rows, block.values)
+            self._apply_blocked(rows, m_rows, v_rows, block.values)
             arr[ids], m[ids], v[ids] = rows, m_rows, v_rows
 
 

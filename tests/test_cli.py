@@ -438,6 +438,31 @@ class TestErrors:
         assert run("decode", "--input", str(bad), "--output", str(tmp_path / "out.spans")) == 1
         assert f"{bad}:2: token form must be non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, data, line",
+        [
+            ("--pred", b"a\tO\r\n\r\nb\tO\r\nc\xff\tO\r\n", 4),  # read_conll
+            ("--contextual", b"0.5 0.5\n\n0.5 \xff\n", 3),  # read_contextual
+            ("--pretrained", b"a 0.5 0.5\nb\xe9 0.5 0.5\n", 2),  # load_pretrained
+        ],
+    )
+    def test_input_not_utf8_exits_1_naming_file_and_line(self, tmp_path, capsys, flag, data, line):
+        conll = tmp_path / "train.conll"
+        write_conll(synthgrammar.generate(2, seed=3), conll)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        if flag == "--pred":
+            argv = ("evaluate", "--gold", str(conll), "--pred", str(bad))
+        else:
+            argv = (
+                "train", "--train", str(conll), "--save", str(tmp_path / "model"),
+                "--epochs", "1", "--hidden", "4", "--embed-dim", "4", "--char-dim", "0",
+                "--char-rnn-dim", "0", "--pretrained-dim", "2", flag, str(bad),
+            )
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}:{line}: not valid UTF-8" in err and "Traceback" not in err
+
 
     @pytest.mark.parametrize(
         "flags, name",

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import synthgrammar
 from conftest import COURT_MENTIONS, mention
-from nestner.codec import decode, EncodedSentence
-from nestner.core import Sentence, Token
+from nestner.codec import decode, encode, EncodedSentence
+from nestner.core import Multilabel, Sentence, Token
 from nestner.corpus import (
     ColumnSpec,
     CorpusError,
@@ -99,11 +100,144 @@ class TestReadConll:
         with pytest.raises(CorpusError, match=r"form\.conll:2: token form must be non-empty"):
             read_conll(path)
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff\tO\n", 1),
+            (b"a\tO\n\n\xc3\xa9\tO\nb\xc3\tO\n", 4),  # a cut two-byte character
+            (b"a\tO\rb\tO\r\n\r\nc\tO\nd\xff\tO\n", 5),  # \r, \r\n and \n end lines
+            (b"a\tO\n" * 5000 + b"\xed\xa0\x80\tO\n", 5001),  # a surrogate, past the first read
+        ],
+    )
+    def test_bytes_not_utf8_report_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "bytes.conll"
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match=rf"bytes\.conll:{line}: not valid UTF-8$"):
+            read_conll(path)
+
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.conll"
         path.write_text("a\tO\textra\n", encoding="utf-8")
         assert len(read_conll(path)) == 1
 
+
+
+def reference_read(path, columns, scheme, policy):
+    """``read_conll`` without its tables: every line's token and label is
+    parsed anew."""
+    spec = ColumnSpec.parse(columns)
+    form_i, lemma_i, pos_i = spec.token_indices
+    label_i = spec.index("label")
+    sentences = []
+    for chunk in path.read_text(encoding="utf-8").split("\n\n"):
+        rows = [line.split("\t") for line in chunk.split("\n") if line]
+        tokens = tuple(
+            Token(
+                row[form_i],
+                lemma=row[lemma_i] if lemma_i is not None else None,
+                pos=row[pos_i] if pos_i is not None else None,
+            )
+            for row in rows
+        )
+        if label_i is None:
+            sentences.append(Sentence(tokens))
+            continue
+        labels = [row[label_i] for row in rows]
+        if scheme == "bio":
+            labels = bio_to_bilou(labels)
+        parsed = EncodedSentence(tuple(Multilabel.parse(label) for label in labels))
+        sentences.append(Sentence(tokens, decode(parsed, policy)))
+    return tuple(sentences)
+
+
+def labeled_rows(scheme, damaged, seed):
+    """Sentences of (form, lemma, pos, label) rows over small vocabularies, so
+    that labels and token lines repeat. BILOU rows are the synth grammar's
+    nested labels, some replaced by another label seen in the file when
+    ``damaged``; BIO rows are flat mentions."""
+    rng = np.random.default_rng(seed)
+    corpus = synthgrammar.generate(40, seed=seed)
+    out = []
+    for sentence in corpus.sentences:
+        if scheme == "bilou":
+            labels = encode(sentence).strings()
+        else:
+            labels, open_type = [], None
+            for _ in sentence.tokens:
+                roll = rng.random()
+                if open_type is not None and roll < 0.4:
+                    labels.append(f"I-{open_type}")
+                    continue
+                open_type = str(rng.choice(["PER", "ORG"])) if roll < 0.7 else None
+                labels.append("O" if open_type is None else f"B-{open_type}")
+        out.append([
+            (t.form, t.form[:3], str(rng.choice(["N", "V"])), label)
+            for t, label in zip(sentence.tokens, labels)
+        ])
+    if damaged:
+        pool = sorted({row[3] for rows in out for row in rows})
+        for rows in out:
+            for i in range(len(rows)):
+                if rng.random() < 0.2:
+                    rows[i] = rows[i][:3] + (str(rng.choice(pool)),)
+    return out
+
+
+class TestInterning:
+    @pytest.mark.parametrize("columns", ["form,label", "pos,label,form,lemma"])
+    @pytest.mark.parametrize(
+        "scheme, policy, damaged",
+        [("bilou", "strict", False), ("bilou", "repair", True), ("bio", "strict", False),
+         ("bio", "repair", False)],
+    )
+    def test_equals_a_parse_of_every_line(self, tmp_path, columns, scheme, policy, damaged):
+        rows = labeled_rows(scheme, damaged, seed=7)
+
+        def write(path, names):
+            order = [("form", "lemma", "pos", "label").index(name) for name in names]
+            path.write_text(
+                "\n".join(
+                    "".join("\t".join(row[i] for i in order) + "\n" for row in sentence)
+                    for sentence in rows
+                ),
+                encoding="utf-8",
+            )
+            return path
+
+        conll = write(tmp_path / "in.conll", columns.split(","))
+        read = read_conll(conll, columns=columns, scheme=scheme, policy=policy)
+        assert read.sentences == reference_read(conll, columns, scheme, policy)
+        token_names = [name for name in columns.split(",") if name != "label"]
+        spans = write(tmp_path / "in.spans", token_names)
+        assert read_spans(spans, columns=",".join(token_names)).sentences == tuple(
+            Sentence(s.tokens) for s in read.sentences
+        )
+
+    def test_repeated_lines_share_one_token_within_a_read_only(self, tmp_path):
+        for reader, text in ((read_conll, "a\tO\nb\tU-X\n\na\tO\n"), (read_spans, "a\nb\n\na\n")):
+            path = tmp_path / "in.txt"
+            path.write_text(text, encoding="utf-8")
+            first, second = reader(path).sentences, reader(path).sentences
+            assert first[0].tokens[0] is first[1].tokens[0]
+            assert not {id(t) for s in first for t in s.tokens} & {
+                id(t) for s in second for t in s.tokens
+            }
+
+    @pytest.mark.parametrize("scheme", ["bilou", "bio"])
+    def test_a_repeated_bad_label_is_reported_at_its_first_line(self, tmp_path, scheme):
+        path = tmp_path / "bad.conll"
+        path.write_text("a\tO\nb\tB--X\n\nc\tB--X\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"bad\.conll:2: bad component"):
+            read_conll(path, scheme=scheme)
+
+    @pytest.mark.parametrize(
+        "reader, text", [(read_conll, "a\tO\nb c\tO\n\nb c\tO\n"), (read_spans, "a\nb c\n\nb c\n")]
+    )
+    def test_a_repeated_bad_form_is_reported_at_its_first_line(self, tmp_path, reader, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"bad\.txt:2: token form must be non-empty"):
+            reader(path)
 
 class TestWriteConll:
     def test_round_trip_byte_identical(self, tmp_path, court_conll_text):

@@ -26,6 +26,7 @@ from nestner.training import (
 
 TINY = EmbeddingConfig(trainable_dim=8, char_dim=0, char_rnn_dim=0)
 NO_REG = RegularizationConfig(0.0, 0.0)
+BLOCK = LazyAdam.BLOCK
 
 
 def small_corpus():
@@ -136,6 +137,39 @@ class TestLazyAdam:
         assert sparse_params["t"][[1, 4]].tobytes() == dense_params["t"].tobytes()
         assert sparse.v["t"][[1, 4]].tobytes() == dense.v["t"].tobytes()
         assert sparse_params["t"][[0, 2, 3]].tobytes() == table[[0, 2, 3]].tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, ids",
+        [((n,), None) for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)]
+        + [((400, 300), np.arange(0, 400, 2))],  # a row block of 60,000 values
+    )
+    def test_blocked_update_is_bit_equal_to_one_piece(self, shape, ids):
+        """Updating in BLOCK-element pieces gives the bits of one ``_apply``
+        over the whole parameter, or the whole row block."""
+        rng = np.random.default_rng(len(shape) + shape[0])
+        params = Parameters()
+        params.add("w", rng.standard_normal(shape))
+        adam = LazyAdam(params)
+        w, m, v = params["w"].copy(), np.zeros(shape), np.zeros(shape)
+        reference = LazyAdam(Parameters())
+        reference._scratch = np.empty(w.size)
+        for t in range(1, 4):
+            grads = Gradients()
+            if ids is None:
+                g = grads.dense["w"] = rng.standard_normal(shape)
+                rows = (w, m, v)
+            else:
+                g = rng.standard_normal((len(ids), shape[1]))
+                grads.rows["w"] = RowGradient(ids, g)
+                rows = (w[ids], m[ids], v[ids])
+            adam.step(grads)
+            reference.step_count = t
+            reference._apply(*rows, g)
+            if ids is not None:
+                w[ids], m[ids], v[ids] = rows
+        assert params["w"].tobytes() == w.tobytes()
+        assert adam.m["w"].tobytes() == m.tobytes()
+        assert adam.v["w"].tobytes() == v.tobytes()
 
     def test_matches_the_bias_corrected_textbook_update(self):
         """Folding the bias corrections into the step size and epsilon gives
