@@ -239,8 +239,13 @@ def enumerate_nested_sentences(
 
     Mentions draw from ``n_types`` entity types over all spans of the
     sentence; mention sets of size 0 through ``max_mentions`` are produced.
-    Exhaustive by construction, so suitable as a round-trip oracle.
+    Exhaustive by construction, so suitable as a round-trip oracle. Each
+    setting must be >= 1, so the check is never vacuous; a smaller one raises
+    ``ValueError`` naming it.
     """
+    for name, value in (("max_len", max_len), ("n_types", n_types), ("max_mentions", max_mentions)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     for length in range(1, max_len + 1):
         tokens, typed = _typed_spans(length, n_types)
         for size in range(0, max_mentions + 1):

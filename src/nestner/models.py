@@ -12,11 +12,14 @@ on a :class:`~nestner.autodiff.Tape`. Prediction records no tape: it runs the
 same ops on a :class:`~nestner.autodiff.ForwardTape`, over blocks of up to
 :data:`PREDICT_BLOCK` consecutive sentences, each encoded in one packed pass,
 and ``predict`` is a block of one. The CRF decodes each sentence's slice of
-the block's emissions with Viterbi. The seq2seq decoder's input projection
-is split and computed before decoding starts, once per block: its encoder
-part for every encoder row, its label part for every label. A greedy step is then one ``h @ dec.wh`` product plus
-two row gathers, and the sentences of a block decode in lockstep, one
-product per step over those still running.
+the block's emissions with :func:`viterbi`, whose steps score only the
+previous labels that a bound on their transitions leaves able to win, and
+return exactly the dense path. The seq2seq decoder's input projection is
+split and computed before decoding starts, once per block: its encoder
+part for every encoder row, its label part for every label. A greedy step
+is then one ``h @ dec.wh`` product plus two row gathers, and the sentences
+of a block decode in lockstep, one product per step over those still
+running.
 
 Decoded label sequences from either model go through the repair decoder, so
 any label sequence the models can emit yields a valid mention set.
@@ -126,20 +129,68 @@ def crf_nll(
     return tape.crf_nll(_emission_matrix(tape, emissions), trans, path, lengths)
 
 
+#: Below this many labels every Viterbi step is dense: the candidate test
+#: costs more than it saves.
+PRUNE_MIN_LABELS = 96
+#: A Viterbi step with more candidates than this share of the labels is dense.
+PRUNE_MAX_SHARE = 0.4
+
+
 def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
     """Highest-scoring label path; ties break toward the lower label id.
 
-    Scores are kept as ``scores[j, i]`` (previous label ``i`` into ``j``) in
-    one buffer, so each step's argmax runs over contiguous rows.
+    A step scores ``delta[i] + trans[i, j]`` for every previous label ``i``
+    and next label ``j``, but only the candidates ``i`` that can still win a
+    column. With ``best_out[i]`` and ``worst_out[i]`` the largest and
+    smallest transition out of ``i``, and ``top`` the first argmax of
+    ``delta``, a label is dropped when ``delta[i] + best_out[i] <
+    delta[top] + worst_out[top]`` (Esposito & Radicioni 2009; Kaji et al.
+    2010). Float rounding is monotone, so for every ``j`` its score
+    ``delta[i] + trans[i, j]`` is then strictly below ``delta[top] +
+    trans[top, j]``: it is neither a maximum nor NaN. Every maximiser of
+    every column is kept (ties included), and the candidates are in
+    ascending order, so the first-maximum argmax over them picks the same
+    labels from the same sums as the dense step. A comparison with NaN is
+    false, so a NaN bound or threshold drops nothing, and neither does a
+    ``-inf`` transition out of ``top``.
+
+    The dense step adds ``delta`` to every transition, with scores kept as
+    ``scores[j, i]`` (previous label ``i`` into ``j``) in one buffer so each
+    argmax runs over contiguous rows. It runs for alphabets below
+    :data:`PRUNE_MIN_LABELS` and for steps whose candidates exceed
+    :data:`PRUNE_MAX_SHARE` of the labels; its buffers are built on its
+    first use.
     """
     n, k = emissions.shape
     assert n >= 1 and trans.shape == (k + 2, k + 2)
-    into = np.ascontiguousarray(trans[:k, :k].T)
-    scores = np.empty((k, k), dtype=np.result_type(emissions, trans))
+    block = trans[:k, :k]
     backptr = np.empty((n, k), dtype=np.intp)
     labels = np.arange(k)
     delta = emissions[0] + trans[k, :k]
+    prune = n > 1 and k >= PRUNE_MIN_LABELS
+    if prune:
+        best_out = block.max(axis=1)
+        worst_out = block.min(axis=1)
+        most = int(PRUNE_MAX_SHARE * k)
+    into = None
     for t in range(1, n):
+        if prune:
+            top = np.argmax(delta)
+            keep = np.flatnonzero(~(delta + best_out < delta[top] + worst_out[top]))
+            if len(keep) <= most:
+                # same dtype and the same additions as the dense buffer
+                part = block[keep] + delta[keep, None]
+                if len(keep) == 1:
+                    backptr[t] = keep[0]
+                    delta = part[0] + emissions[t]
+                else:
+                    pick = np.argmax(part, axis=0)
+                    backptr[t] = keep[pick]
+                    delta = part[pick, labels] + emissions[t]
+                continue
+        if into is None:
+            into = np.ascontiguousarray(block.T)
+            scores = np.empty((k, k), dtype=np.result_type(emissions, trans))
         np.add(into, delta, out=scores)
         np.argmax(scores, axis=1, out=backptr[t])
         delta = scores[labels, backptr[t]] + emissions[t]

@@ -477,10 +477,16 @@ class TestErrors:
             (("gradcheck", "--tolerance", "nan"), "tolerance"),
             (("gradcheck", "--tolerance", "0"), "tolerance"),
             (("gradcheck", "--tolerance", "-1"), "tolerance"),
+            (("roundtrip", "--max-len", "0"), "max_len"),
+            (("roundtrip", "--max-len", "-2"), "max_len"),
+            (("roundtrip", "--types", "0"), "n_types"),
+            (("roundtrip", "--types", "-1"), "n_types"),
+            (("roundtrip", "--max-mentions", "0"), "max_mentions"),
+            (("roundtrip", "--max-mentions", "-1"), "max_mentions"),
         ],
     )
     def test_bad_setting_exits_1_naming_it(self, tmp_path, capsys, flags, name):
-        if flags[0] == "gradcheck":
+        if flags[0] in ("gradcheck", "roundtrip"):
             argv = flags
         else:
             train_file = tmp_path / "train.conll"

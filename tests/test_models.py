@@ -7,6 +7,7 @@ import re
 import struct
 import time
 import tracemalloc
+import warnings
 import zipfile
 
 import numpy as np
@@ -111,6 +112,40 @@ def random_instance(rng, n, k):
     emissions = rng.standard_normal((n, k))
     trans = rng.standard_normal((k + 2, k + 2))
     return emissions, trans
+
+
+def viterbi_table(regime, seed, n, k, dtypes=(np.float64, np.float64)):
+    """(n, k) emissions and (k+2, k+2) transitions of one scoring regime.
+
+    ``ties``: integer grids where one to three labels per token lead by 4,
+    so sums are exact in float32 and the leaders often tie; ``dominant``:
+    normal scores with one label per token ahead by 4 to 16 and one strong
+    transition out of each label, so the candidate test keeps one label, a
+    few, or too many to prune, and a runner-up can win a column through its
+    strong transition; ``flat``: normal scores, so it keeps most."""
+    rng = np.random.default_rng(seed)
+    if regime == "ties":
+        emissions = rng.integers(-1, 2, (n, k)).astype(float)
+        trans = rng.integers(-1, 2, (k + 2, k + 2)).astype(float)
+        for t in range(n):
+            emissions[t, rng.choice(k, int(rng.integers(1, min(k, 3) + 1)), replace=False)] += 4
+    else:
+        emissions, trans = random_instance(rng, n, k)
+        if regime == "dominant":
+            emissions[np.arange(n), rng.integers(0, k, n)] += rng.uniform(4, 16, n)
+            trans[np.arange(k + 2), rng.integers(0, k + 2, k + 2)] += rng.uniform(0, 12, k + 2)
+    return emissions.astype(dtypes[0]), trans.astype(dtypes[1])
+
+
+def traced_viterbi(emissions, trans):
+    """The path of ``viterbi`` and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        path = viterbi(emissions, trans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return path, peak
 
 
 def run_log_partition(emissions, trans):
@@ -243,6 +278,74 @@ class TestViterbi:
             expected = min(p[::-1] for p, s in zip(paths, scores) if s == best)[::-1]
             assert viterbi(emissions, trans) == list(expected)
             assert viterbi(emissions, trans) == reference_viterbi(emissions, trans)
+
+
+class TestPrunedViterbi:
+    """The candidate test drops only labels that cannot win a column, so the
+    path equals the dense reference's for every alphabet size, on both sides
+    of ``PRUNE_MIN_LABELS``, and whether a step prunes or falls back."""
+
+    DTYPES = [
+        (np.float64, np.float64),
+        (np.float32, np.float32),
+        (np.float32, np.float64),
+        (np.float64, np.float32),
+    ]
+
+    @pytest.mark.parametrize("regime", ["ties", "dominant", "flat"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        k=st.one_of(st.integers(1, 12), st.integers(80, 320)),
+        dtypes=st.sampled_from(DTYPES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_reference(self, regime, seed, n, k, dtypes):
+        emissions, trans = viterbi_table(regime, seed, n, k, dtypes)
+        assert viterbi(emissions, trans) == reference_viterbi(emissions, trans)
+
+    def test_pruned_steps_build_no_square_buffer(self):
+        """At k=300 with a dominant label per token every step prunes: the
+        call allocates less than one (k, k) score buffer."""
+        k = 300
+        emissions, trans = viterbi_table("flat", 5, 30, k)
+        emissions[np.arange(30), np.arange(0, 300, 10)] += 20.0
+        path, peak = traced_viterbi(emissions, trans)
+        assert path == reference_viterbi(emissions, trans)
+        assert peak < k * k * 8 // 4
+
+    def test_forbidden_transitions_and_labels(self):
+        """``-inf`` emissions and transitions, as constrained decoding
+        forbids labels and moves, give the reference path without a warning.
+        Leading labels keep finite rows, so the candidate test still prunes."""
+        rng = np.random.default_rng(9)
+        for k in (5, 300):
+            emissions, trans = viterbi_table("flat", int(rng.integers(1000)), 25, k)
+            leaders = rng.integers(0, k, 25)
+            emissions[rng.random(emissions.shape) < 0.2] = -np.inf
+            emissions[np.arange(25), leaders] = 20.0
+            forbidden = rng.random(trans.shape) < 0.05
+            forbidden[leaders] = False
+            trans[forbidden] = -np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                path, peak = traced_viterbi(emissions, trans)
+                assert path == reference_viterbi(emissions, trans)
+            if k == 300:
+                assert peak < k * k * 8 // 4
+
+    def test_nan_bound_takes_the_dense_step(self):
+        """A ``+inf`` leader with a ``-inf`` transition makes the bound NaN:
+        nothing is dropped, the dense step runs and the path, NaN scores and
+        all, is the reference's."""
+        k = 300
+        emissions, trans = viterbi_table("dominant", 6, 6, k)
+        emissions[0, 7] = np.inf
+        trans[7, 11] = -np.inf
+        with np.errstate(invalid="ignore"):
+            path, peak = traced_viterbi(emissions, trans)
+            assert path == reference_viterbi(emissions, trans)
+        assert peak >= k * k * 8
 
 
 class TestCrfTagger:
