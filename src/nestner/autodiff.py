@@ -12,12 +12,14 @@ consecutive sequences advance together, longest first, so each step is one
 batch goes through each layer once. A single sequence is read in place. A
 recurrence reads its gate pre-activations, which the caller computes with
 one :meth:`Tape.affine` GEMM ahead of it, so the input projection and its
-gradients are written once. Since a batch passes through each layer once,
-a weight's gradient is one ``Xᵀ·G`` product over every row of the batch,
-added as soon as its op's backward runs. :meth:`Tape.backward` on a scalar
-loss is one reverse pass that sums each node's gradient in one list, by
-node index; a parameter's entry in that list is its gradient. A table read
-through :meth:`Tape.lookup` gets one row-sparse block, a
+gradients are written once. It returns its state after every row, in row
+order, and a sequence's final state is one of those rows, which the caller
+gathers, so every op records one node. Since a batch passes through each
+layer once, a weight's gradient is one ``Xᵀ·G`` product over every row of
+the batch, added as soon as its op's backward runs. :meth:`Tape.backward`
+on a scalar loss is one reverse pass that sums each node's gradient in one
+list, by node index; a parameter's entry in that list is its gradient. A
+table read through :meth:`Tape.lookup` gets one row-sparse block, a
 :class:`RowGradient` of its sorted distinct row ids and their summed
 gradients, so the optimizer can skip rows that never appeared in a batch.
 Inference runs the same ops on a :class:`ForwardTape`, which records
@@ -187,9 +189,12 @@ class _Packing(NamedTuple):
     running order, then the state written at each packed position. Step 0
     reads the first ``bounds[1]`` rows and step s the states of step s-1's
     first ``bounds[s + 1] - bounds[s]`` positions, so every read is a view.
-    ``finals`` is the buffer row of each sequence's final state; an empty
-    sequence's is its initial state. For a single sequence ``rows`` and
-    ``order`` are slices and ``finals`` an int, so packing makes no gather.
+    A recurrence returns the states written, ``buffer[n_seq:]``, put back
+    in block row order. ``finals`` is the buffer row of each sequence's
+    final state (its initial state's row for an empty sequence), from which
+    :meth:`Tape.crf_nll` finds each sequence's last packed position. For a
+    single sequence ``rows`` and ``order`` are slices and ``finals`` an
+    int, so packing makes no gather.
     """
 
     rows: np.ndarray | slice
@@ -284,34 +289,6 @@ class Tape:
         var = Var(value, len(self.nodes), back)
         self.nodes.append(var)
         return var
-
-    def _new_multi(self, values: Sequence[np.ndarray], back: Callable) -> list[Var]:
-        """One node per output of an op whose backward needs all their gradients.
-
-        ``back(gs, grads)`` runs once, when backward reaches the first output,
-        with each output's gradient (None where it received none). The other
-        outputs are recorded after the first, so their gradients are final
-        by then.
-        """
-        pending: list = [None] * len(values)
-
-        def back_first(g, grads):
-            pending[0] = g
-            gs = list(pending)
-            pending[:] = [None] * len(values)
-            back(gs, grads)
-
-        first = self._new(values[0], back_first)
-
-        def back_other(i):
-            def stash(g, grads):
-                pending[i] = g
-                if grads[first.idx] is None:
-                    grads[first.idx] = np.zeros_like(first.value)
-
-            return stash
-
-        return [first] + [self._new(v, back_other(i)) for i, v in enumerate(values) if i]
 
     # ------------------------------------------------------------------ leaves
 
@@ -543,26 +520,28 @@ class Tape:
         c0: Var | None = None,
         reverse: bool = False,
         lengths: Sequence[int] | None = None,
-    ) -> tuple[Var, tuple[Var, Var]]:
-        """LSTMs over packed sequences; returns ``(H, (h, c))``.
+    ) -> tuple[Var, np.ndarray]:
+        """LSTMs over packed sequences; returns their state sequences ``(H, C)``.
 
         ``p`` (L, 4*hidden) holds the gate pre-activations ``x @ wx + b`` of
         every row, made by one :meth:`affine` ahead of the recurrence, so
         only ``h @ wh`` runs per step. ``lengths`` splits its rows into
         consecutive sequences, whose states start at the rows of ``h0`` and
         ``c0`` (N, hidden), zeros where omitted. ``H`` (L, hidden) holds the
-        state after reading each row, in the rows' order, and ``h`` and ``c``
-        (N, hidden) are each sequence's final state; an empty sequence keeps
-        its initial state. Without ``lengths`` the rows (a (4*hidden,) vector
-        is one row) are one sequence, ``h0`` and ``c0`` hold ``hidden``
-        values each, ``h`` and ``c`` are (hidden,), and the rows are read in
-        place, with no sort and no gather. Gate layout along the 4*hidden
-        axis is [input|forget|cell|output]. The sequences advance together
-        as in :meth:`gru`, one ``(n_s, hidden) @ wh`` product per step.
-        Backward finds the gate pre-activation gradients ``dP``, sends them
-        to ``p`` and adds ``dwh = H_prevᵀ·dP``, one GEMM over every row of
-        every sequence, to ``wh``'s gradient. With ``reverse`` each sequence
-        is read last row to first; row t of ``H`` is still the state after
+        state after reading each row, in the rows' order, and ``C`` the cell
+        states in the same layout, as a plain array that takes no gradient.
+        A sequence's final state is the row of ``H`` after its last row is
+        read, and a caller gathers it from there; an empty sequence has no
+        row. Without ``lengths`` the rows (a (4*hidden,) vector is one row)
+        are one sequence, ``h0`` and ``c0`` hold ``hidden`` values each, and
+        the rows are read in place, with no sort and no gather. Gate layout
+        along the 4*hidden axis is [input|forget|cell|output]. The sequences
+        advance together as in :meth:`gru`, one ``(n_s, hidden) @ wh``
+        product per step. Backward finds the gate pre-activation gradients
+        ``dP``, sends them to ``p`` and adds ``dwh = H_prevᵀ·dP``, one GEMM
+        over every row of every sequence, to ``wh``'s gradient. With
+        ``reverse`` each sequence is read last row to first, so its final
+        state is at its first row; row t of ``H`` is still the state after
         reading row t.
         """
         hidden = wh.shape[0]
@@ -598,16 +577,11 @@ class Tape:
             np.multiply(act[:, out_gate], squashed, out=hs[n_seq + lo : n_seq + hi])
             read = n_seq + lo
 
-        def back(gs, grads):
-            g_out, g_h, g_c = gs
+        def back(g, grads):
             # gradients of the state buffers, in their layout
             d_hs = np.zeros((n_seq + total, hidden), dtype=dtype)
+            d_hs[n_seq:] = g[pack.rows]
             d_cs = np.zeros((n_seq + total, hidden), dtype=dtype)
-            if g_out is not None:
-                d_hs[n_seq:] = g_out.reshape(-1, hidden)[pack.rows]
-            for d_states, g_final in ((d_hs, g_h), (d_cs, g_c)):
-                if g_final is not None:
-                    d_states[pack.finals] += g_final
             deriv = acts * (1.0 - acts)
             deriv[:, cell] = 1.0 - acts[:, cell] ** 2
             out_deriv = acts[:, out_gate] * (1.0 - tanh_c * tanh_c)
@@ -634,9 +608,7 @@ class Tape:
                     d_init[pack.order] = d_states[:n_seq]
                     _acc(grads, v, d_init.reshape(v.shape))
 
-        finals = (hs[pack.finals], cs[pack.finals])
-        out, h_last, c_last = self._new_multi((pack.unpacked(hs[n_seq:]), *finals), back)
-        return out, (h_last, c_last)
+        return self._new(pack.unpacked(hs[n_seq:]), back), pack.unpacked(cs[n_seq:])
 
     def gru(
         self,
@@ -645,20 +617,21 @@ class Tape:
         reverse: bool = False,
         lengths: Sequence[int] | None = None,
     ) -> Var:
-        """GRUs from a zero state over packed sequences; returns their final states.
+        """GRUs from a zero state over packed sequences; returns their state sequences.
 
         ``p`` (L, 3*hidden) holds the input pre-activations ``x @ wx + b``
         of every row, made by one :meth:`affine` ahead of the recurrence.
-        ``lengths`` splits its rows into consecutive sequences, and the
-        result is their (len(lengths), hidden) final states, zeros for an
-        empty one. Without ``lengths`` the rows are one sequence and the
-        result is its (hidden,) final state. Gate layout along the 3*hidden
-        axis is [update|reset|candidate] and h' = z*h + (1-z)*n, so a
-        saturated update gate keeps the old state. The sequences advance
-        together, longest first, so those still running at step s are a
-        prefix and each step is one ``(n_s, hidden) @ wh`` product. Backward
-        sends ``dP`` to ``p`` and adds ``wh``'s gradient as one GEMM, as in
-        :meth:`lstm`. ``reverse`` reads each sequence last row to first.
+        ``lengths`` splits its rows into consecutive sequences (all L rows
+        are one sequence without it). ``H`` (L, hidden) holds the state
+        after reading each row, in the rows' order, and a sequence's final
+        state is one of its rows, as in :meth:`lstm`. Gate layout along the
+        3*hidden axis is [update|reset|candidate] and h' = z*h + (1-z)*n,
+        so a saturated update gate keeps the old state. The sequences
+        advance together, longest first, so those still running at step s
+        are a prefix and each step is one ``(n_s, hidden) @ wh`` product.
+        Backward sends ``dP`` to ``p`` and adds ``wh``'s gradient as one
+        GEMM, as in :meth:`lstm`. ``reverse`` reads each sequence last row
+        to first.
         """
         hidden = wh.shape[0]
         gates = slice(0, 2 * hidden)
@@ -693,7 +666,7 @@ class Tape:
         def back(g, grads):
             h_prev = hs[pack.reads()]
             d_hs = np.zeros((n_seq + total, hidden), dtype=dtype)
-            d_hs[pack.finals] = g
+            d_hs[n_seq:] = g[pack.rows]
             gate_deriv = zr * (1.0 - zr)
             cand_deriv = (1.0 - zr[:, :hidden]) * (1.0 - cands * cands)
             keep_minus_cand = h_prev - cands
@@ -715,7 +688,7 @@ class Tape:
             _acc(grads, p, pack.unpacked(d_px).reshape(p.shape))
             _acc_product(grads, wh, h_prev, d_ph)
 
-        return self._new(hs[pack.finals], back)
+        return self._new(pack.unpacked(hs[n_seq:]), back)
 
     # ---------------------------------------------------------------- backward
 
@@ -756,9 +729,6 @@ class ForwardTape(Tape):
 
     def _new(self, value: np.ndarray, back: Callable | None) -> Var:
         return Var(value, -1, None)
-
-    def _new_multi(self, values: Sequence[np.ndarray], back: Callable) -> list[Var]:
-        return [Var(value, -1, None) for value in values]
 
     def lookup(self, name: str, rows) -> Var:
         return self._new(self.params[name][_ids(rows)], None)

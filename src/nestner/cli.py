@@ -149,7 +149,7 @@ def cmd_decode(args) -> int:
 def cmd_convert(args) -> int:
     source_scheme = "bio" if args.to == "bilou" else "bilou"
     corpus = read_conll(args.input, columns=args.columns, scheme=source_scheme)
-    converted = TaggedCorpus(corpus.sentences, source=corpus.source, scheme=args.to)
+    converted = TaggedCorpus(corpus.sentences, scheme=args.to)
     corpus_io.write_conll(converted, args.output, columns=args.columns)
     return 0
 

@@ -92,7 +92,6 @@ class ColumnSpec:
 @dataclass(frozen=True)
 class TaggedCorpus:
     sentences: tuple[Sentence, ...]
-    source: str | None = None
     scheme: str = "bilou"
     contextual: tuple[np.ndarray, ...] | None = None
 
@@ -282,7 +281,7 @@ def read_conll(
         _block_to_sentence(path, i, block, columns, scheme, policy, tokens_seen, labels_seen)
         for i, (_, block) in enumerate(_read_blocks(path))
     ]
-    return TaggedCorpus(tuple(sentences), source=str(path), scheme=scheme)
+    return TaggedCorpus(tuple(sentences), scheme=scheme)
 
 
 def write_conll(
@@ -334,7 +333,7 @@ def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCo
             sentences.append(Sentence(tuple(tokens), unique))
         except ValueError as exc:
             raise CorpusError(f"{path}:{block[0][0]}: {exc}") from exc
-    return TaggedCorpus(tuple(sentences), source=str(path))
+    return TaggedCorpus(tuple(sentences))
 
 
 def _parse_span_list(path: str | Path, lineno: int, text: str) -> list[Mention]:
@@ -590,12 +589,7 @@ def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarra
 
 
 def attach_contextual(corpus: TaggedCorpus, vectors: Sequence[np.ndarray]) -> TaggedCorpus:
-    return TaggedCorpus(
-        corpus.sentences,
-        source=corpus.source,
-        scheme=corpus.scheme,
-        contextual=tuple(vectors),
-    )
+    return TaggedCorpus(corpus.sentences, scheme=corpus.scheme, contextual=tuple(vectors))
 
 
 def merge(a: TaggedCorpus, b: TaggedCorpus) -> TaggedCorpus:
@@ -603,9 +597,4 @@ def merge(a: TaggedCorpus, b: TaggedCorpus) -> TaggedCorpus:
     contextual = None
     if a.contextual is not None and b.contextual is not None:
         contextual = a.contextual + b.contextual
-    return TaggedCorpus(
-        a.sentences + b.sentences,
-        source=a.source,
-        scheme=a.scheme,
-        contextual=contextual,
-    )
+    return TaggedCorpus(a.sentences + b.sentences, scheme=a.scheme, contextual=contextual)

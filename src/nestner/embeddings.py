@@ -214,20 +214,26 @@ class TokenEmbedder:
                 params.uniform(wh, (cfg.char_rnn_dim, 3 * cfg.char_rnn_dim), rng)
                 params.zeros(b, (3 * cfg.char_rnn_dim,))
 
-    def _char_states(self, tape: Tape, forms: Sequence[str]) -> list[Var]:
+    def _char_states(self, tape: Tape, tokens: Sequence[Token]) -> list[Var]:
         """Final states of the forward and backward char GRUs, one
-        (len(forms), char_rnn_dim) matrix each: every direction is one
-        packed call over all the forms' characters."""
-        ids = [self.vocab.char_ids(form) for form in forms]
+        (len(tokens), char_rnn_dim) matrix each. Every direction is one
+        packed call over the characters of the distinct forms, and one
+        gather takes each token's final state from its form's rows: the
+        forward state at the last character, the backward at the first."""
+        distinct: dict[str, int] = {}
+        index = [distinct.setdefault(token.form, len(distinct)) for token in tokens]
+        ids = [self.vocab.char_ids(form) for form in distinct]
         chars = tape.lookup(self.CHAR_TABLE, [c for form_ids in ids for c in form_ids])
-        lengths = [len(form_ids) for form_ids in ids]
-        return [
-            tape.gru(
-                tape.affine(chars, tape.param(wx), tape.param(b)), tape.param(wh),
-                reverse=reverse, lengths=lengths,
-            )
-            for (wx, wh, b), reverse in ((self.CHAR_FW, False), (self.CHAR_BW, True))
-        ]
+        lengths = np.array([len(form_ids) for form_ids in ids])
+        ends = np.cumsum(lengths)
+        states = []
+        for (wx, wh, b), reverse, finals in (
+            (self.CHAR_FW, False, ends - 1), (self.CHAR_BW, True, ends - lengths)
+        ):
+            pre = tape.affine(chars, tape.param(wx), tape.param(b))
+            hidden = tape.gru(pre, tape.param(wh), reverse=reverse, lengths=lengths)
+            states.append(tape.gather(hidden, finals[index]))
+        return states
 
     def token_vector(
         self,
@@ -264,10 +270,7 @@ class TokenEmbedder:
                     onehot[i, pos_i] = 1.0
             parts.append(tape.const(onehot))
         if cfg.char_dim:
-            distinct: dict[str, int] = {}
-            index = [distinct.setdefault(token.form, len(distinct)) for token in tokens]
-            states = self._char_states(tape, list(distinct))
-            parts.extend(tape.gather(state, index) for state in states)
+            parts.extend(self._char_states(tape, tokens))
         if cfg.contextual_dim:
             if contextual is None:
                 raise ValueError("config enables contextual vectors but none were supplied")

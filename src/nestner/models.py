@@ -301,8 +301,9 @@ class _NeuralTagger:
     def _encode(self, tape: Tape, examples: Sequence[Example]) -> tuple[Var, Var, Var]:
         """Token vectors of a batch of sentences through the BiLSTM, as one
         packed pass; returns the (ΣT, 2*hidden) outputs, the sentences' rows
-        one after another, and the (N, hidden) final states of each
-        direction, (hidden,) vectors for a batch of one."""
+        one after another, and the (ΣT, hidden) states of each direction
+        before dropout, in the same rows: a sentence's final forward state
+        is at its last row and its final backward state at its first."""
         tokens = [token for ex in examples for token in ex.sentence.tokens]
         lookup_forms = [
             form for ex in examples
@@ -320,15 +321,13 @@ class _NeuralTagger:
         states = []
         for prefix, reverse in (("enc.fw", False), ("enc.bw", True)):
             pre = tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
-            states.append(
-                tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=reverse, lengths=lengths)
-            )
-        (fw, (final_fw, _)), (bw, (final_bw, _)) = states
-        outputs = tape.concat([fw, bw])
+            hidden, _ = tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=reverse, lengths=lengths)
+            states.append(hidden)
+        outputs = tape.concat(states)
         output_mask = _stacked([ex.output_mask for ex in examples])
         if output_mask is not None:
             outputs = tape.dropout(outputs, output_mask)
-        return outputs, final_fw, final_bw
+        return outputs, *states
 
     def loss(self, tape: Tape, sentence: Sentence) -> Var:
         """The loss of one sentence without dropout: :meth:`batch_loss` of a
@@ -399,9 +398,6 @@ class CrfTagger(_NeuralTagger):
     def gold_ids(self, encoded: EncodedSentence) -> np.ndarray:
         """The gold path of an encoded sentence, as label ids."""
         return np.array([self.alphabet.id_of(s) for s in encoded.strings()], dtype=np.intp)
-
-    def gold_path(self, sentence: Sentence) -> list[int]:
-        return self.gold_ids(codec.encode(sentence)).tolist()
 
     def batch_loss(self, tape: Tape, examples: Sequence[Example]) -> Var:
         """Summed NLL of the examples' gold paths, in one packed pass."""
@@ -493,6 +489,17 @@ class Seq2seqTagger(_NeuralTagger):
         c0 = tape.tanh(tape.affine(cat, tape.param("dec.init_c.w"), tape.param("dec.init_c.b")))
         return h0, c0
 
+    def _start(self, tape: Tape, examples: Sequence[Example]) -> tuple[Var, tuple[Var, Var]]:
+        """The encoder outputs of a batch and the decoder's initial state,
+        made from each sentence's final encoder states: the forward states
+        at its last row and the backward states at its first, as
+        (N, hidden) rows even for a batch of one."""
+        enc_outputs, fw, bw = self._encode(tape, examples)
+        lengths = np.array([len(ex.sentence.tokens) for ex in examples])
+        ends = np.cumsum(lengths)
+        final_fw, final_bw = tape.gather(fw, ends - 1), tape.gather(bw, ends - lengths)
+        return enc_outputs, self._init_state(tape, final_fw, final_bw)
+
     def _step(
         self,
         tape: Tape,
@@ -501,7 +508,9 @@ class Seq2seqTagger(_NeuralTagger):
         prev_id: int | Sequence[int],
         enc_outputs: Var | Sequence[Var] | _Projections,
     ) -> tuple[Var, tuple[Var, Var]]:
-        """One decoder step attending only to encoder position ``t``.
+        """One decoder step attending only to encoder position ``t``; returns
+        the (n, n_components) logits and the new state, (n, decoder_dim)
+        rows with n = 1 for a single step.
 
         ``enc_outputs`` is the (T, 2*hidden) encoder output or a list of its
         rows, projected through the whole of ``dec.wx``, or the
@@ -520,9 +529,9 @@ class Seq2seqTagger(_NeuralTagger):
             x = tape.concat([enc_row, tape.lookup("dec.labels", prev_id)])
             pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
         lengths = [1] * len(pre.value) if pre.value.ndim == 2 else None
-        _, state = tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
-        logits = tape.affine(state[0], tape.param("dec.out.w"), tape.param("dec.out.b"))
-        return logits, state
+        hidden, cells = tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
+        logits = tape.affine(hidden, tape.param("dec.out.w"), tape.param("dec.out.b"))
+        return logits, (hidden, tape.const(cells))
 
     def step(
         self,
@@ -534,10 +543,7 @@ class Seq2seqTagger(_NeuralTagger):
     ) -> tuple[np.ndarray, tuple[Var, Var]]:
         """Distribution over components plus ``<eow>`` for one decode step."""
         logits, new_state = self._step(tape, state, t, prev_id, enc_outputs)
-        return softmax(logits.value), new_state
-
-    def gold_stream(self, sentence: Sentence) -> tuple[str, ...]:
-        return codec.flatten(codec.encode(sentence))
+        return softmax(logits.value[0]), new_state
 
     def gold_ids(self, encoded: EncodedSentence) -> np.ndarray:
         """The gold component stream of an encoded sentence, as ids."""
@@ -553,8 +559,7 @@ class Seq2seqTagger(_NeuralTagger):
         previous gold label's embedding) is known in advance, so the streams
         of the whole batch are one packed decoder LSTM call.
         """
-        enc_outputs, final_fw, final_bw = self._encode(tape, examples)
-        state = self._init_state(tape, final_fw, final_bw)
+        enc_outputs, state = self._start(tape, examples)
         pointers, prev_ids = [], []
         offset = 0
         for ex in examples:
@@ -591,8 +596,7 @@ class Seq2seqTagger(_NeuralTagger):
         ``max_components_per_token`` components, so a sentence of n tokens
         takes at most n * (max_components_per_token + 1) steps.
         """
-        enc_outputs, final_fw, final_bw = self._encode(tape, examples)
-        state = self._init_state(tape, final_fw, final_bw)
+        enc_outputs, state = self._start(tape, examples)
         projections = self._projections(enc_outputs.value)
         limit = self.config.max_components_per_token
         ends = list(itertools.accumulate(len(ex.sentence.tokens) for ex in examples))
@@ -633,11 +637,6 @@ class Seq2seqTagger(_NeuralTagger):
             codec.unflatten([strings(i) for i in ids], len(ex.sentence.tokens))
             for ex, ids in zip(examples, self._greedy_ids(tape, examples))
         ]
-
-    def predict_stream(self, sentence: Sentence, contextual: np.ndarray | None = None) -> list[str]:
-        """Greedy decode of one sentence, as component strings."""
-        ids = self._greedy_ids(ForwardTape(self.params), [Example(sentence, contextual)])[0]
-        return [self.components.string_of(i) for i in ids]
 
 
 # -------------------------------------------------------------- serialization

@@ -10,6 +10,7 @@ import nestner
 from nestner.autodiff import (
     ForwardTape, Gradients, Parameters, RowGradient, Tape, dropout_mask, grad_check,
 )
+from nestner.models import CrfTagger, Seq2seqTagger
 
 
 def make_params(entries, seed=0):
@@ -99,8 +100,8 @@ class TestForwardValues:
         def run(tape):
             x = tape.lookup("emb", [4, 0, 4])
             pre = tape.affine(x, tape.param("wx"), tape.param("b"))
-            out, (h, c) = tape.lstm(pre, tape.param("wh"), lengths=[2, 1])
-            return [out.value, h.value, c.value]
+            out, cells = tape.lstm(pre, tape.param("wh"), lengths=[2, 1])
+            return [out.value, cells]
 
         forward = ForwardTape(params)
         for a, b in zip(run(forward), run(Tape(params))):
@@ -198,9 +199,10 @@ class TestBackward:
 
 def _lstm_loss(t, reverse=False):
     pre = t.affine(t.param("s43"), t.param("wx38"), t.param("b8"))
-    out, (h, c) = t.lstm(pre, t.param("wh28"), t.param("h2"), t.param("c2"), reverse=reverse)
-    # a loss on every output row and on both final states
-    return _scalar(t, t.concat([t.tanh(out), t.stack([h, c, h, c])]))
+    out, _ = t.lstm(pre, t.param("wh28"), t.param("h2"), t.param("c2"), reverse=reverse)
+    # a loss on every output row and, four times more, on the final state
+    final = t.gather(out, [0 if reverse else 3] * 4)
+    return _scalar(t, t.concat([t.tanh(out), final]))
 
 
 def _gru_loss(t, reverse=False):
@@ -208,23 +210,29 @@ def _gru_loss(t, reverse=False):
     return _scalar(t, t.gru(pre, t.param("wh26"), reverse=reverse))
 
 
+def _final_rows(reverse):
+    """The rows of the final states of sequences of lengths [1, 0, 3] (rows
+    0 and 1-3): the empty sequence has no row."""
+    return [0, 1] if reverse else [0, 3]
+
+
 def _packed_gru_loss(t, reverse=False):
     # the longest sequence last, so packing reorders; a per-row target, so a
-    # final state returned to the wrong sequence changes the loss
+    # final state read from the wrong row changes the loss
     pre = t.affine(t.param("s43"), t.param("wx36"), t.param("b6"))
     h = t.gru(pre, t.param("wh26"), reverse=reverse, lengths=[1, 0, 3])
-    return t.softmax_cross_entropy(h, [1, 0, 1])
+    return t.softmax_cross_entropy(t.gather(h, _final_rows(reverse)), [1, 0])
 
 
 def _packed_lstm_loss(t, reverse=False):
-    # a state per sequence, the longest last; the empty one keeps its own
+    # a state per sequence, the longest last
     pre = t.affine(t.param("s43"), t.param("wx38"), t.param("b8"))
-    out, (h, c) = t.lstm(
+    out, _ = t.lstm(
         pre, t.param("wh28"), t.param("h32"), t.param("c32"), reverse=reverse, lengths=[1, 0, 3]
     )
     # a per-row target on every output row and on every sequence's final state
-    finals = t.gather(t.concat([h, c]), [0, 1, 2, 0])
-    return t.softmax_cross_entropy(t.concat([t.tanh(out), finals]), [0, 3, 1, 5])
+    finals = t.gather(out, _final_rows(reverse) * 2)
+    return t.softmax_cross_entropy(t.concat([t.tanh(out), finals]), [0, 3, 1, 2])
 
 
 OP_CASES = {
@@ -262,9 +270,6 @@ OP_CASES = {
     "lstm_reverse": lambda t, p: _lstm_loss(t, reverse=True),
     "lstm_packed": lambda t, p: _packed_lstm_loss(t),
     "lstm_packed_reverse": lambda t, p: _packed_lstm_loss(t, reverse=True),
-    "lstm_cell_state_only": lambda t, p: _scalar(t, t.lstm(
-        t.affine(t.param("a3"), t.param("wx38"), t.param("b8")), t.param("wh28")
-    )[1][1]),
     "gru": lambda t, p: _gru_loss(t),
     "gru_reverse": lambda t, p: _gru_loss(t, reverse=True),
     "gru_shared_weights": lambda t, p: _scalar(t, t.concat([
@@ -320,31 +325,58 @@ def test_every_tape_op_has_a_caller_in_the_package():
     assert ops - called == set()
 
 
+def test_every_tagger_method_has_a_caller_outside_the_tests():
+    """Likewise for the taggers: every public method of ``CrfTagger`` and
+    ``Seq2seqTagger`` is called as ``<x>.<method>(`` in ``src``, in the
+    benchmark or in the acceptance criteria."""
+    root = Path(nestner.__file__).parent
+    repo = root.parent.parent
+    sources = [
+        *root.glob("*.py"), *(repo / "bench").glob("*.py"), repo / "tests" / "test_acceptance.py"
+    ]
+    called = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    methods = {
+        name for cls in (CrfTagger, Seq2seqTagger) for name in dir(cls)
+        if not name.startswith("_") and callable(getattr(cls, name))
+    }
+    assert {"predict", "step"} <= methods
+    assert methods - called == set()
+
+
 def _reference_lstm(xs, wx, wh, b, h, c):
-    """Step-by-step numpy LSTM: the fused op's definition."""
+    """Step-by-step numpy LSTM: the fused op's definition. Returns the
+    hidden and the cell state after each row."""
     hidden = wh.shape[0]
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
-    out = []
+    hs, cs = [], []
     for x in xs:
         pre = x @ wx + b + h @ wh
         i, f = sig(pre[:hidden]), sig(pre[hidden : 2 * hidden])
         g, o = np.tanh(pre[2 * hidden : 3 * hidden]), sig(pre[3 * hidden :])
         c = f * c + i * g
         h = o * np.tanh(c)
-        out.append(h)
-    return np.array(out), h, c
+        hs.append(h)
+        cs.append(c)
+    return np.array(hs), np.array(cs)
 
 
 def _reference_gru(xs, wx, wh, b, h):
+    """Step-by-step numpy GRU; returns the state after each row."""
     hidden = wh.shape[0]
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
+    hs = []
     for x in xs:
         px, ph = x @ wx + b, h @ wh
         z = sig(px[:hidden] + ph[:hidden])
         r = sig(px[hidden : 2 * hidden] + ph[hidden : 2 * hidden])
         n = np.tanh(px[2 * hidden :] + r * ph[2 * hidden :])
         h = z * h + (1.0 - z) * n
-    return h
+        hs.append(h)
+    return np.array(hs).reshape(-1, hidden)
 
 
 class TestRecurrentCells:
@@ -358,10 +390,9 @@ class TestRecurrentCells:
         params.zeros("b", (8,))
         tape = Tape(params)
         pre = tape.affine(tape.const([1.0, -1.0]), tape.param("wx"), tape.param("b"))
-        out, (h, c) = tape.lstm(pre, tape.param("wh"))
+        out, cells = tape.lstm(pre, tape.param("wh"))
         np.testing.assert_array_equal(out.value, np.zeros((1, 2)))
-        np.testing.assert_array_equal(h.value, np.zeros(2))
-        np.testing.assert_array_equal(c.value, np.zeros(2))
+        np.testing.assert_array_equal(cells, np.zeros((1, 2)))
 
     def test_lstm_three_step_chain_matches_fd(self):
         params = make_params(
@@ -373,8 +404,8 @@ class TestRecurrentCells:
         def loss_fn(tape):
             xs = tape.stack([tape.param(f"x{i}") for i in range(3)])
             pre = tape.affine(xs, tape.param("wx"), tape.param("b"))
-            _, (h, _) = tape.lstm(pre, tape.param("wh"))
-            return _scalar(tape, h)
+            out, _ = tape.lstm(pre, tape.param("wh"))
+            return _scalar(tape, tape.gather(out, 2))
 
         report = grad_check(loss_fn, params, epsilon=1e-5, tolerance=1e-4)
         assert report.passed, str(report)
@@ -384,16 +415,17 @@ class TestRecurrentCells:
         tape = Tape(p)
         pre = tape.affine(tape.param("xs"), tape.param("wx"), tape.param("b"))
         args = [pre, *(tape.param(n) for n in ("wh", "h", "c"))]
-        out, (h, c) = tape.lstm(*args)
-        ref_out, ref_h, ref_c = _reference_lstm(p["xs"], p["wx"], p["wh"], p["b"], p["h"], p["c"])
+        out, cells = tape.lstm(*args)
+        assert isinstance(cells, np.ndarray)  # the cell states take no gradient
+        ref_out, ref_cells = _reference_lstm(p["xs"], p["wx"], p["wh"], p["b"], p["h"], p["c"])
         np.testing.assert_allclose(out.value, ref_out, atol=1e-12)
-        np.testing.assert_allclose(h.value, ref_h, atol=1e-12)
-        np.testing.assert_allclose(c.value, ref_c, atol=1e-12)
-        back, (h_back, c_back) = tape.lstm(*args, reverse=True)
-        ref_back, ref_h, ref_c = _reference_lstm(p["xs"][::-1], p["wx"], p["wh"], p["b"], p["h"], p["c"])
+        np.testing.assert_allclose(cells, ref_cells, atol=1e-12)
+        back, back_cells = tape.lstm(*args, reverse=True)
+        ref_back, ref_cells = _reference_lstm(
+            p["xs"][::-1], p["wx"], p["wh"], p["b"], p["h"], p["c"]
+        )
         np.testing.assert_allclose(back.value, ref_back[::-1], atol=1e-12)
-        np.testing.assert_allclose(h_back.value, ref_h, atol=1e-12)
-        np.testing.assert_allclose(c_back.value, ref_c, atol=1e-12)
+        np.testing.assert_allclose(back_cells, ref_cells[::-1], atol=1e-12)
 
     def test_gru_three_step_chain_matches_fd(self):
         params = make_params(
@@ -405,7 +437,7 @@ class TestRecurrentCells:
         def loss_fn(tape):
             xs = tape.stack([tape.param(f"x{i}") for i in range(3)])
             pre = tape.affine(xs, tape.param("wx"), tape.param("b"))
-            return _scalar(tape, tape.gru(pre, tape.param("wh")))
+            return _scalar(tape, tape.gather(tape.gru(pre, tape.param("wh")), 2))
 
         report = grad_check(loss_fn, params, epsilon=1e-5, tolerance=1e-4)
         assert report.passed, str(report)
@@ -419,9 +451,11 @@ class TestRecurrentCells:
         ref = _reference_gru(p["xs"], p["wx"], p["wh"], p["b"], h0)
         np.testing.assert_allclose(tape.gru(pre, wh).value, ref, atol=1e-12)
         ref_back = _reference_gru(p["xs"][::-1], p["wx"], p["wh"], p["b"], h0)
-        np.testing.assert_allclose(tape.gru(pre, wh, reverse=True).value, ref_back, atol=1e-12)
+        np.testing.assert_allclose(
+            tape.gru(pre, wh, reverse=True).value, ref_back[::-1], atol=1e-12
+        )
         empty = tape.gru(tape.affine(tape.const(np.zeros((0, 3))), wx, b), wh)
-        np.testing.assert_array_equal(empty.value, np.zeros(2))
+        assert empty.shape == (0, 2)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_gru_matches_separate_calls(self, reverse):
@@ -435,15 +469,14 @@ class TestRecurrentCells:
             tape.gru(tape.affine(tape.const(p["xs"][lo:hi]), wx, b), wh, reverse=reverse).value
             for lo, hi in zip(bounds, bounds[1:])
         ]
-        assert packed.shape == (4, 2)
-        np.testing.assert_allclose(packed.value, np.stack(separate), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(packed.value[2], np.zeros(2))
+        assert packed.shape == (9, 2)
+        np.testing.assert_allclose(packed.value, np.concatenate(separate), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_lstm_matches_separate_calls(self, reverse):
-        """Outputs, final states and every gradient of one packed call equal
-        those of one call per sequence; the empty sequence keeps its initial
-        state and passes its gradient straight back to it."""
+        """Hidden and cell states and every gradient of one packed call
+        equal those of one call per sequence; the empty sequence adds no
+        row, and its initial state takes no gradient."""
         p = make_params(
             [("xs", (9, 3)), ("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)),
              ("h0", (4, 2)), ("c0", (4, 2))],
@@ -451,39 +484,38 @@ class TestRecurrentCells:
         )
         lengths = [2, 4, 0, 3]
         bounds = np.cumsum([0, *lengths])
+        finals = [0, 2, 6] if reverse else [1, 5, 8]
 
-        def loss(tape, out, finals):
-            # every output row and every sequence's final (h, c) reach the loss
-            picked = tape.gather(finals, [0, 1, 2, 3, 0, 1, 2, 3, 2])
+        def loss(tape, out):
+            # every output row and every sequence's final state reach the loss
+            picked = tape.gather(out, finals * 3)
             return tape.softmax_cross_entropy(
-                tape.tanh(tape.concat([out, picked])), np.arange(9) % 6
+                tape.tanh(tape.concat([out, picked])), np.arange(9) % 4
             )
 
         tape = Tape(p)
         wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
-        out, (h, c) = tape.lstm(
+        out, cells = tape.lstm(
             tape.affine(tape.param("xs"), wx, b), wh, tape.param("h0"), tape.param("c0"),
             reverse=reverse, lengths=lengths,
         )
-        packed = tape.backward(loss(tape, out, tape.concat([h, c])))
-        np.testing.assert_array_equal(h.value[2], p["h0"][2])
-        np.testing.assert_array_equal(c.value[2], p["c0"][2])
+        packed = tape.backward(loss(tape, out))
+        assert out.shape == cells.shape == (9, 2)
+        assert not packed.materialize("h0", (4, 2))[2].any()
 
         tape = Tape(p)
         wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
-        rows, finals = [], []
+        rows = []
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            one_out, (one_h, one_c) = tape.lstm(
+            one_out, one_cells = tape.lstm(
                 tape.affine(tape.gather(tape.param("xs"), list(range(lo, hi))), wx, b), wh,
                 tape.gather(tape.param("h0"), i), tape.gather(tape.param("c0"), i),
                 reverse=reverse,
             )
             np.testing.assert_allclose(one_out.value, out.value[lo:hi], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(one_h.value, h.value[i], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(one_c.value, c.value[i], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(one_cells, cells[lo:hi], rtol=0, atol=1e-15)
             rows.extend(tape.gather(one_out, t) for t in range(hi - lo))
-            finals.append(tape.concat([one_h, one_c]))
-        separate = tape.backward(loss(tape, tape.stack(rows), tape.stack(finals)))
+        separate = tape.backward(loss(tape, tape.stack(rows)))
         for name, arr in p.items():
             np.testing.assert_allclose(
                 packed.materialize(name, arr.shape), separate.materialize(name, arr.shape),
@@ -504,7 +536,7 @@ class TestRecurrentCells:
         first = tape.gru(tape.affine(tape.const([[1.0, 0.0]]), wx, b), wh)
         both = tape.gru(tape.affine(tape.const([[1.0, 0.0], [0.0, 1.0]]), wx, b), wh)
         assert np.abs(first.value).min() > 1e-3
-        np.testing.assert_allclose(both.value, first.value, atol=1e-9)
+        np.testing.assert_allclose(both.value[1], first.value[0], atol=1e-9)
 
 
 def _enumerated_crf(emissions, trans):

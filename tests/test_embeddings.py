@@ -11,6 +11,7 @@ from nestner.embeddings import (
     TokenEmbedder,
     load_pretrained,
 )
+from test_autodiff import _reference_gru
 
 
 @pytest.fixture
@@ -314,6 +315,23 @@ class TestCharBiGru:
 
         np.testing.assert_array_equal(after[:3], before[3:])
         np.testing.assert_array_equal(after[3:], before[:3])
+
+    def test_each_token_reads_its_forms_final_states(self, vocab):
+        """A token's char slice is the forward GRU's state after its form's
+        last character and the backward GRU's after its first, as a
+        step-by-step GRU over that form alone gives them."""
+        config = EmbeddingConfig(trainable_dim=0, char_dim=4, char_rnn_dim=3)
+        embedder, params = make_embedder(vocab, config, seed=3)
+        tokens = [Token(form) for form in ("Court", "us", "Court", "ab", "x")]
+        vectors = embedder.token_vector(Tape(params), tokens).value
+        for token, vector in zip(tokens, vectors):
+            chars = params[TokenEmbedder.CHAR_TABLE][vocab.char_ids(token.form)]
+            for (wx, wh, b), half, xs in (
+                (TokenEmbedder.CHAR_FW, vector[:3], chars),
+                (TokenEmbedder.CHAR_BW, vector[3:], chars[::-1]),
+            ):
+                states = _reference_gru(xs, params[wx], params[wh], params[b], np.zeros(3))
+                np.testing.assert_allclose(half, states[-1], rtol=0, atol=1e-12)
 
     def test_pretrained_rows_receive_no_gradient(self, vocab):
         """The pretrained slice is a frozen constant: nothing to train, nothing trained."""

@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mention, npy_bytes, rewrite_checkpoint
+from test_autodiff import _reference_lstm
 from nestner import codec, training
-from nestner.autodiff import Parameters, Tape
+from nestner.autodiff import ForwardTape, Parameters, Tape
 from nestner.core import Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
@@ -60,6 +61,12 @@ def build(kind, corpus=None, seed=3, **kwargs):
     )
     defaults.update(kwargs)
     return training.build_model(kind, corpus, **defaults)
+
+
+def greedy_stream(model, sentence):
+    """The component strings a seq2seq tagger decodes for one sentence."""
+    ids = model._greedy_ids(ForwardTape(model.params), [Example(sentence)])[0]
+    return [model.components.string_of(i) for i in ids]
 
 
 # ------------------------------------------------------- enumeration oracles
@@ -386,7 +393,7 @@ class TestCrfTagger:
     def test_unseen_gold_label_falls_back_to_outside(self):
         model = build("crf")
         other = Sentence((Token("aa"),), frozenset({mention("Z", 0, 1)}))
-        assert model.gold_path(other) == [0]
+        assert model.gold_ids(codec.encode(other)).tolist() == [0]
         assert model.alphabet.fallbacks > 0
 
 
@@ -456,7 +463,7 @@ class TestSeq2seqDecode:
         model.params["dec.out.b"][0] = 100.0
         sentence = tiny_corpus().sentences[0]
         assert model.predict(sentence) == frozenset()
-        assert model.predict_stream(sentence) == [codec.EOW] * 3
+        assert greedy_stream(model, sentence) == [codec.EOW] * 3
 
     def test_never_eow_terminates_at_bound(self):
         model = build("seq2seq", max_components_per_token=5)
@@ -465,7 +472,7 @@ class TestSeq2seqDecode:
         model.params["dec.out.b"][:] = 0.0
         model.params["dec.out.b"][some_component] = 100.0
         sentence = tiny_corpus().sentences[1]
-        stream = model.predict_stream(sentence)
+        stream = greedy_stream(model, sentence)
         n = len(sentence.tokens)
         assert len(stream) == n * (5 + 1)
         assert stream.count(codec.EOW) == n
@@ -483,6 +490,30 @@ class TestSeq2seqDecode:
         )
         for sentence in corpus:
             assert model.predict(sentence) == sentence.mentions
+
+
+class TestDecoderStart:
+    def test_initial_state_reads_each_sentences_final_encoder_states(self):
+        """The decoder of a batch starts from each sentence's forward encoder
+        state after its last token and backward state after its first, as a
+        step-by-step LSTM over that sentence alone gives them."""
+        corpus = tiny_corpus()
+        model = build("seq2seq", corpus)
+        p = model.params
+        _, (h0, c0) = model._start(Tape(p), [Example(s) for s in corpus])
+        for sentence, h, c in zip(corpus, h0.value, c0.value):
+            xs = model.embedder.token_vector(Tape(p), sentence.tokens).value
+            finals = [
+                _reference_lstm(
+                    rows, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"],
+                    np.zeros(6), np.zeros(6),
+                )[0][-1]
+                for prefix, rows in (("enc.fw", xs), ("enc.bw", xs[::-1]))
+            ]
+            cat = np.concatenate(finals)
+            for state, name in ((h, "dec.init_h"), (c, "dec.init_c")):
+                expected = np.tanh(cat @ p[f"{name}.w"] + p[f"{name}.b"])
+                np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
 
 
 class TestSeq2seqLoss:
@@ -503,11 +534,10 @@ class TestSeq2seqLoss:
 
         # hand-rolled oracle: walk the gold stream multiplying step probabilities
         tape2 = Tape(model.params)
-        enc, f_fw, f_bw = model._encode(tape2, [Example(sentence)])
-        state = model._init_state(tape2, f_fw, f_bw)
+        enc, state = model._start(tape2, [Example(sentence)])
         t, prev = 0, model.bos_id
         log_prob = 0.0
-        for symbol in model.gold_stream(sentence):
+        for symbol in codec.flatten(codec.encode(sentence)):
             dist, state = model.step(tape2, state, t, prev, enc)
             sym_id = model.components.id_of(symbol)
             log_prob += math.log(dist[sym_id])
@@ -585,7 +615,7 @@ class TestSerialization:
         assert isinstance(loaded, Seq2seqTagger)
         assert loaded.components.strings == model.components.strings
         sentence = corpus.sentences[0]
-        assert loaded.predict_stream(sentence) == model.predict_stream(sentence)
+        assert greedy_stream(loaded, sentence) == greedy_stream(model, sentence)
 
     def test_parameters_stored_as_float32(self, tmp_path):
         model = build("crf")

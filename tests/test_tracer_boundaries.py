@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synthgrammar
-from nestner import autodiff, models, training
+from nestner import autodiff, codec, models, training
 from nestner.embeddings import EmbeddingConfig
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -99,7 +99,7 @@ def test_adam_rows_counts_the_distinct_table_rows_of_a_batch(tracer):
         labels = set()
         if kind == "seq2seq":
             for sentence in corpus:
-                stream = [model.components.id_of(x) for x in model.gold_stream(sentence)]
+                stream = [model.components.id_of(x) for x in codec.flatten(codec.encode(sentence))]
                 labels.update([model.bos_id, *stream[:-1]])
         recorder = tracer.Tracer()
         patches = tracer.install(recorder)
