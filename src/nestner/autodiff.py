@@ -9,7 +9,8 @@ taggers call, and no others. The recurrent layers (:meth:`Tape.lstm`,
 with a hand-written backward, over packed sequences: the rows of several
 consecutive sequences advance together, longest first, so each step is one
 ``(n_s, d) @ w`` product over the sequences still running, and a training
-batch goes through each layer once. A single sequence is read in place. A
+batch goes through each layer once. Identity packings are read in place:
+one sequence, or sequences of one row each, need no sort and no gather. A
 recurrence reads its gate pre-activations, which the caller computes with
 one :meth:`Tape.affine` GEMM ahead of it, so the input projection and its
 gradients are written once. It returns its state after every row, in row
@@ -190,23 +191,20 @@ class _Packing(NamedTuple):
     reads the first ``bounds[1]`` rows and step s the states of step s-1's
     first ``bounds[s + 1] - bounds[s]`` positions, so every read is a view.
     A recurrence returns the states written, ``buffer[n_seq:]``, put back
-    in block row order. ``finals`` is the buffer row of each sequence's
-    final state (its initial state's row for an empty sequence), from which
-    :meth:`Tape.crf_nll` finds each sequence's last packed position. For a
-    single sequence ``rows`` and ``order`` are slices and ``finals`` an
-    int, so packing makes no gather.
+    in block row order. Identity packings are read in place: for one
+    sequence, or for sequences of one row each, ``rows`` and ``order`` are
+    slices and packing makes no sort and no gather.
     """
 
     rows: np.ndarray | slice
     bounds: Sequence[int]
     order: np.ndarray | slice
-    finals: np.ndarray | int
     n_seq: int
 
     def unpacked(self, values: np.ndarray) -> np.ndarray:
         """Packed rows of ``values`` put back in block row order."""
         if isinstance(self.rows, slice):
-            return values[self.rows]  # a view: a single sequence, maybe reversed
+            return values[self.rows]  # a view: an identity packing, maybe reversed
         out = np.empty_like(values)
         out[self.rows] = values
         return out
@@ -229,13 +227,18 @@ class _Packing(NamedTuple):
 def _pack(n_rows: int, lengths: Sequence[int] | None, reverse: bool) -> _Packing:
     """How the rows of ``lengths`` sequences advance together (all ``n_rows``
     rows as one sequence without ``lengths``); ``reverse`` reads each
-    sequence last row to first."""
-    if lengths is None:
+    sequence last row to first. The lengths alone choose the layout:
+    identity packings, one sequence or ``n_rows`` sequences of one row, are
+    read in place, and any other lengths are sorted and gathered."""
+    n_seq = 1 if lengths is None else len(lengths)
+    if n_seq == 1:
+        assert lengths is None or lengths[0] == n_rows, (lengths, n_rows)
         rows = slice(None, None, -1) if reverse else slice(None)
-        return _Packing(rows, range(n_rows + 1), slice(None), n_rows, 1)
+        return _Packing(rows, range(n_rows + 1), slice(None), 1)
+    if n_seq == n_rows and set(lengths) == {1}:
+        return _Packing(slice(None), [0, n_rows], slice(None), n_seq)
     lens = np.array(lengths, dtype=np.intp)
     assert lens.sum() == n_rows and (lens >= 0).all(), (lens, n_rows)
-    n_seq = len(lens)
     order = np.argsort(-lens, kind="stable")
     sorted_lens = lens[order]
     step = np.arange(sorted_lens.max(initial=0))[:, None]
@@ -243,11 +246,7 @@ def _pack(n_rows: int, lengths: Sequence[int] | None, reverse: bool) -> _Packing
     starts = (np.cumsum(lens) - lens)[order]
     rows = (starts + (sorted_lens - 1 - step if reverse else step))[running]
     bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
-    alive = int(np.count_nonzero(sorted_lens))
-    finals = np.empty(n_seq, dtype=np.intp)
-    finals[order[:alive]] = n_seq + bounds[sorted_lens[:alive] - 1] + np.arange(alive)
-    finals[order[alive:]] = np.arange(alive, n_seq)
-    return _Packing(rows, bounds.tolist(), order, finals, n_seq)
+    return _Packing(rows, bounds.tolist(), order, n_seq)
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,10 +265,6 @@ def _lstm_gate_affine(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndar
     return scale, shift
 
 
-def _ids(rows) -> int | np.ndarray:
-    return int(rows) if isinstance(rows, (int, np.integer)) else np.asarray(rows, dtype=np.intp)
-
-
 class Tape:
     """Records a computation over `params` for one backward pass.
 
@@ -283,7 +278,7 @@ class Tape:
         self.dtype = params.dtype
         self.nodes: list[Var] = []
         self._param_vars: dict[str, Var] = {}
-        self._lookups: list[tuple[str, int | np.ndarray, Var]] = []
+        self._lookups: list[tuple[str, np.ndarray, Var]] = []
 
     def _new(self, value: np.ndarray, back: Callable | None) -> Var:
         var = Var(value, len(self.nodes), back)
@@ -304,10 +299,10 @@ class Tape:
             self._param_vars[name] = var
         return var
 
-    def lookup(self, name: str, rows) -> Var:
-        """Rows of a named table with a row-sparse gradient: one row as a
-        vector for an int, a (len(rows), d) matrix for a sequence of ints."""
-        ids = _ids(rows)
+    def lookup(self, name: str, rows: Sequence[int]) -> Var:
+        """Rows of a named table, a (len(rows), d) matrix, with a row-sparse
+        gradient."""
+        ids = np.asarray(rows, dtype=np.intp)
         var = self._new(self.params[name][ids], None)
         self._lookups.append((name, ids, var))
         return var
@@ -362,11 +357,10 @@ class Tape:
 
         return self._new(np.stack([v.value for v in items]), back)
 
-    def gather(self, m: Var, rows) -> Var:
-        """Rows of a (T, d) matrix: a vector for an int, a matrix for a
-        sequence of ints (repeats allowed)."""
+    def gather(self, m: Var, rows: Sequence[int]) -> Var:
+        """Rows of a (T, d) matrix, as a (len(rows), d) matrix (repeats allowed)."""
         assert m.value.ndim == 2
-        ids = _ids(rows)
+        ids = np.asarray(rows, dtype=np.intp)
 
         def back(g, grads):
             full = np.zeros(m.shape, dtype=g.dtype)
@@ -440,7 +434,8 @@ class Tape:
         bounds = pack.bounds
         first = bounds[1]  # every sequence's first row is in step 0
         assert n >= 1 and first == pack.n_seq, "every sequence needs a row"
-        last_rows = np.reshape(pack.finals, -1) - pack.n_seq  # packed, by sequence
+        ends = np.cumsum([n] if lengths is None else lengths)
+        last_rows = pack.unpacked(np.arange(n))[ends - 1]  # packed, by sequence
         inner = a[:k, :k]
         col_max = inner.max(axis=0)
         exp_cols = np.exp(inner - col_max)
@@ -457,7 +452,6 @@ class Tape:
         if path is not None:
             p = np.asarray(path, dtype=np.intp)
             assert p.shape == (n,)
-            ends = np.cumsum([n] if lengths is None else lengths)
             starts = np.concatenate(([0], ends[:-1]))
             inside = np.ones(n - 1, dtype=bool)  # row t and t+1 are in one sequence
             inside[ends[:-1] - 1] = False
@@ -532,27 +526,27 @@ class Tape:
         states in the same layout, as a plain array that takes no gradient.
         A sequence's final state is the row of ``H`` after its last row is
         read, and a caller gathers it from there; an empty sequence has no
-        row. Without ``lengths`` the rows (a (4*hidden,) vector is one row)
-        are one sequence, ``h0`` and ``c0`` hold ``hidden`` values each, and
-        the rows are read in place, with no sort and no gather. Gate layout
-        along the 4*hidden axis is [input|forget|cell|output]. The sequences
-        advance together as in :meth:`gru`, one ``(n_s, hidden) @ wh``
-        product per step. Backward finds the gate pre-activation gradients
-        ``dP``, sends them to ``p`` and adds ``dwh = H_prevᵀ·dP``, one GEMM
-        over every row of every sequence, to ``wh``'s gradient. With
+        row. Without ``lengths`` the rows are one sequence, whose initial
+        states may be (hidden,) vectors. Gate layout along the 4*hidden axis
+        is [input|forget|cell|output]. The sequences advance together as in
+        :meth:`gru`, one ``(n_s, hidden) @ wh`` product per step, and
+        identity packings are read in place. Backward finds the gate
+        pre-activation gradients ``dP``, sends them to ``p`` and adds
+        ``dwh = H_prevᵀ·dP``, one GEMM over every row of every sequence, to
+        ``wh``'s gradient. With
         ``reverse`` each sequence is read last row to first, so its final
         state is at its first row; row t of ``H`` is still the state after
         reading row t.
         """
         hidden = wh.shape[0]
+        assert p.value.ndim == 2
         cell = slice(2 * hidden, 3 * hidden)
         forget = slice(hidden, 2 * hidden)
         out_gate = slice(3 * hidden, 4 * hidden)
-        pre = p.value.reshape(-1, 4 * hidden)
-        pack = _pack(len(pre), lengths, reverse)
+        pack = _pack(len(p.value), lengths, reverse)
         bounds, n_seq = pack.bounds, pack.n_seq
         total = bounds[-1]
-        proj = pre[pack.rows]
+        proj = p.value[pack.rows]
         dtype = proj.dtype
         scale, shift = _lstm_gate_affine(hidden, dtype)
         hs = np.empty((n_seq + total, hidden), dtype=dtype)  # state buffers, see _Packing
@@ -600,7 +594,7 @@ class Tape:
                 dc *= act[:, forget]
                 d_hs[read : read + hi - lo] += dp @ w_h_t
                 d_cs[read : read + hi - lo] += dc
-            _acc(grads, p, pack.unpacked(d_pre).reshape(p.shape))
+            _acc(grads, p, pack.unpacked(d_pre))
             _acc_product(grads, wh, hs[pack.reads()], d_pre)
             for v, d_states in ((h0, d_hs), (c0, d_cs)):
                 if v is not None:
@@ -631,16 +625,16 @@ class Tape:
         are a prefix and each step is one ``(n_s, hidden) @ wh`` product.
         Backward sends ``dP`` to ``p`` and adds ``wh``'s gradient as one
         GEMM, as in :meth:`lstm`. ``reverse`` reads each sequence last row
-        to first.
+        to first. Identity packings are read in place, as in :meth:`lstm`.
         """
         hidden = wh.shape[0]
+        assert p.value.ndim == 2
         gates = slice(0, 2 * hidden)
         cand = slice(2 * hidden, 3 * hidden)
-        pre = p.value.reshape(-1, 3 * hidden)
-        pack = _pack(len(pre), lengths, reverse)
+        pack = _pack(len(p.value), lengths, reverse)
         bounds, n_seq = pack.bounds, pack.n_seq
         total = bounds[-1]
-        proj = pre[pack.rows]
+        proj = p.value[pack.rows]
         dtype = proj.dtype
         hs = np.empty((n_seq + total, hidden), dtype=dtype)  # laid out as in lstm
         hs[:n_seq] = 0.0
@@ -685,7 +679,7 @@ class Tape:
                 if s:  # the zero initial state takes no gradient
                     read = n_seq + bounds[s - 1]
                     d_hs[read : read + hi - lo] += dh * zr[lo:hi, :hidden] + dph @ w_h_t
-            _acc(grads, p, pack.unpacked(d_px).reshape(p.shape))
+            _acc(grads, p, pack.unpacked(d_px))
             _acc_product(grads, wh, h_prev, d_ph)
 
         return self._new(pack.unpacked(hs[n_seq:]), back)
@@ -711,8 +705,8 @@ class Tape:
             g = partials[var.idx]
             if g is not None:
                 id_parts, g_parts = looked_up.setdefault(name, ([], []))
-                id_parts.append(np.reshape(ids, -1))
-                g_parts.append(g.reshape(-1, g.shape[-1]))
+                id_parts.append(ids)
+                g_parts.append(g)
         for name, (id_parts, g_parts) in looked_up.items():
             ids, inverse = np.unique(np.concatenate(id_parts), return_inverse=True)
             if len(ids):
@@ -730,8 +724,8 @@ class ForwardTape(Tape):
     def _new(self, value: np.ndarray, back: Callable | None) -> Var:
         return Var(value, -1, None)
 
-    def lookup(self, name: str, rows) -> Var:
-        return self._new(self.params[name][_ids(rows)], None)
+    def lookup(self, name: str, rows: Sequence[int]) -> Var:
+        return self._new(self.params[name][np.asarray(rows, dtype=np.intp)], None)
 
     def backward(self, loss: Var) -> Gradients:
         raise TypeError("a ForwardTape records nothing to differentiate")

@@ -150,7 +150,10 @@ def cmd_convert(args) -> int:
     source_scheme = "bio" if args.to == "bilou" else "bilou"
     corpus = read_conll(args.input, columns=args.columns, scheme=source_scheme)
     converted = TaggedCorpus(corpus.sentences, scheme=args.to)
-    corpus_io.write_conll(converted, args.output, columns=args.columns)
+    try:
+        corpus_io.write_conll(converted, args.output, columns=args.columns)
+    except corpus_io.CorpusError as exc:
+        raise corpus_io.CorpusError(f"{args.input}: {exc}") from exc
     return 0
 
 
@@ -183,6 +186,8 @@ def cmd_train(args) -> int:
     dev_corpus = None
     if args.dev_path:
         dev_corpus = read_conll(args.dev_path, columns=args.columns, scheme=args.scheme)
+        if not dev_corpus.sentences and not args.include_dev:
+            raise NestnerError(f"{args.dev_path}: dev corpus is empty")
         if args.dev_contextual:
             dev_corpus = _with_sidecar(dev_corpus, args.dev_contextual, contextual_dim)
     pretrained = _load_pretrained_arg(args)

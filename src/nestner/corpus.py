@@ -289,16 +289,22 @@ def write_conll(
     path: str | Path,
     columns: ColumnSpec | str = "form,label",
 ) -> None:
-    """Write sentences with labels freshly encoded from their mention sets."""
+    """Write sentences with labels freshly encoded from their mention sets,
+    all made before ``path`` is opened: one the scheme cannot write (nested,
+    in ``bio``) raises a :class:`CorpusError` and leaves ``path`` untouched."""
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
+    labeled = []
+    for i, sentence in enumerate(corpus.sentences):
+        labels = codec.encode(sentence).strings()
+        try:
+            labeled.append(bilou_to_bio(labels) if corpus.scheme == "bio" else labels)
+        except CorpusError as exc:
+            raise CorpusError(f"sentence {i}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as handle:
-        for i, sentence in enumerate(corpus.sentences):
+        for i, (sentence, labels) in enumerate(zip(corpus.sentences, labeled)):
             if i:
                 handle.write("\n")
-            labels = codec.encode(sentence).strings()
-            if corpus.scheme == "bio":
-                labels = bilou_to_bio(labels)
             for token, label in zip(sentence.tokens, labels):
                 handle.write("\t".join(_token_fields(token, columns, label)) + "\n")
 

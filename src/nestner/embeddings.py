@@ -123,8 +123,10 @@ def load_pretrained(path: str | Path, expected_dim: int) -> PretrainedTable:
     """Read text-format vectors: optional "count dim" header, then "word v1 .. vd" rows.
 
     Duplicate words keep their first occurrence; every row must have exactly
-    ``expected_dim`` values.
+    ``expected_dim`` values, at least one.
     """
+    if expected_dim < 1:
+        raise ValueError(f"pretrained_dim (--pretrained-dim) must be >= 1, got {expected_dim}")
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
     for lineno, raw in text_lines(path, PretrainedFormatError):

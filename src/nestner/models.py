@@ -11,15 +11,17 @@ Training runs each batch of sentences through every layer as one packed pass
 on a :class:`~nestner.autodiff.Tape`. Prediction records no tape: it runs the
 same ops on a :class:`~nestner.autodiff.ForwardTape`, over blocks of up to
 :data:`PREDICT_BLOCK` consecutive sentences, each encoded in one packed pass,
-and ``predict`` is a block of one. The CRF decodes each sentence's slice of
-the block's emissions with :func:`viterbi`, whose steps score only the
-previous labels that a bound on their transitions leaves able to win, and
-return exactly the dense path. The seq2seq decoder's input projection is
-split and computed before decoding starts, once per block: its encoder
-part for every encoder row, its label part for every label. A greedy step
-is then one ``h @ dec.wh`` product plus two row gathers, and the sentences
-of a block decode in lockstep, one product per step over those still
-running.
+and ``predict`` is a block of one. No caller branches on block size:
+identity packings are read in place, so one sentence, or a decoder step
+whose rows are sequences of one step each, costs no sort and no gather.
+The CRF decodes each sentence's slice of the block's emissions with
+:func:`viterbi`, whose steps score only the previous labels that a bound
+on their transitions leaves able to win, and return exactly the dense
+path. The seq2seq decoder's input projection is split and computed before
+decoding starts, once per block: its encoder part for every encoder row,
+its label part for every label. A greedy step is then one ``h @ dec.wh``
+product plus two row gathers, and the sentences of a block decode in
+lockstep, one product per step over those still running.
 
 Decoded label sequences from either model go through the repair decoder, so
 any label sequence the models can emit yields a valid mention set.
@@ -242,9 +244,7 @@ class Example:
 
 def _stacked(blocks: Sequence[np.ndarray | None]) -> np.ndarray | None:
     """Per-sentence row blocks as one matrix, or None when they are None."""
-    if blocks[0] is None:
-        return None
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return None if blocks[0] is None else np.concatenate(blocks)
 
 
 class _NeuralTagger:
@@ -316,8 +316,7 @@ class _NeuralTagger:
         input_mask = _stacked([ex.input_mask for ex in examples])
         if input_mask is not None:
             xs = tape.dropout(xs, input_mask)
-        # one sentence is read in place; a batch is packed
-        lengths = [len(ex.sentence.tokens) for ex in examples] if len(examples) > 1 else None
+        lengths = [len(ex.sentence.tokens) for ex in examples]
         states = []
         for prefix, reverse in (("enc.fw", False), ("enc.bw", True)):
             pre = tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
@@ -504,32 +503,19 @@ class Seq2seqTagger(_NeuralTagger):
         self,
         tape: Tape,
         state: tuple[Var, Var],
-        t: int | Sequence[int],
-        prev_id: int | Sequence[int],
-        enc_outputs: Var | Sequence[Var] | _Projections,
+        t: Sequence[int],
+        prev_id: Sequence[int],
+        projections: _Projections,
     ) -> tuple[Var, tuple[Var, Var]]:
-        """One decoder step attending only to encoder position ``t``; returns
-        the (n, n_components) logits and the new state, (n, decoder_dim)
-        rows with n = 1 for a single step.
-
-        ``enc_outputs`` is the (T, 2*hidden) encoder output or a list of its
-        rows, projected through the whole of ``dec.wx``, or the
-        :class:`_Projections` of greedy decoding, whose step input is two row
-        gathers. With projections, ``t`` and ``prev_id`` may also be lists,
-        one entry per row of an (n, decoder_dim) state; each row is then a
-        sequence of one step.
-        """
-        if isinstance(enc_outputs, _Projections):
-            pre = tape.const(enc_outputs.encoder[t] + enc_outputs.labels[prev_id])
-        else:
-            if isinstance(enc_outputs, Var):
-                enc_row = tape.gather(enc_outputs, t)
-            else:
-                enc_row = enc_outputs[t]
-            x = tape.concat([enc_row, tape.lookup("dec.labels", prev_id)])
-            pre = tape.affine(x, tape.param("dec.wx"), tape.param("dec.b"))
-        lengths = [1] * len(pre.value) if pre.value.ndim == 2 else None
-        hidden, cells = tape.lstm(pre, tape.param("dec.wh"), *state, lengths=lengths)
+        """One greedy decoder step over the rows of an (n, decoder_dim)
+        state, each a sequence of one step: row i attends only to the
+        block's encoder row ``t[i]`` and reads the previous label
+        ``prev_id[i]``, and its input is those two rows of ``projections``.
+        Returns the (n, n_components) logits and the new state."""
+        pre = projections.encoder.take(t, axis=0) + projections.labels.take(prev_id, axis=0)
+        hidden, cells = tape.lstm(
+            tape.const(pre), tape.param("dec.wh"), *state, lengths=[1] * len(pre)
+        )
         logits = tape.affine(hidden, tape.param("dec.out.w"), tape.param("dec.out.b"))
         return logits, (hidden, tape.const(cells))
 
@@ -541,8 +527,12 @@ class Seq2seqTagger(_NeuralTagger):
         prev_id: int,
         enc_outputs: Var | Sequence[Var],
     ) -> tuple[np.ndarray, tuple[Var, Var]]:
-        """Distribution over components plus ``<eow>`` for one decode step."""
-        logits, new_state = self._step(tape, state, t, prev_id, enc_outputs)
+        """Distribution over components plus ``<eow>`` for one decode step
+        from a state of (1, decoder_dim) rows or (decoder_dim,) vectors:
+        encoder row ``t`` of ``enc_outputs``, a (T, 2*hidden) Var or a list
+        of row Vars, goes through :meth:`_projections` and :meth:`_step`."""
+        row = enc_outputs.value[t] if isinstance(enc_outputs, Var) else enc_outputs[t].value
+        logits, new_state = self._step(tape, state, [0], [prev_id], self._projections(row[None]))
         return softmax(logits.value[0]), new_state
 
     def gold_ids(self, encoded: EncodedSentence) -> np.ndarray:
@@ -608,11 +598,8 @@ class Seq2seqTagger(_NeuralTagger):
         prev = [self.bos_id] * len(examples)
         emitted = [0] * len(examples)
         while sentence:
-            if len(sentence) == 1:  # one sentence's state is a vector, read in place
-                logits, state = self._step(tape, state, pointer[0], prev[0], projections)
-            else:
-                logits, state = self._step(tape, state, pointer, prev, projections)
-            symbols = logits.value.reshape(len(sentence), -1).argmax(axis=1).tolist()
+            logits, state = self._step(tape, state, pointer, prev, projections)
+            symbols = logits.value.argmax(axis=1).tolist()
             keep = []
             for row, symbol in enumerate(symbols):
                 if emitted[row] >= limit:

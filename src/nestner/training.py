@@ -278,9 +278,10 @@ def train(
     scored on the parameters rounded to float32 as a checkpoint stores them,
     so the logged ``dev_f1``, the saved file and the returned model agree. With
     ``include_dev_in_train`` the dev sentences join the training data and no
-    dev score is tracked. A rejected optimizer step stops the run with an
-    :class:`OptimizerError` naming the epoch, the batch and the parameter,
-    and leaves the last checkpoint written in place.
+    dev score is tracked; otherwise an empty dev corpus is an error, as no
+    epoch could beat the first on it. A rejected optimizer step stops the
+    run with an :class:`OptimizerError` naming the epoch, the batch and the
+    parameter, and leaves the last checkpoint written in place.
     """
     if not corpus.sentences:
         raise NestnerError("training corpus is empty")
@@ -288,6 +289,8 @@ def train(
     if config.include_dev_in_train and dev is not None:
         corpus = merge(corpus, dev)
         dev = None
+    if dev is not None and not dev.sentences:
+        raise NestnerError("dev corpus is empty")
     encoded = [codec.encode(sentence) for sentence in corpus.sentences]
     if model.kind == "seq2seq":
         _check_nesting_depth(encoded, model.config.max_components_per_token)

@@ -8,7 +8,7 @@ import pytest
 
 import nestner
 from nestner.autodiff import (
-    ForwardTape, Gradients, Parameters, RowGradient, Tape, dropout_mask, grad_check,
+    ForwardTape, Gradients, Parameters, RowGradient, Tape, _pack, dropout_mask, grad_check,
 )
 from nestner.models import CrfTagger, Seq2seqTagger
 
@@ -137,9 +137,9 @@ class TestBackward:
     def test_lookup_rows_tracked_sparsely(self):
         params = make_params([("table", (5, 3))])
         tape = Tape(params)
-        both = tape.concat([tape.lookup("table", 3), tape.lookup("table", 1)])
-        grads = tape.backward(tape.softmax_cross_entropy(both, 0))
-        g = _cross_entropy_grad(both.value, 0)
+        both = tape.concat([tape.lookup("table", [3]), tape.lookup("table", [1])])
+        grads = tape.backward(tape.softmax_cross_entropy(both, [0]))
+        g = _cross_entropy_grad(both.value[0], 0)
         np.testing.assert_array_equal(grads.rows["table"].ids, [1, 3])
         np.testing.assert_allclose(grads.rows["table"].values, [g[3:], g[:3]], rtol=0, atol=1e-15)
         assert len(grads.rows["table"]) == 2
@@ -148,10 +148,10 @@ class TestBackward:
     def test_repeated_lookup_accumulates(self):
         params = make_params([("table", (2, 2))])
         tape = Tape(params)
-        row = tape.lookup("table", 0)
+        repeated = tape.lookup("table", [0, 0])
         rows = tape.lookup("table", [1, 0])
         # [row 0 | row 1] and [row 0 | row 0]: row 0 is read three times
-        both = tape.concat([tape.stack([row, tape.lookup("table", 0)]), rows])
+        both = tape.concat([repeated, rows])
         grads = tape.backward(tape.softmax_cross_entropy(both, [0, 3]))
         g = [_cross_entropy_grad(both.value[0], 0), _cross_entropy_grad(both.value[1], 3)]
         np.testing.assert_array_equal(grads.rows["table"].ids, [0, 1])
@@ -235,6 +235,22 @@ def _packed_lstm_loss(t, reverse=False):
     return t.softmax_cross_entropy(t.concat([t.tanh(out), finals]), [0, 3, 1, 2])
 
 
+def _identity_packed_loss(t, cell, lengths, reverse):
+    """An LSTM or GRU over an identity packing, which is read in place:
+    three sequences of one row each, or one sequence of four rows, with a
+    loss on every output row."""
+    xs, h0, c0 = ("m33", "h32", "c32") if len(lengths) > 1 else ("s43", "h2", "c2")
+    if cell == "lstm":
+        pre = t.affine(t.param(xs), t.param("wx38"), t.param("b8"))
+        out, _ = t.lstm(
+            pre, t.param("wh28"), t.param(h0), t.param(c0), reverse=reverse, lengths=lengths
+        )
+    else:
+        pre = t.affine(t.param(xs), t.param("wx36"), t.param("b6"))
+        out = t.gru(pre, t.param("wh26"), reverse=reverse, lengths=lengths)
+    return _scalar(t, t.tanh(out))
+
+
 OP_CASES = {
     "scale": lambda t, p: _scalar(t, t.scale(t.param("a3"), -2.5)),
     "affine": lambda t, p: _scalar(t, t.affine(t.param("a3"), t.param("m34"), t.param("b4"))),
@@ -252,7 +268,7 @@ OP_CASES = {
         t, t.tanh(t.stack([t.param("a3"), t.param("b3"), t.param("a3")]))
     ),
     "gather": lambda t, p: _scalar(t, t.tanh(t.gather(t.param("m34"), [2, 0, 2]))),
-    "gather_row": lambda t, p: _scalar(t, t.gather(t.param("m34"), 1)),
+    "gather_row": lambda t, p: _scalar(t, t.gather(t.param("m34"), [1])),
     "softmax_cross_entropy": lambda t, p: t.softmax_cross_entropy(t.param("b4"), 2),
     "softmax_cross_entropy_rows": lambda t, p: t.softmax_cross_entropy(
         t.param("m34"), [2, 0, 3]
@@ -264,7 +280,7 @@ OP_CASES = {
         t.gather(t.param("m34"), [0, 1, 0, 2, 1]), t.param("m66"), [2, 2, 2, 1, 1]
     ),
     "crf_log_partition": lambda t, p: t.crf_nll(t.param("m34"), t.param("m66")),
-    "lookup": lambda t, p: _scalar(t, t.lookup("m34", 1)),
+    "lookup": lambda t, p: _scalar(t, t.lookup("m34", [1])),
     "lookup_rows": lambda t, p: _scalar(t, t.tanh(t.lookup("m34", [1, 2, 1]))),
     "lstm": lambda t, p: _lstm_loss(t),
     "lstm_reverse": lambda t, p: _lstm_loss(t, reverse=True),
@@ -278,6 +294,14 @@ OP_CASES = {
     ])),
     "gru_packed": lambda t, p: _packed_gru_loss(t),
     "gru_packed_reverse": lambda t, p: _packed_gru_loss(t, reverse=True),
+    "lstm_one_row_each": lambda t, p: _identity_packed_loss(t, "lstm", [1, 1, 1], False),
+    "lstm_one_row_each_reverse": lambda t, p: _identity_packed_loss(t, "lstm", [1, 1, 1], True),
+    "lstm_one_sequence": lambda t, p: _identity_packed_loss(t, "lstm", [4], False),
+    "lstm_one_sequence_reverse": lambda t, p: _identity_packed_loss(t, "lstm", [4], True),
+    "gru_one_row_each": lambda t, p: _identity_packed_loss(t, "gru", [1, 1, 1], False),
+    "gru_one_row_each_reverse": lambda t, p: _identity_packed_loss(t, "gru", [1, 1, 1], True),
+    "gru_one_sequence": lambda t, p: _identity_packed_loss(t, "gru", [4], False),
+    "gru_one_sequence_reverse": lambda t, p: _identity_packed_loss(t, "gru", [4], True),
 }
 
 
@@ -389,7 +413,7 @@ class TestRecurrentCells:
         params.zeros("wh", (2, 8))
         params.zeros("b", (8,))
         tape = Tape(params)
-        pre = tape.affine(tape.const([1.0, -1.0]), tape.param("wx"), tape.param("b"))
+        pre = tape.affine(tape.const([[1.0, -1.0]]), tape.param("wx"), tape.param("b"))
         out, cells = tape.lstm(pre, tape.param("wh"))
         np.testing.assert_array_equal(out.value, np.zeros((1, 2)))
         np.testing.assert_array_equal(cells, np.zeros((1, 2)))
@@ -405,7 +429,7 @@ class TestRecurrentCells:
             xs = tape.stack([tape.param(f"x{i}") for i in range(3)])
             pre = tape.affine(xs, tape.param("wx"), tape.param("b"))
             out, _ = tape.lstm(pre, tape.param("wh"))
-            return _scalar(tape, tape.gather(out, 2))
+            return _scalar(tape, tape.gather(out, [2]))
 
         report = grad_check(loss_fn, params, epsilon=1e-5, tolerance=1e-4)
         assert report.passed, str(report)
@@ -437,7 +461,7 @@ class TestRecurrentCells:
         def loss_fn(tape):
             xs = tape.stack([tape.param(f"x{i}") for i in range(3)])
             pre = tape.affine(xs, tape.param("wx"), tape.param("b"))
-            return _scalar(tape, tape.gather(tape.gru(pre, tape.param("wh")), 2))
+            return _scalar(tape, tape.gather(tape.gru(pre, tape.param("wh")), [2]))
 
         report = grad_check(loss_fn, params, epsilon=1e-5, tolerance=1e-4)
         assert report.passed, str(report)
@@ -459,39 +483,45 @@ class TestRecurrentCells:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_gru_matches_separate_calls(self, reverse):
-        p = make_params([("xs", (9, 3)), ("wx", (3, 6)), ("wh", (2, 6)), ("b", (6,))], seed=8)
-        lengths = [2, 4, 0, 3]
-        tape = Tape(p)
-        wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
-        packed = tape.gru(tape.affine(tape.param("xs"), wx, b), wh, reverse=reverse, lengths=lengths)
-        bounds = np.cumsum([0, *lengths])
-        separate = [
-            tape.gru(tape.affine(tape.const(p["xs"][lo:hi]), wx, b), wh, reverse=reverse).value
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        assert packed.shape == (9, 2)
-        np.testing.assert_allclose(packed.value, np.concatenate(separate), rtol=0, atol=1e-15)
+        for lengths in ([2, 4, 0, 3], [1, 1, 1]):
+            n = sum(lengths)
+            p = make_params([("xs", (n, 3)), ("wx", (3, 6)), ("wh", (2, 6)), ("b", (6,))], seed=8)
+            tape = Tape(p)
+            wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
+            packed = tape.gru(
+                tape.affine(tape.param("xs"), wx, b), wh, reverse=reverse, lengths=lengths
+            )
+            bounds = np.cumsum([0, *lengths])
+            separate = [
+                tape.gru(tape.affine(tape.const(p["xs"][lo:hi]), wx, b), wh, reverse=reverse).value
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            assert packed.shape == (n, 2)
+            np.testing.assert_allclose(packed.value, np.concatenate(separate), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_lstm_matches_separate_calls(self, reverse):
         """Hidden and cell states and every gradient of one packed call
-        equal those of one call per sequence; the empty sequence adds no
+        equal those of one call per sequence; an empty sequence adds no
         row, and its initial state takes no gradient."""
+        for lengths in ([2, 4, 0, 3], [1, 1, 1]):
+            self._check_packed_lstm(reverse, lengths)
+
+    def _check_packed_lstm(self, reverse, lengths):
+        n = sum(lengths)
         p = make_params(
-            [("xs", (9, 3)), ("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)),
-             ("h0", (4, 2)), ("c0", (4, 2))],
+            [("xs", (n, 3)), ("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)),
+             ("h0", (len(lengths), 2)), ("c0", (len(lengths), 2))],
             seed=8,
         )
-        lengths = [2, 4, 0, 3]
         bounds = np.cumsum([0, *lengths])
-        finals = [0, 2, 6] if reverse else [1, 5, 8]
+        finals = [lo if reverse else hi - 1 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
-        def loss(tape, out):
-            # every output row and every sequence's final state reach the loss
-            picked = tape.gather(out, finals * 3)
-            return tape.softmax_cross_entropy(
-                tape.tanh(tape.concat([out, picked])), np.arange(9) % 4
-            )
+        def loss(tape, rows):
+            # every output row and every sequence's final state reach the loss,
+            # each a (1, 2) row, end to end
+            picked = [rows[f] for f in np.resize(finals, n)]
+            return tape.softmax_cross_entropy(tape.tanh(tape.concat([*rows, *picked])), [3])
 
         tape = Tape(p)
         wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
@@ -499,9 +529,10 @@ class TestRecurrentCells:
             tape.affine(tape.param("xs"), wx, b), wh, tape.param("h0"), tape.param("c0"),
             reverse=reverse, lengths=lengths,
         )
-        packed = tape.backward(loss(tape, out))
-        assert out.shape == cells.shape == (9, 2)
-        assert not packed.materialize("h0", (4, 2))[2].any()
+        packed = tape.backward(loss(tape, [tape.gather(out, [r]) for r in range(n)]))
+        assert out.shape == cells.shape == (n, 2)
+        for i, length in enumerate(lengths):
+            assert packed.materialize("h0", p["h0"].shape)[i].any() == (length > 0)
 
         tape = Tape(p)
         wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
@@ -509,18 +540,32 @@ class TestRecurrentCells:
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             one_out, one_cells = tape.lstm(
                 tape.affine(tape.gather(tape.param("xs"), list(range(lo, hi))), wx, b), wh,
-                tape.gather(tape.param("h0"), i), tape.gather(tape.param("c0"), i),
+                tape.gather(tape.param("h0"), [i]), tape.gather(tape.param("c0"), [i]),
                 reverse=reverse,
             )
             np.testing.assert_allclose(one_out.value, out.value[lo:hi], rtol=0, atol=1e-15)
             np.testing.assert_allclose(one_cells, cells[lo:hi], rtol=0, atol=1e-15)
-            rows.extend(tape.gather(one_out, t) for t in range(hi - lo))
-        separate = tape.backward(loss(tape, tape.stack(rows)))
+            rows.extend(tape.gather(one_out, [t]) for t in range(hi - lo))
+        separate = tape.backward(loss(tape, rows))
         for name, arr in p.items():
             np.testing.assert_allclose(
                 packed.materialize(name, arr.shape), separate.materialize(name, arr.shape),
                 rtol=0, atol=1e-15, err_msg=name,
             )
+
+    def test_identity_packings_are_read_in_place(self):
+        """One sequence, or sequences of one row each, are laid out as
+        slices, with no sort and no gather; other lengths are sorted."""
+        for lengths in (None, [5], [1] * 5):
+            for reverse in (False, True):
+                pack = _pack(5, lengths, reverse)
+                assert isinstance(pack.rows, slice) and isinstance(pack.order, slice)
+                one_sequence_reversed = reverse and lengths != [1] * 5
+                expected = [4, 3, 2, 1, 0] if one_sequence_reversed else [0, 1, 2, 3, 4]
+                assert pack.unpacked(np.arange(5)).tolist() == expected
+        pack = _pack(3, [2, 1], False)
+        assert isinstance(pack.rows, np.ndarray) and isinstance(pack.order, np.ndarray)
+        assert pack.rows.tolist() == [0, 2, 1] and pack.bounds == [0, 2, 3]
 
     def test_gru_saturated_update_gate_keeps_state(self):
         hidden = 3

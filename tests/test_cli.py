@@ -80,6 +80,16 @@ class TestConvert:
         assert run("convert", "--input", str(src), "--output", str(out), "--to", "bilou") == 0
         assert out.read_text(encoding="utf-8") == "a\tB-PER\nb\tL-PER\nc\tO\n"
 
+    def test_nested_input_to_bio_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        flat = "a\tU-PER\nb\tO\n"
+        src = tmp_path / "nested.conll"
+        src.write_text("\n".join([flat] * 3 + ["c\tU-ORG|U-GPE\n"]), encoding="utf-8")
+        out = tmp_path / "bio.conll"
+        assert run("convert", "--input", str(src), "--output", str(out), "--to", "bio") == 1
+        err = capsys.readouterr().err
+        assert f"error: {src}: sentence 3: label 0: nested multilabel" in err
+        assert not out.exists()
+
     def test_bilou_to_bio_round_trips(self, tmp_path):
         src = tmp_path / "bilou.conll"
         src.write_text("a\tU-PER\nb\tO\n", encoding="utf-8")
@@ -308,6 +318,19 @@ class TestPipeline:
         records = [json.loads(line) for line in metrics_file.read_text().splitlines()]
         assert all("dev_f1" not in r for r in records)
 
+    def test_empty_dev_file_exits_1_naming_it(self, tmp_path, capsys):
+        train_file, dev_file = tmp_path / "t.conll", tmp_path / "d.conll"
+        write_conll(synthgrammar.generate(4, seed=6), train_file)
+        dev_file.write_text("", encoding="utf-8")
+        model_file = tmp_path / "m.model"
+        assert run(
+            "train", "--train", str(train_file), "--dev", str(dev_file), "--save", str(model_file),
+            "--epochs", "3", "--hidden", "4", "--embed-dim", "4", "--char-dim", "0",
+            "--char-rnn-dim", "0",
+        ) == 1
+        assert f"error: {dev_file}: dev corpus is empty" in capsys.readouterr().err
+        assert not model_file.exists()
+
     def test_lemma_and_pos_columns_flow_through(self, tmp_path):
         # lemmas are lowercased forms, POS alternates; both become extra inputs
         from nestner.core import Sentence as S, Token as T
@@ -500,6 +523,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) in ([], [tmp_path / "train.conll"])  # nothing saved
+
+
+    def test_pretrained_dim_below_one_exits_1_naming_it(self, tmp_path, capsys):
+        """A zero width would read every line of any text file as a word."""
+        train_file = tmp_path / "train.conll"
+        write_conll(synthgrammar.generate(4, seed=21), train_file)
+        argv = (
+            "train", "--train", str(train_file), "--save", str(tmp_path / "model"),
+            "--epochs", "1", "--hidden", "4", "--embed-dim", "4", "--char-dim", "0",
+            "--char-rnn-dim", "0", "--pretrained", str(train_file), "--pretrained-dim", "0",
+        )
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "--pretrained-dim" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [train_file]  # nothing saved
 
 
 class TestContextualSidecars:

@@ -438,22 +438,6 @@ class TestSeq2seqStep:
         perturbed[2] = enc_values[2]
         assert run(perturbed).tobytes() == baseline.tobytes()
 
-    def test_off_pointer_encoder_gradient_is_zero(self):
-        """Loss gradients reach non-attended encoder outputs only through the
-        encoder recurrence; through the decoder input they are exactly zero."""
-        model = build("seq2seq")
-        rng = np.random.default_rng(3)
-        for i in range(3):
-            model.params.add(f"probe.enc{i}", rng.standard_normal(12))
-        tape = Tape(model.params)
-        enc = [tape.param(f"probe.enc{i}") for i in range(3)]
-        state = model._init_state(tape, tape.const(np.zeros(6)), tape.const(np.zeros(6)))
-        logits, _ = model._step(tape, state, 1, model.bos_id, enc)
-        grads = tape.backward(tape.softmax_cross_entropy(logits, 0))
-        assert grads.touched("probe.enc1")
-        assert not grads.touched("probe.enc0")
-        assert not grads.touched("probe.enc2")
-
 
 class TestSeq2seqDecode:
     def test_forced_eow_gives_empty_mentions(self):

@@ -2,9 +2,10 @@
 
 A block of sentences predicted in one packed pass, with the seq2seq decoder
 running the block in lockstep on cached input projections, must give each
-sentence what predicting it alone gives; the cached-projection decoder step
-must give the distribution of ``step`` on a recording tape; and a saved and
-loaded model must predict what ``saved_copy`` of the model predicts.
+sentence what predicting it alone gives; the cached projections must give
+the decoder step the input that teacher forcing records on a tape; and a
+saved and loaded model must predict what ``saved_copy`` of the model
+predicts.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from nestner import models, training
 from nestner.autodiff import ForwardTape, Tape
 from nestner.core import Mention, Sentence, Span, Token
 from nestner.embeddings import EmbeddingConfig
-from nestner.models import Example, Seq2seqTagger, softmax
+from nestner.models import Example, Seq2seqTagger
 
 WIDTH = 4
 EMBEDDING = EmbeddingConfig(trainable_dim=WIDTH, char_dim=WIDTH, char_rnn_dim=WIDTH)
@@ -71,10 +72,9 @@ def _decoder_logits(model, monkeypatch, predict, starts):
     steps = [[] for _ in starts[:-1]]
     original = Seq2seqTagger._step
 
-    def recording(self, tape, state, t, prev_id, enc_outputs):
-        logits, new_state = original(self, tape, state, t, prev_id, enc_outputs)
-        pointers = [t] if np.ndim(t) == 0 else t
-        for pointer, row in zip(pointers, logits.value.reshape(len(pointers), -1)):
+    def recording(self, tape, state, t, prev_id, projections):
+        logits, new_state = original(self, tape, state, t, prev_id, projections)
+        for pointer, row in zip(t, logits.value):
             steps[int(np.searchsorted(starts, pointer, side="right")) - 1].append(row)
         return logits, new_state
 
@@ -123,22 +123,22 @@ def test_inputs_longer_than_a_block_are_split_into_blocks(taggers, monkeypatch):
     walk=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 99)), min_size=1, max_size=6),
 )
 def test_cached_projection_step_equals_step_on_a_recording_tape(taggers, sentence, walk):
-    """Along one walk of (pointer, previous label) pairs, each step of the
-    greedy decoder's cached projections gives the distribution and state of
-    ``step``, which projects its input through the whole of ``dec.wx``."""
+    """Along one walk of (pointer, previous label) pairs, the greedy decoder
+    step's input, two rows of its cached projections, equals the
+    teacher-forced input that training records on a tape, the encoder row
+    and the label embedding projected through the whole of ``dec.wx``."""
     model = taggers["seq2seq"]
     tape = Tape(model.params)
-    enc, state = model._start(tape, [Example(sentence)])
-    cached_state = state
+    enc, _ = model._start(tape, [Example(sentence)])
     projections = model._projections(enc.value)
-    forward = ForwardTape(model.params)
+    wx, b = tape.param("dec.wx"), tape.param("dec.b")
     for t, prev in walk:
         t, prev = t % len(sentence.tokens), prev % (model.bos_id + 1)
-        dist, state = model.step(tape, state, t, prev, enc)
-        logits, cached_state = model._step(forward, cached_state, t, prev, projections)
-        np.testing.assert_allclose(softmax(logits.value[0]), dist, rtol=0, atol=1e-12)
-        for a, b in zip(cached_state, state):
-            np.testing.assert_allclose(a.value, b.value, rtol=0, atol=1e-12)
+        x = tape.concat([tape.gather(enc, [t]), tape.lookup("dec.labels", [prev])])
+        np.testing.assert_allclose(
+            projections.encoder[t] + projections.labels[prev], tape.affine(x, wx, b).value[0],
+            rtol=0, atol=1e-12,
+        )
 
 
 def greedy_ids(model, sentence):

@@ -242,6 +242,18 @@ class TestTrainLoop:
         with pytest.raises(NestnerError):
             train(model, TaggedCorpus(()), TrainConfig(epochs=1))
 
+    def test_empty_dev_corpus_rejected(self):
+        """No epoch could beat the first on an empty dev corpus; with
+        ``include_dev_in_train`` it only adds nothing to the training data."""
+        corpus = small_corpus()
+        model = build_model("crf", corpus, embedding=TINY, hidden_dim=8)
+        before = model.params["crf.trans"].copy()
+        with pytest.raises(NestnerError, match="dev corpus is empty"):
+            train(model, corpus, TrainConfig(epochs=2), dev=TaggedCorpus(()))
+        np.testing.assert_array_equal(model.params["crf.trans"], before)
+        config = TrainConfig(epochs=1, include_dev_in_train=True)
+        assert len(train(model, corpus, config, dev=TaggedCorpus(()))) == 1
+
     def test_same_seed_identical_runs(self):
         corpus = small_corpus()
 
