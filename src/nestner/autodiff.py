@@ -157,6 +157,14 @@ def _acc_product(grads: list, w: Var, x: np.ndarray, g: np.ndarray) -> None:
     _acc(grads, w, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
 
+def _row_ids(op: str, rows: Sequence[int]) -> np.ndarray:
+    """``rows`` as intp ids; a bare int or any other non-1-d ``rows`` is an error naming ``op``."""
+    ids = np.asarray(rows, dtype=np.intp)
+    if ids.ndim != 1:
+        raise ValueError(f"{op}: rows must be a 1-d sequence of ints, got {rows!r}")
+    return ids
+
+
 def _log_matmul(v: np.ndarray, log_w: np.ndarray, exp_w: np.ndarray, w_max: np.ndarray):
     """``log(exp(v) @ exp(log_w))`` for the rows of ``v`` (n, k): one matrix
     product in exp space, with each row of ``v`` shifted by its maximum and
@@ -302,7 +310,7 @@ class Tape:
     def lookup(self, name: str, rows: Sequence[int]) -> Var:
         """Rows of a named table, a (len(rows), d) matrix, with a row-sparse
         gradient."""
-        ids = np.asarray(rows, dtype=np.intp)
+        ids = _row_ids("lookup", rows)
         var = self._new(self.params[name][ids], None)
         self._lookups.append((name, ids, var))
         return var
@@ -360,7 +368,7 @@ class Tape:
     def gather(self, m: Var, rows: Sequence[int]) -> Var:
         """Rows of a (T, d) matrix, as a (len(rows), d) matrix (repeats allowed)."""
         assert m.value.ndim == 2
-        ids = np.asarray(rows, dtype=np.intp)
+        ids = _row_ids("gather", rows)
 
         def back(g, grads):
             full = np.zeros(m.shape, dtype=g.dtype)
@@ -725,7 +733,7 @@ class ForwardTape(Tape):
         return Var(value, -1, None)
 
     def lookup(self, name: str, rows: Sequence[int]) -> Var:
-        return self._new(self.params[name][np.asarray(rows, dtype=np.intp)], None)
+        return self._new(self.params[name][_row_ids("lookup", rows)], None)
 
     def backward(self, loss: Var) -> Gradients:
         raise TypeError("a ForwardTape records nothing to differentiate")

@@ -179,6 +179,8 @@ def cmd_train(args) -> int:
     if args.dev_path and bool(args.contextual) != bool(args.dev_contextual):
         raise NestnerError("with --dev, give both --contextual and --dev-contextual or neither")
     train_corpus = read_conll(args.train_path, columns=args.columns, scheme=args.scheme)
+    if not train_corpus.sentences:
+        raise NestnerError(f"{args.train_path}: training corpus is empty")
     contextual_dim = 0
     if args.contextual:
         train_corpus = _with_sidecar(train_corpus, args.contextual)

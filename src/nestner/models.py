@@ -27,8 +27,8 @@ Decoded label sequences from either model go through the repair decoder, so
 any label sequence the models can emit yields a valid mention set.
 
 :func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
-and one float32 ``.npy`` member per parameter (format v2), and
-:func:`load_model` reads it.
+and one member of every parameter's float32 values in registration order
+(format v3), and :func:`load_model` reads it.
 """
 
 from __future__ import annotations
@@ -628,15 +628,16 @@ class Seq2seqTagger(_NeuralTagger):
 
 # -------------------------------------------------------------- serialization
 #
-# Format v2: a zip archive of uncompressed members, first ``envelope.json``
+# Format v3: a zip archive of two uncompressed members, ``envelope.json``
 # (format_version, model_kind, config, alphabets, vocabulary, the
 # pretrained-table fingerprint and the parameter names in registration
-# order), then one ``<name>.npy`` member per parameter, float32
-# little-endian.
+# order), then ``parameters.f32``, every parameter's little-endian float32
+# values in C order, one after another in the order the model registers them.
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _ZIP_MAGIC = b"PK\x03\x04"
 _ENVELOPE_MEMBER = "envelope.json"
+_PARAMETERS_MEMBER = "parameters.f32"
 _STORED = np.dtype("<f4")
 
 
@@ -677,7 +678,7 @@ def saved_copy(model: CrfTagger | Seq2seqTagger) -> CrfTagger | Seq2seqTagger:
 
 
 def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
-    """Write ``model`` to ``path`` in format v2.
+    """Write ``model`` to ``path`` in format v3.
 
     The archive is written beside the destination and renamed over it, so a
     failed write leaves the previous checkpoint whole. A parameter with a
@@ -711,12 +712,9 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
     try:
         with zipfile.ZipFile(partial, "w") as archive:
             archive.writestr(_member_info(_ENVELOPE_MEMBER), json.dumps(envelope))
-            for name, arr in stored.items():
-                header = np.lib.format.header_data_from_array_1_0(arr)
-                with archive.open(_member_info(f"{name}.npy"), "w") as member:
-                    # the data straight from the array's buffer: no chunk copies
-                    np.lib.format.write_array_header_1_0(member, header)
-                    member.write(memoryview(arr).cast("B"))
+            with archive.open(_member_info(_PARAMETERS_MEMBER), "w") as member:
+                for arr in stored.values():
+                    member.write(memoryview(arr).cast("B"))  # the buffer itself: no copy
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -753,35 +751,6 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
     raise ModelFormatError(f"unknown model_kind {kind!r}")
 
 
-def _read_member(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Member ``<name>.npy`` as a float32 array; its header is checked before
-    any data is read, so the read is never larger than ``shape``."""
-    with archive.open(f"{name}.npy") as member:
-        try:
-            version = np.lib.format.read_magic(member)
-            if version == (1, 0):
-                found, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-            elif version == (2, 0):
-                found, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
-            else:
-                raise ValueError(f".npy format version {version} is not supported")
-        except ValueError as exc:
-            raise ModelFormatError(f"parameter {name!r}: not a .npy member ({exc})") from exc
-        if dtype != _STORED:
-            raise ModelFormatError(f"parameter {name!r} has dtype {dtype}, expected {_STORED}")
-        if tuple(found) != shape:
-            raise ModelFormatError(
-                f"parameter {name!r} has shape {list(found)}, expected {list(shape)}"
-            )
-        if fortran_order:
-            raise ModelFormatError(f"parameter {name!r} is stored in Fortran order")
-        size = _STORED.itemsize * math.prod(shape)
-        raw = member.read(size)
-        if len(raw) != size or member.read(1):
-            raise ModelFormatError(f"parameter {name!r}: member holds the wrong number of bytes")
-    return np.frombuffer(raw, dtype=_STORED).reshape(shape)
-
-
 def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
     file_size = handle.seek(0, os.SEEK_END)
     with zipfile.ZipFile(handle) as archive:
@@ -789,8 +758,8 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
             if info.header_offset + info.compress_size > file_size:
                 raise ModelFormatError(f"member {info.filename!r} runs past the end of the file")
         members = archive.namelist()
-        if _ENVELOPE_MEMBER not in members:
-            raise ModelFormatError(f"archive has no {_ENVELOPE_MEMBER}")
+        if members != [_ENVELOPE_MEMBER, _PARAMETERS_MEMBER]:
+            raise ModelFormatError(f"members {members} are not those of format {FORMAT_VERSION}")
         try:
             envelope = json.loads(archive.read(_ENVELOPE_MEMBER).decode("utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
@@ -803,30 +772,25 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
         for key in _ENVELOPE_KEYS:
             if key not in envelope:
                 raise ModelFormatError(f"checkpoint has no {key!r}")
-        names = envelope["parameters"]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ModelFormatError("'parameters' is not a list of names")
-        listed = {f"{name}.npy" for name in names}
-        for member in members:
-            if member != _ENVELOPE_MEMBER and member not in listed:
-                raise ModelFormatError(f"unexpected member {member!r}")
         try:
             model = _unloaded_model(envelope, pretrained, dtype)
             expected = model.parameter_shapes()
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, MemoryError) as exc:
             raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
-        for name in expected:
-            if f"{name}.npy" not in members:
-                raise ModelFormatError(f"parameter {name!r} is missing")
-        for name in names:
-            if name not in expected:
-                raise ModelFormatError(f"unexpected parameter {name!r}")
-        for name, shape in expected.items():
-            values = _read_member(archive, name, shape)
-            try:
-                model.params.add(name, values)  # the one conversion to ``dtype``
-            except ValueError as exc:
-                raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
+        if envelope["parameters"] != list(expected):
+            raise ModelFormatError(f"'parameters' is not this model's {list(expected)}")
+        with archive.open(_PARAMETERS_MEMBER) as member:
+            for name, shape in expected.items():
+                size = _STORED.itemsize * math.prod(shape)
+                raw = member.read(size)
+                if len(raw) != size:
+                    raise ModelFormatError(f"parameter {name!r}: {_PARAMETERS_MEMBER} is too short")
+                try:  # the one conversion to ``dtype``
+                    model.params.add(name, np.frombuffer(raw, _STORED).reshape(shape))
+                except ValueError as exc:
+                    raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
+            if member.read(1):  # the read that reached the end checked the CRC
+                raise ModelFormatError(f"{_PARAMETERS_MEMBER} holds bytes past the last parameter")
         return model
 
 
@@ -842,15 +806,16 @@ def load_model(
     pretrained: PretrainedTable | None = None,
     dtype=np.float64,
 ) -> CrfTagger | Seq2seqTagger:
-    """Read a checkpoint written by :func:`save_model` (format v2).
+    """Read a checkpoint written by :func:`save_model` (format v3).
 
-    The stored parameters must be exactly those a fresh model of the stored
-    kind and config registers, with the same shapes, stored as float32; a
-    model trained with pretrained vectors needs the same table (by row count
-    and content hash). A file that is not a zip archive, a damaged archive,
-    a missing, extra or malformed envelope key, member or parameter, or a
-    non-finite value raises :class:`ModelFormatError` with a message that
-    starts with ``path``.
+    The envelope must list exactly the parameters a fresh model of the
+    stored kind and config registers, in registration order, and the
+    parameters member must hold exactly their float32 values; a model
+    trained with pretrained vectors needs the same table (by row count and
+    content hash). A file that is not a zip archive, a damaged archive, any
+    member but the two, a missing or malformed envelope key, a parameters
+    member too short or too long, or a non-finite value raises
+    :class:`ModelFormatError` with a message that starts with ``path``.
     """
     with open(path, "rb") as handle:
         try:

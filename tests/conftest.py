@@ -1,8 +1,6 @@
-import io
 import json
 import zipfile
 
-import numpy as np
 import pytest
 
 from nestner.core import Mention, Sentence, Span, Token
@@ -49,19 +47,13 @@ def court_conll_text() -> str:
 # ------------------------------------------------------------- checkpoints
 
 
-def npy_bytes(array, allow_pickle: bool = False) -> bytes:
-    """``array`` as a ``.npy`` file."""
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=allow_pickle)
-    return buffer.getvalue()
-
-
 def rewrite_checkpoint(path, damage) -> None:
-    """Rewrite the format-v2 checkpoint at ``path`` after
+    """Rewrite the format-v3 checkpoint at ``path`` after
     ``damage(envelope, members)``, which edits in place the parsed
     ``envelope.json`` and ``members``, the bytes of every other member by
-    name. Bytes that ``damage`` puts under ``"envelope.json"`` are written
-    in place of the envelope."""
+    name (``"parameters.f32"`` holds every parameter's float32 values).
+    Bytes that ``damage`` puts under ``"envelope.json"`` are written in
+    place of the envelope."""
     with zipfile.ZipFile(path) as archive:
         members = {name: archive.read(name) for name in archive.namelist()}
     envelope = json.loads(members.pop("envelope.json"))

@@ -134,6 +134,22 @@ class TestBackward:
         assert not grads.touched("unused")
         np.testing.assert_array_equal(grads.materialize("unused", (2,)), np.zeros(2))
 
+    @pytest.mark.parametrize("tape_type", [Tape, ForwardTape])
+    @pytest.mark.parametrize("op", ["lookup", "gather"])
+    @pytest.mark.parametrize(
+        "rows", [1, np.intp(1), [[0, 1]], np.zeros((1, 2), dtype=int)],
+        ids=["int", "numpy-int", "nested-list", "matrix"],
+    )
+    def test_rows_that_are_not_1d_rejected_at_the_call(self, tape_type, op, rows):
+        """A bare int once read one row as a vector, and ``backward`` then
+        failed far from the call; now the op refuses it and records nothing."""
+        tape = tape_type(make_params([("table", (3, 2))]))
+        table = tape.param("table")
+        with pytest.raises(ValueError, match=f"^{op}: rows must be a 1-d sequence of ints"):
+            tape.lookup("table", rows) if op == "lookup" else tape.gather(table, rows)
+        assert tape.nodes == ([] if tape_type is ForwardTape else [table])
+        assert tape._lookups == []
+
     def test_lookup_rows_tracked_sparsely(self):
         params = make_params([("table", (5, 3))])
         tape = Tape(params)

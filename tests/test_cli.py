@@ -331,6 +331,17 @@ class TestPipeline:
         assert f"error: {dev_file}: dev corpus is empty" in capsys.readouterr().err
         assert not model_file.exists()
 
+    def test_empty_train_file_exits_1_naming_it(self, tmp_path, capsys):
+        train_file = tmp_path / "t.conll"
+        train_file.write_text("", encoding="utf-8")
+        model_file = tmp_path / "m.model"
+        assert run(
+            "train", "--train", str(train_file), "--save", str(model_file), "--epochs", "1",
+            "--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0",
+        ) == 1
+        assert f"error: {train_file}: training corpus is empty" in capsys.readouterr().err
+        assert not model_file.exists()
+
     def test_lemma_and_pos_columns_flow_through(self, tmp_path):
         # lemmas are lowercased forms, POS alternates; both become extra inputs
         from nestner.core import Sentence as S, Token as T
@@ -390,8 +401,12 @@ class TestBadCheckpoints:
         assert "'vocabulary'" in capsys.readouterr().err
 
     def test_missing_transition_matrix_exits_1(self, damaged, capsys):
-        assert damaged(lambda envelope, members: members.pop("crf.trans.npy")) == 1
-        assert "'crf.trans'" in capsys.readouterr().err
+        def drop_transitions(envelope, members):  # the last parameter: (k+2, k+2) float32
+            size = 4 * (len(envelope["alphabets"]["labels"]) + 2) ** 2
+            members["parameters.f32"] = members["parameters.f32"][:-size]
+
+        assert damaged(drop_transitions) == 1
+        assert "parameter 'crf.trans': parameters.f32 is too short" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage",
@@ -399,7 +414,9 @@ class TestBadCheckpoints:
             lambda envelope, members: envelope.update(parameters=5),
             lambda envelope, members: envelope.update(parameters=[1, 2]),
             lambda envelope, members: envelope["config"].update(hidden_dim="4"),
-            lambda envelope, members: members.update({"crf.trans.npy": b"\x93NUMPY"}),
+            lambda envelope, members: members.update(
+                {"parameters.f32": members["parameters.f32"][:6]}
+            ),
         ],
         ids=["parameters-int", "parameters-list", "hidden-dim-str", "member-cut"],
     )

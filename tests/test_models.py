@@ -12,10 +12,10 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mention, npy_bytes, rewrite_checkpoint
+from conftest import mention, rewrite_checkpoint
 from test_autodiff import _reference_lstm
 from nestner import codec, training
 from nestner.autodiff import ForwardTape, Parameters, Tape
@@ -23,7 +23,6 @@ from nestner.core import Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
-    _member_info,
     CrfConfig,
     CrfTagger,
     Example,
@@ -562,15 +561,58 @@ class TestOverfitCourtFixture:
         assert model.predict(court_sentence) == court_sentence.mentions
 
 
-def emit_bias(replace):
-    """A checkpoint damage that sets member ``crf.emit.b.npy`` to
-    ``replace(stored array)``."""
+def _byte_range(name):
+    """Where parameter ``name`` of ``build("crf")`` lies in its saved
+    ``parameters.f32``: the (start, stop) of its float32 bytes."""
+    start = 0
+    for found, shape in build("crf").parameter_shapes().items():
+        stop = start + 4 * math.prod(shape)
+        if found == name:
+            return start, stop
+        start = stop
+    raise KeyError(name)
+
+
+def edit_parameter(name, replace):
+    """A checkpoint damage of ``build("crf")``'s archive that puts
+    ``replace(its float32 values)`` in place of parameter ``name``'s bytes."""
 
     def damage(envelope, members):
-        stored = np.load(io.BytesIO(members["crf.emit.b.npy"]))
-        members["crf.emit.b.npy"] = replace(stored)
+        start, stop = _byte_range(name)
+        blob = members["parameters.f32"]
+        values = np.frombuffer(blob[start:stop], dtype="<f4")
+        members["parameters.f32"] = blob[:start] + replace(values) + blob[stop:]
 
     return damage
+
+
+def remove_parameter(name):
+    """A checkpoint damage that drops parameter ``name`` from the envelope's
+    list and its bytes from ``parameters.f32``."""
+    drop_bytes = edit_parameter(name, lambda values: b"")
+
+    def damage(envelope, members):
+        envelope["parameters"].remove(name)
+        drop_bytes(envelope, members)
+
+    return damage
+
+
+def swap_parameters(envelope, members):
+    names = envelope["parameters"]
+    names[0], names[1] = names[1], names[0]
+
+
+def annotated_corpus():
+    """``tiny_corpus`` with a lemma and a POS tag on every token."""
+    return TaggedCorpus(tuple(
+        Sentence(
+            tuple(Token(t.form, lemma=t.form[0], pos="N" if i % 2 else "V")
+                  for i, t in enumerate(s.tokens)),
+            s.mentions,
+        )
+        for s in tiny_corpus()
+    ))
 
 
 class TestSerialization:
@@ -611,16 +653,57 @@ class TestSerialization:
                 loaded.params[name], arr.astype("<f4").astype(np.float64)
             )
 
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        kind=st.sampled_from(["crf", "seq2seq"]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        sources=st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(1, 3),
+            st.booleans(), st.booleans(),
+        ),
+        widths=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_save_load_gives_each_parameter_rounded_to_float32(
+        self, tmp_path, kind, dtype, sources, widths, seed
+    ):
+        """Whatever the widths and sources, every loaded array is its
+        original rounded to float32: ``parameters.f32`` is split where the
+        loaded model's registration says, and nothing lands in a neighbour."""
+        trainable, lemma, char, char_rnn, pos_onehot, pretrained = sources
+        assume(trainable or lemma or char or pos_onehot or pretrained)
+        table = None
+        if pretrained:
+            table = PretrainedTable({"aa": 0, "bb": 1}, np.array([[0.5, 1.0], [2.0, -1.0]]))
+        embedding = EmbeddingConfig(
+            pretrained_dim=2 if pretrained else 0, trainable_dim=trainable, lemma_dim=lemma,
+            char_dim=char, char_rnn_dim=char_rnn if char else 0, use_pos_onehot=pos_onehot,
+        )
+        hidden, decoder, label = widths
+        model = build(
+            kind, annotated_corpus(), seed=seed, embedding=embedding, pretrained=table,
+            hidden_dim=hidden, decoder_dim=decoder, label_embed_dim=label, dtype=dtype,
+        )
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        loaded = load_model(path, pretrained=table, dtype=dtype)
+        assert loaded.params.names() == model.params.names()
+        for name, arr in model.params.items():
+            assert loaded.params[name].dtype == dtype
+            np.testing.assert_array_equal(loaded.params[name], arr.astype("<f4").astype(dtype))
+
     def test_version_mismatch_rejected(self, tmp_path):
         """An archive claiming format 1 is rejected, and so is a JSON
-        envelope, the container of format 1, claiming format 2."""
+        envelope, the container of format 1, claiming format 3."""
         model = build("crf")
         path = tmp_path / "model.json"
         save_model(model, path)
         rewrite_checkpoint(path, lambda env, members: env.update(format_version=1))
         with pytest.raises(ModelFormatError, match="format_version 1"):
             load_model(path)
-        path.write_text(json.dumps({"format_version": 2, "model_kind": "crf"}))
+        path.write_text(json.dumps({"format_version": 3, "model_kind": "crf"}))
         with pytest.raises(ModelFormatError, match="not a zip archive") as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -657,45 +740,55 @@ class TestSerialization:
             with pytest.raises(ModelFormatError, match="is not the one the model was trained"):
                 load_model(path, pretrained=other)
 
+    # Case ids kept from format v2 name the same lie told in format v3. Three
+    # v2 cases are gone, as v3 has no field for them to lie in: "pickled"
+    # and "float64" (a member's dtype) and "fortran-order" (its order). A
+    # member that claims another shape ("shape") or is not an array
+    # ("data") is now a parameters member of the wrong length.
     @pytest.mark.parametrize(
         "damage, message",
         [
             (lambda env, members: env.pop("alphabets"), "'alphabets'"),
             (lambda env, members: env["config"].pop("hidden_dim"),
-             "'enc.fw.wx' has shape [8, 24]"),
-            (lambda env, members: (env["parameters"].remove("enc.fw.wh"),
-                                   members.pop("enc.fw.wh.npy")), "'enc.fw.wh' is missing"),
+             "parameter 'enc.fw.wx': parameters.f32 is too short"),
+            (remove_parameter("enc.fw.wh"), "'parameters' is not this model's"),
             (lambda env, members: (env["parameters"].append("extra"),
-                                   members.update({"extra.npy": members["crf.emit.b.npy"]})),
-             "unexpected parameter 'extra'"),
-            (lambda env, members: members.update({"crf.emit.b.npy": npy_bytes(
-                np.zeros((1, 1), dtype="<f4"))}), "has shape [1, 1]"),
-            (lambda env, members: members.update({"crf.emit.b.npy": b"AAAA"}),
-             "'crf.emit.b': not a .npy member"),
-            (lambda env, members: env.update(parameters=5), "'parameters' is not a list of names"),
+                                   members.update({"parameters.f32": members["parameters.f32"]
+                                                   + members["parameters.f32"][:12]})),
+             "'parameters' is not this model's"),
+            (swap_parameters, "'parameters' is not this model's"),
+            (edit_parameter("crf.emit.b", lambda b: b[:1].tobytes()),
+             "parameter 'crf.trans': parameters.f32 is too short"),
+            (lambda env, members: members.update({"parameters.f32": b"AAAA"}),
+             "parameters.f32 is too short"),
+            (lambda env, members: env.update(parameters=5), "'parameters' is not this model's"),
             (lambda env, members: env.update(parameters=[1, 2]),
-             "'parameters' is not a list of names"),
+             "'parameters' is not this model's"),
             (lambda env, members: env["config"].update(hidden_dim="4"),
              "malformed checkpoint envelope"),
             (lambda env, members: env["config"].update(hidden_dim=-4),
              "hidden_dim must be >= 1, got -4"),
+            (lambda env, members: env["config"].update(hidden_dim=100_000_000),
+             "malformed checkpoint envelope (MemoryError("),
             (lambda env, members: env.update(format_version=1),
              "unsupported model format_version 1"),
+            (lambda env, members: env.update(format_version=2),
+             "unsupported model format_version 2"),
             (lambda env, members: env.update(model_kind=[1]), "unknown model_kind [1]"),
             (b"not json\n", "not a zip archive"),
             (b"\xff\xfe{}", "not a zip archive"),
-            (lambda env, members: members.pop("enc.fw.wh.npy"), "'enc.fw.wh' is missing"),
+            (lambda env, members: members.pop("parameters.f32"),
+             "members ['envelope.json'] are not those of format 3"),
             (lambda env, members: members.update({"notes.txt": b"x"}),
-             "unexpected member 'notes.txt'"),
-            (lambda env, members: members.update({"crf.emit.b.npy": npy_bytes(
-                np.array([None] * 3, dtype=object), allow_pickle=True)}), "has dtype object"),
-            (lambda env, members: members.update({"crf.emit.b.npy": npy_bytes(
-                np.zeros(3, dtype="<f8"))}), "has dtype float64"),
-            (lambda env, members: members.update({"crf.trans.npy": npy_bytes(np.asfortranarray(
-                np.load(io.BytesIO(members["crf.trans.npy"]))))}), "stored in Fortran order"),
-            (emit_bias(lambda b: npy_bytes(np.where(b == b, np.nan, b))), "non-finite values"),
-            (emit_bias(lambda b: npy_bytes(b) + b"\0"), "wrong number of bytes"),
-            (emit_bias(lambda b: npy_bytes(b)[:-1]), "wrong number of bytes"),
+             "members ['envelope.json', 'parameters.f32', 'notes.txt'] are not those of format 3"),
+            (edit_parameter("crf.emit.b", lambda b: np.full_like(b, np.nan).tobytes()),
+             "parameter 'crf.emit.b': non-finite values"),
+            (lambda env, members: members.update({"parameters.f32": members["parameters.f32"]
+                                                  + b"\0"}),
+             "parameters.f32 holds bytes past the last parameter"),
+            (lambda env, members: members.update({"parameters.f32": members["parameters.f32"]
+                                                  [:-1]}),
+             "parameter 'crf.trans': parameters.f32 is too short"),
             (lambda env, members: env.pop("pretrained"), "'pretrained'"),
             (lambda env, members: members.update({"envelope.json": b"{"}),
              "envelope.json is not JSON"),
@@ -703,12 +796,11 @@ class TestSerialization:
              "codec can't decode"),
         ],
         ids=[
-            "no-alphabets", "no-hidden-dim", "missing", "extra", "shape", "data",
+            "no-alphabets", "no-hidden-dim", "missing", "extra", "swapped", "shape", "data",
             "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
-            "format-version", "model-kind-list", "not-json", "not-utf8",
-            "missing-member", "extra-member", "pickled", "float64", "fortran-order", "non-finite",
-            "trailing-bytes", "short-member", "no-pretrained", "envelope-not-json",
-            "envelope-not-utf8",
+            "hidden-dim-huge", "format-version", "format-version-2", "model-kind-list", "not-json", "not-utf8",
+            "missing-member", "extra-member", "non-finite", "trailing-bytes", "short-member",
+            "no-pretrained", "envelope-not-json", "envelope-not-utf8",
         ],
     )
     def test_malformed_checkpoint_rejected(self, tmp_path, damage, message):
@@ -722,6 +814,36 @@ class TestSerialization:
         else:
             rewrite_checkpoint(path, damage)
         with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_members_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build("crf"), path)
+        with zipfile.ZipFile(path) as archive:
+            members = [(name, archive.read(name)) for name in archive.namelist()]
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in reversed(members):
+                archive.writestr(name, data)
+        with pytest.raises(ModelFormatError, match="are not those of format 3") as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_v2_checkpoint_rejected(self, tmp_path):
+        """Format v2 (one ``.npy`` member per parameter) is no longer read."""
+        model = build("crf")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with zipfile.ZipFile(path) as archive:
+            envelope = json.loads(archive.read("envelope.json"))
+        envelope.update(format_version=2)
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("envelope.json", json.dumps(envelope))
+            for name, arr in model.params.items():
+                member = io.BytesIO()
+                np.save(member, arr.astype("<f4"))
+                archive.writestr(f"{name}.npy", member.getvalue())
+        with pytest.raises(ModelFormatError, match="are not those of format 3") as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -754,24 +876,24 @@ class TestSerialization:
         float32 bytes) is no longer read: a v1 file, whatever ``damage`` did
         to its envelope, is rejected by the container check, naming the path,
         before any of its content is looked at."""
+        model = build("crf")
         path = tmp_path / "model.json"
-        save_model(build("crf"), path)
+        save_model(model, path)
         with zipfile.ZipFile(path) as archive:
             envelope = json.loads(archive.read("envelope.json"))
-            envelope["parameters"] = {
-                name: {
-                    "shape": list(arr.shape),
-                    "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-                }
-                for name in envelope["parameters"]
-                for arr in [np.load(io.BytesIO(archive.read(f"{name}.npy")))]
+        envelope["parameters"] = {
+            name: {
+                "shape": list(arr.shape),
+                "data": base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii"),
             }
+            for name, arr in model.params.items()
+        }
         envelope.update(format_version=1)
         envelope.pop("pretrained")
         damage(envelope)
         path.write_text(json.dumps(envelope))
         with pytest.raises(
-            ModelFormatError, match="not a zip archive; only checkpoint format 2 is read"
+            ModelFormatError, match="not a zip archive; only checkpoint format 3 is read"
         ) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -782,7 +904,7 @@ class TestSerialization:
         save_model(build("crf"), path)
         data = bytearray(path.read_bytes())
         with zipfile.ZipFile(path) as archive:
-            info = archive.getinfo("crf.trans.npy")
+            info = archive.getinfo("parameters.f32")
         member_end = info.header_offset + 30 + len(info.filename) + info.file_size
         if damage == "bad-crc":
             data[member_end - 1] ^= 0x01  # a float byte; the stored CRC no longer holds
@@ -826,43 +948,41 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_archive_bytes_match_numpy_write_array(self, tmp_path, kind, dtype):
-        """Each member's header and data are written directly, and the
-        archive is byte for byte the one ``np.lib.format.write_array`` made
-        through the same members."""
+    def test_parameters_member_holds_float32_values_in_registration_order(
+        self, tmp_path, kind, dtype
+    ):
         model = build(kind, dtype=dtype)
         path = tmp_path / "model.json"
         save_model(model, path)
         with zipfile.ZipFile(path) as archive:
-            envelope = archive.read("envelope.json")
-        reference = tmp_path / "reference.json"
-        with zipfile.ZipFile(reference, "w") as archive:
-            archive.writestr(_member_info("envelope.json"), envelope)
-            for name, arr in model.params.items():
-                with archive.open(_member_info(f"{name}.npy"), "w") as member:
-                    np.lib.format.write_array(member, arr.astype("<f4"), allow_pickle=False)
-        assert path.read_bytes() == reference.read_bytes()
+            assert archive.namelist() == ["envelope.json", "parameters.f32"]
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+            envelope = json.loads(archive.read("envelope.json"))
+            blob = archive.read("parameters.f32")
+        assert envelope["format_version"] == 3
+        assert envelope["parameters"] == list(model.parameter_shapes())
+        assert blob == b"".join(arr.astype("<f4").tobytes() for _, arr in model.params.items())
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         first, second = build("crf", seed=3), build("crf", seed=4)
         path = tmp_path / "model.json"
         save_model(first, path)
         saved = path.read_bytes()
-        write_header = np.lib.format.write_array_header_1_0
-        written = []
+        write = zipfile._ZipWriteFile.write
+        writes = []
 
-        def broken_write(handle, header):
-            if written:
-                handle.write(b"\x93NUMPY")
-                raise RuntimeError("disk full")
-            written.append(header)
-            write_header(handle, header)
+        def broken_write(member, data):
+            writes.append(len(data))
+            if len(writes) == 3:  # the envelope, the first parameter, half the second
+                write(member, bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
+            return write(member, data)
 
-        monkeypatch.setattr("nestner.models.np.lib.format.write_array_header_1_0", broken_write)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(zipfile._ZipWriteFile, "write", broken_write)
+        with pytest.raises(OSError, match="disk full"):
             save_model(second, path)
         monkeypatch.undo()
-        assert len(written) == 1  # failed on the second member
+        assert len(writes) == 3 < len(second.params.names()) + 1
         assert path.read_bytes() == saved
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         loaded = load_model(path)
