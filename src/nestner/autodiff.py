@@ -43,8 +43,10 @@ import numpy as np
 class Parameters:
     """Named, shaped arrays of reals; the full state of a model.
 
-    64-bit by default (all test tolerances assume it); 32-bit may be chosen
-    for speed. Names are unique and shapes fixed once added.
+    64-bit by default: the finite-difference checks and the pinned float64
+    loss build through this default. ``nestner train`` and
+    :func:`~nestner.models.load_model` choose 32-bit, the precision a
+    checkpoint stores. Names are unique and shapes fixed once added.
     """
 
     def __init__(self, dtype=np.float64):
@@ -318,6 +320,8 @@ class Tape:
     # -------------------------------------------------------------- arithmetic
 
     def scale(self, a: Var, k: float) -> Var:
+        k = self.dtype.type(k)  # a float64 factor must not widen a float32 tape
+
         def back(g, grads):
             _acc(grads, a, g * k)
 

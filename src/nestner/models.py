@@ -28,7 +28,7 @@ any label sequence the models can emit yields a valid mention set.
 
 :func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
 and one member of every parameter's float32 values in registration order
-(format v3), and :func:`load_model` reads it.
+(format v3), and :func:`load_model` reads it, into float32 by default.
 """
 
 from __future__ import annotations
@@ -138,7 +138,19 @@ PRUNE_MIN_LABELS = 96
 PRUNE_MAX_SHARE = 0.4
 
 
-def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
+def transition_bounds(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``best_out`` and ``worst_out`` of :func:`viterbi`: the largest and the
+    smallest transition out of each label of a (k+2, k+2) ``trans``."""
+    k = len(trans) - 2
+    block = trans[:k, :k]
+    return block.max(axis=1), block.min(axis=1)
+
+
+def viterbi(
+    emissions: np.ndarray,
+    trans: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[int]:
     """Highest-scoring label path; ties break toward the lower label id.
 
     A step scores ``delta[i] + trans[i, j]`` for every previous label ``i``
@@ -161,7 +173,9 @@ def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
     argmax runs over contiguous rows. It runs for alphabets below
     :data:`PRUNE_MIN_LABELS` and for steps whose candidates exceed
     :data:`PRUNE_MAX_SHARE` of the labels; its buffers are built on its
-    first use.
+    first use. ``bounds`` is :func:`transition_bounds` of ``trans``, passed
+    by a caller that decodes many sentences with one ``trans``; without it
+    the bounds are computed here when a step may prune.
     """
     n, k = emissions.shape
     assert n >= 1 and trans.shape == (k + 2, k + 2)
@@ -171,8 +185,7 @@ def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
     delta = emissions[0] + trans[k, :k]
     prune = n > 1 and k >= PRUNE_MIN_LABELS
     if prune:
-        best_out = block.max(axis=1)
-        worst_out = block.min(axis=1)
+        best_out, worst_out = transition_bounds(trans) if bounds is None else bounds
         most = int(PRUNE_MAX_SHARE * k)
     into = None
     for t in range(1, n):
@@ -207,16 +220,25 @@ def viterbi(emissions: np.ndarray, trans: np.ndarray) -> list[int]:
 # ------------------------------------------------------------ shared encoder
 
 
+class _Discard:
+    """Stands in for a parameter array that registration writes to (a
+    bias's forget-gate slice): the write goes nowhere."""
+
+    def __setitem__(self, index, value) -> None:
+        pass
+
+
 class _ShapeRecorder:
     """Takes a model's parameter registration in place of :class:`Parameters`,
-    keeping only each name and shape and drawing no random numbers."""
+    keeping only each name and shape: it allocates no parameter and draws no
+    random numbers."""
 
     def __init__(self):
         self.shapes: dict[str, tuple[int, ...]] = {}
 
-    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def zeros(self, name: str, shape: tuple[int, ...]) -> _Discard:
         self.shapes[name] = tuple(shape)
-        return np.empty(shape)  # written to by registration, never read
+        return _Discard()
 
     def uniform(self, name: str, shape: tuple[int, ...], rng, fan_in: int | None = None):
         return self.zeros(name, shape)
@@ -407,14 +429,16 @@ class CrfTagger(_NeuralTagger):
         return crf_nll(tape, emissions, trans, len(self.alphabet), paths, lengths)
 
     def _decode_block(self, tape: Tape, examples: Sequence[Example]) -> list[EncodedSentence]:
-        """Viterbi labels of each sentence, on its slice of the block's emissions."""
+        """Viterbi labels of each sentence, on its slice of the block's
+        emissions; the transition bounds are computed once for the block."""
         scores = self._emissions(tape, examples).value
         trans = self.params["crf.trans"]
+        bounds = transition_bounds(trans)
         encoded = []
         start = 0
         for ex in examples:
             stop = start + len(ex.sentence.tokens)
-            path = viterbi(scores[start:stop], trans)
+            path = viterbi(scores[start:stop], trans, bounds)
             encoded.append(EncodedSentence.from_strings([self.alphabet.string_of(i) for i in path]))
             start = stop
         return encoded
@@ -668,12 +692,14 @@ def _vocab_from_dict(d: dict) -> Vocabulary:
 
 
 def saved_copy(model: CrfTagger | Seq2seqTagger) -> CrfTagger | Seq2seqTagger:
-    """``model`` with its parameters rounded to float32, as :func:`save_model`
-    stores them; everything else is shared with ``model``."""
+    """The model that :func:`load_model` returns for ``model``'s checkpoint,
+    whatever dtype ``model`` computes in: float32 parameters holding its
+    values as :func:`save_model` stores them. Everything else is shared with
+    ``model``."""
     saved = copy.copy(model)
-    saved.params = Parameters(model.params.dtype)
+    saved.params = Parameters(np.float32)
     for name, arr in model.params.items():
-        saved.params.add(name, arr.astype(_STORED))
+        saved.params.add(name, arr)
     return saved
 
 
@@ -775,7 +801,7 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
         try:
             model = _unloaded_model(envelope, pretrained, dtype)
             expected = model.parameter_shapes()
-        except (KeyError, TypeError, ValueError, AttributeError, MemoryError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
         if envelope["parameters"] != list(expected):
             raise ModelFormatError(f"'parameters' is not this model's {list(expected)}")
@@ -785,10 +811,11 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
                 raw = member.read(size)
                 if len(raw) != size:
                     raise ModelFormatError(f"parameter {name!r}: {_PARAMETERS_MEMBER} is too short")
-                try:  # the one conversion to ``dtype``
-                    model.params.add(name, np.frombuffer(raw, _STORED).reshape(shape))
-                except ValueError as exc:
-                    raise ModelFormatError(f"parameter {name!r}: {exc}") from exc
+                stored = np.frombuffer(raw, _STORED).reshape(shape)
+                # checked as stored: a cast of a signalling NaN would warn first
+                if not np.isfinite(stored).all():
+                    raise ModelFormatError(f"parameter {name!r}: non-finite values")
+                model.params.add(name, stored)  # the one copy, out of the read-only buffer
             if member.read(1):  # the read that reached the end checked the CRC
                 raise ModelFormatError(f"{_PARAMETERS_MEMBER} holds bytes past the last parameter")
         return model
@@ -804,9 +831,12 @@ _ARCHIVE_ERRORS = (
 def load_model(
     path: str | Path,
     pretrained: PretrainedTable | None = None,
-    dtype=np.float64,
+    dtype=np.float32,
 ) -> CrfTagger | Seq2seqTagger:
-    """Read a checkpoint written by :func:`save_model` (format v3).
+    """Read a checkpoint written by :func:`save_model` (format v3) into a
+    model whose parameters have ``dtype``. The default, float32, is the
+    precision the checkpoint stores, so loading only copies the values out
+    of the read buffer; float64 widens them exactly.
 
     The envelope must list exactly the parameters a fresh model of the
     stored kind and config registers, in registration order, and the

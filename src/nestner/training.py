@@ -275,8 +275,10 @@ def train(
 
     With a dev corpus the model keeps its best-dev-F1 parameters at the end
     (and writes them to ``checkpoint_path`` whenever they improve). Dev is
-    scored on the parameters rounded to float32 as a checkpoint stores them,
-    so the logged ``dev_f1``, the saved file and the returned model agree. With
+    scored on :func:`models.saved_copy`, the float32 model that loading the
+    checkpoint gives, whatever dtype ``model`` trains in: the logged
+    ``dev_f1`` is the one ``nestner predict`` reproduces from the saved file,
+    and the returned model holds the same values. With
     ``include_dev_in_train`` the dev sentences join the training data and no
     dev score is tracked; otherwise an empty dev corpus is an error, as no
     epoch could beat the first on it. A rejected optimizer step stops the

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import synthgrammar
 from conftest import COURT_MENTIONS, rewrite_checkpoint
+from nestner import models, training
 from nestner.cli import main
 from nestner.corpus import read_conll, read_spans, write_conll, write_spans
 
@@ -263,16 +265,33 @@ class TestPipeline:
         line = len(corpus.sentences[0].tokens) + 2
         assert f"{ctx_file}:{line}: non-finite" in capsys.readouterr().err
 
-    def test_float32_training(self, tmp_path):
+    def test_trains_in_float32_unless_float64(self, tmp_path, monkeypatch):
+        """``train`` builds a float32 model, or a float64 one with
+        ``--float64``; either checkpoint loads as float32 and predicts."""
         corpus = synthgrammar.generate(6, seed=10)
         train_file = tmp_path / "train.conll"
         write_conll(corpus, train_file)
-        model_file = tmp_path / "model.json"
-        assert run(
-            "train", "--train", str(train_file), "--model", "crf",
-            "--save", str(model_file), "--epochs", "2", "--float32",
-            "--hidden", "8", "--embed-dim", "8", "--char-dim", "0", "--char-rnn-dim", "0",
-        ) == 0
+        built = []
+        real = training.build_model
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(training, "build_model", recording)
+        for flags, dtype in (((), np.float32), (("--float64",), np.float64)):
+            model_file = tmp_path / f"model-{dtype.__name__}.ckpt"
+            assert run(
+                "train", "--train", str(train_file), "--model", "crf",
+                "--save", str(model_file), "--epochs", "2", *flags,
+                "--hidden", "8", "--embed-dim", "8", "--char-dim", "0", "--char-rnn-dim", "0",
+            ) == 0
+            assert built[-1].params.dtype == dtype
+            assert models.load_model(model_file).params.dtype == np.float32
+            assert run(
+                "predict", "--model-file", str(model_file), "--input", str(train_file),
+                "--output", str(tmp_path / "pred.conll"),
+            ) == 0
 
     def test_contextual_vectors_flow_through(self, tmp_path):
         corpus = synthgrammar.generate(5, seed=12)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import synthgrammar
 from conftest import mention, rewrite_checkpoint
 from test_autodiff import _reference_lstm
-from nestner import codec, training
+from nestner import codec, models, training
 from nestner.autodiff import ForwardTape, Parameters, Tape
 from nestner.core import Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
@@ -35,6 +36,7 @@ from nestner.models import (
     save_model,
     saved_copy,
     softmax,
+    transition_bounds,
     viterbi,
 )
 
@@ -308,7 +310,27 @@ class TestPrunedViterbi:
     @settings(max_examples=40, deadline=None)
     def test_equals_dense_reference(self, regime, seed, n, k, dtypes):
         emissions, trans = viterbi_table(regime, seed, n, k, dtypes)
-        assert viterbi(emissions, trans) == reference_viterbi(emissions, trans)
+        expected = reference_viterbi(emissions, trans)
+        assert viterbi(emissions, trans) == expected
+        assert viterbi(emissions, trans, transition_bounds(trans)) == expected
+
+    def test_block_computes_bounds_once_and_equals_single_sentences(self, monkeypatch):
+        """With every alphabet past the pruning threshold, a block's decode
+        computes the transition bounds once and gives each sentence the path
+        that decoding it alone gives."""
+        monkeypatch.setattr(models, "PRUNE_MIN_LABELS", 1)
+        corpus = synthgrammar.generate(12, seed=9)
+        model = build("crf", corpus)
+        calls = []
+
+        def counting(trans):
+            calls.append(trans)
+            return transition_bounds(trans)
+
+        monkeypatch.setattr(models, "transition_bounds", counting)
+        batch = model.predict_batch(corpus.sentences)
+        assert len(calls) == 1
+        assert batch == [model.predict(sentence) for sentence in corpus]
 
     def test_pruned_steps_build_no_square_buffer(self):
         """At k=300 with a dominant label per token every step prunes: the
@@ -768,8 +790,9 @@ class TestSerialization:
              "malformed checkpoint envelope"),
             (lambda env, members: env["config"].update(hidden_dim=-4),
              "hidden_dim must be >= 1, got -4"),
+            # recording the shapes allocates nothing, so the member is short
             (lambda env, members: env["config"].update(hidden_dim=100_000_000),
-             "malformed checkpoint envelope (MemoryError("),
+             "parameter 'enc.fw.wx': parameters.f32 is too short"),
             (lambda env, members: env.update(format_version=1),
              "unsupported model format_version 1"),
             (lambda env, members: env.update(format_version=2),
@@ -815,6 +838,20 @@ class TestSerialization:
             rewrite_checkpoint(path, damage)
         with pytest.raises(ModelFormatError, match=re.escape(message)) as err:
             load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signalling_nan_refused_without_a_warning(self, tmp_path, dtype):
+        """A signalling NaN stored in a checkpoint is refused as stored,
+        before a cast to ``dtype`` could warn about it."""
+        path = tmp_path / "model.ckpt"
+        save_model(build("crf"), path)
+        signalling = b"\x01\x00\x80\x7f"
+        rewrite_checkpoint(path, edit_parameter("crf.emit.b", lambda b: signalling * len(b)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFormatError, match="'crf.emit.b': non-finite") as err:
+                load_model(path, dtype=dtype)
         assert str(err.value).startswith(f"{path}: ")
 
     def test_members_out_of_order_rejected(self, tmp_path):
@@ -1057,6 +1094,68 @@ class TestCheckpointFuzz:
         for offset, mask in flips:
             data[offset % len(data)] ^= mask
         _loads_or_format_error(tmp_path, bytes(data))
+
+
+class _RecordingTape(Tape):
+    """A tape that notes the dtype of every value its ops make."""
+
+    def __init__(self, params, dtypes):
+        super().__init__(params)
+        self.dtypes = dtypes
+
+    def _new(self, value, back):
+        self.dtypes.add(value.dtype)
+        return super()._new(value, back)
+
+
+class _RecordingForwardTape(_RecordingTape, ForwardTape):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+def test_float32_model_makes_only_float32_values(kind):
+    """A float32 model with every feature on computes in float32 throughout:
+    float64 inputs (a pretrained table, contextual blocks, the POS one-hot)
+    are converted where they enter, and no float64 scalar or ``np.zeros``
+    default widens a token vector, an encoder state, the loss, a dense or
+    row gradient, or a decoder logit."""
+    float32 = np.dtype(np.float32)
+    corpus = annotated_corpus()
+    forms = sorted({t.form for s in corpus for t in s.tokens})
+    rng = np.random.default_rng(3)
+    table = PretrainedTable(
+        {form: i for i, form in enumerate(forms[:-1])}, rng.standard_normal((len(forms) - 1, 3))
+    )
+    embedding = EmbeddingConfig(
+        pretrained_dim=3, trainable_dim=4, lemma_dim=2, char_dim=3, char_rnn_dim=2,
+        use_pos_onehot=True, contextual_dim=2,
+    )
+    model = build(kind, corpus, embedding=embedding, pretrained=table, dtype=np.float32)
+    assert {arr.dtype for _, arr in model.params.items()} == {float32}
+    contextual = [rng.standard_normal((len(s.tokens), 2)) for s in corpus]
+    examples = [
+        model.example(s, ctx, dropout=0.5, rng=rng, target=model.gold_ids(codec.encode(s)))
+        for s, ctx in zip(corpus, contextual)
+    ]
+    dtypes = set()
+    tape = _RecordingTape(model.params, dtypes)
+    outputs, fw, bw = model._encode(tape, examples)
+    assert {outputs.value.dtype, fw.value.dtype, bw.value.dtype} == {float32}
+    loss = model.batch_loss(tape, examples)
+    assert loss.value.dtype == float32
+    grads = tape.backward(tape.scale(loss, np.float64(0.5)))
+    assert grads.rows and grads.dense
+    gradients = [*grads.dense.values(), *(rows.values for rows in grads.rows.values())]
+    assert {g.dtype for g in gradients} == {float32}
+    assert dtypes == {float32}
+
+    forward = _RecordingForwardTape(model.params, dtypes)
+    plain = [Example(s, ctx) for s, ctx in zip(corpus, contextual)]
+    if kind == "seq2seq":
+        enc_outputs, _ = model._start(forward, plain)
+        assert {a.dtype for a in model._projections(enc_outputs.value)} == {float32}
+    model._decode_block(forward, plain)
+    assert dtypes == {float32}
 
 
 @pytest.mark.parametrize(

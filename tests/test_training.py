@@ -404,6 +404,23 @@ class TestTrainingArithmetic:
             )
             assert metrics[0]["train_loss"] == pytest.approx(loss, rel=1e-9), kind
 
+    def test_one_epoch_train_loss_pinned_with_dropout_float32(self):
+        """The float32 twin of the pinned loss above: the same corpus, seeds
+        and random stream through a float32 model."""
+        corpus = synthgrammar.generate(16, seed=31)
+        embedding = EmbeddingConfig(trainable_dim=8, char_dim=4, char_rnn_dim=4)
+        expected = {"crf": 11.002657413482666, "seq2seq": 20.45105743408203}
+        for kind, loss in expected.items():
+            model = build_model(
+                kind, corpus, embedding=embedding, hidden_dim=8, decoder_dim=8,
+                label_embed_dim=4, seed=5, dtype=np.float32,
+            )
+            metrics = train(
+                model, corpus, TrainConfig(epochs=1, seed=9),
+                regularization=RegularizationConfig(0.5, 0.2),
+            )
+            assert metrics[0]["train_loss"] == pytest.approx(loss, rel=1e-6), kind
+
     def test_finished_batch_graph_is_freed_without_gc(self, monkeypatch):
         """Each batch's tape is unreachable once its step is done, with the
         cyclic collector off: reference counting alone frees the graph."""
@@ -434,6 +451,35 @@ class TestTrainingArithmetic:
                 gc.enable()
             assert alive_when_created == [0, 0, 0], kind
             assert alive_after == [False, False, False], kind
+
+
+class TestLearningGate:
+    """Training must learn, in either dtype: on a fixed synth regime the dev
+    F1 after a few epochs lies well inside (0, 1), where a trainer that
+    stopped learning after the first epoch (0.014 for the CRF, 0.0 for
+    seq2seq) falls below the bound, and float32 tracks float64."""
+
+    @pytest.mark.parametrize("kind, epochs, low, high", [
+        ("crf", 3, 0.5, 0.9),  # 0.730 when probed
+        ("seq2seq", 6, 0.35, 0.7),  # 0.522 when probed
+    ])
+    def test_dev_f1_inside_bounds_in_both_dtypes(self, kind, epochs, low, high):
+        corpus = synthgrammar.generate(80, seed=21)
+        dev = synthgrammar.generate(40, seed=22)
+        embedding = EmbeddingConfig(trainable_dim=8, char_dim=4, char_rnn_dim=4)
+        f1 = {}
+        for dtype in (np.float64, np.float32):
+            model = build_model(
+                kind, corpus, embedding=embedding, hidden_dim=8, decoder_dim=8,
+                label_embed_dim=4, seed=3, dtype=dtype,
+            )
+            records = train(
+                model, corpus, TrainConfig(epochs=epochs, seed=4),
+                optimizer=OptimizerConfig(learning_rate=3e-2), dev=dev,
+            )
+            f1[dtype] = records[-1]["dev_f1"]
+        assert low < f1[np.float32] < high, f1
+        assert f1[np.float32] == pytest.approx(f1[np.float64], abs=0.02), f1
 
 
 class TestPackedBatch:
