@@ -320,7 +320,9 @@ class Tape:
     # -------------------------------------------------------------- arithmetic
 
     def scale(self, a: Var, k: float) -> Var:
-        k = self.dtype.type(k)  # a float64 factor must not widen a float32 tape
+        # numpy 1.x promotes a 0-d float32 loss times a Python float (the
+        # trainer's batch mean) to float64; NEP 50 keeps float32
+        k = self.dtype.type(k)
 
         def back(g, grads):
             _acc(grads, a, g * k)

@@ -85,10 +85,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--word-dropout", type=float, default=0.2)
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument(
-        "--float64", action="store_true",
-        help="train in 64-bit (default 32-bit); the checkpoint stores 32-bit either way",
-    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write predicted labels next to input tokens")
@@ -213,7 +209,7 @@ def cmd_train(args) -> int:
         pretrained=pretrained,
         min_freq=args.min_freq,
         seed=args.seed,
-        dtype=np.float64 if args.float64 else np.float32,
+        dtype=np.float32,
     )
     metrics = training.train(
         model,

@@ -83,6 +83,13 @@ class LazyAdam:
     def __init__(self, params: Parameters, config: OptimizerConfig | None = None):
         self.params = params
         self.config = config or OptimizerConfig()
+        # the first step, lr * sqrt(1 - b2) / (1 - b1), is Adam's largest
+        first_step = self.config.learning_rate * (1.0 - self.BETA2) ** 0.5 / (1.0 - self.BETA1)
+        if first_step > float(np.finfo(params.dtype).max):
+            raise ValueError(
+                f"learning_rate {self.config.learning_rate} gives a step size beyond "
+                f"the range of {params.dtype.name}"
+            )
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self._scratch = np.empty(self.BLOCK, dtype=params.dtype)

@@ -1143,7 +1143,7 @@ def test_float32_model_makes_only_float32_values(kind):
     assert {outputs.value.dtype, fw.value.dtype, bw.value.dtype} == {float32}
     loss = model.batch_loss(tape, examples)
     assert loss.value.dtype == float32
-    grads = tape.backward(tape.scale(loss, np.float64(0.5)))
+    grads = tape.backward(tape.scale(loss, 0.5))  # a Python float, as the trainer passes
     assert grads.rows and grads.dense
     gradients = [*grads.dense.values(), *(rows.values for rows in grads.rows.values())]
     assert {g.dtype for g in gradients} == {float32}
