@@ -175,6 +175,8 @@ def _with_sidecar(corpus: TaggedCorpus, path: str, dim: int | None = None) -> Ta
 def cmd_train(args) -> int:
     if args.dev_contextual and not args.dev_path:
         raise NestnerError("--dev-contextual needs --dev")
+    if args.include_dev and not args.dev_path:
+        raise NestnerError("--include-dev needs --dev")
     if args.dev_path and bool(args.contextual) != bool(args.dev_contextual):
         raise NestnerError("with --dev, give both --contextual and --dev-contextual or neither")
     train_corpus = read_conll(args.train_path, columns=args.columns, scheme=args.scheme)
@@ -191,6 +193,8 @@ def cmd_train(args) -> int:
             raise NestnerError(f"{args.dev_path}: dev corpus is empty")
         if args.dev_contextual:
             dev_corpus = _with_sidecar(dev_corpus, args.dev_contextual, contextual_dim)
+    if args.include_dev:  # the vocabulary and alphabet come from train + dev
+        train_corpus, dev_corpus = corpus_io.merge(train_corpus, dev_corpus), None
     pretrained = _load_pretrained_arg(args)
     embedding = EmbeddingConfig(
         pretrained_dim=pretrained.dim if pretrained else 0,
@@ -214,12 +218,7 @@ def cmd_train(args) -> int:
     metrics = training.train(
         model,
         train_corpus,
-        config=training.TrainConfig(
-            epochs=args.epochs,
-            seed=args.seed,
-            batch_size=args.batch,
-            include_dev_in_train=args.include_dev,
-        ),
+        config=training.TrainConfig(epochs=args.epochs, seed=args.seed, batch_size=args.batch),
         optimizer=training.OptimizerConfig(learning_rate=args.lr),
         regularization=training.RegularizationConfig(
             dropout_rate=args.dropout, word_dropout_rate=args.word_dropout

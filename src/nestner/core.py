@@ -196,13 +196,12 @@ class LabelAlphabet:
     """Bidirectional map between label strings and dense ids.
 
     Id 0 is the reserved symbol ("O" for multilabel alphabets, "<eow>" for
-    component alphabets). Looking up an unseen string falls back to id 0 and
-    increments ``fallbacks`` so silent label loss is observable.
+    component alphabets). Looking up a string the alphabet does not hold is
+    an error: a model predicts only over the labels it was built with.
     """
 
     strings: tuple[str, ...]
     index: dict[str, int] = field(init=False, repr=False)
-    fallbacks: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         self.strings = tuple(self.strings)
@@ -219,16 +218,12 @@ class LabelAlphabet:
     def __len__(self) -> int:
         return len(self.strings)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.index
-
     def id_of(self, label: str) -> int:
-        """Dense id of ``label``; unseen labels fall back to the reserved id 0."""
-        idx = self.index.get(label)
-        if idx is None:
-            self.fallbacks += 1
-            return 0
-        return idx
+        """Dense id of ``label``; a label outside the alphabet is a :class:`NestnerError`."""
+        try:
+            return self.index[label]
+        except KeyError:
+            raise NestnerError(f"label {label!r} is not in the model's alphabet") from None
 
     def string_of(self, idx: int) -> str:
         return self.strings[idx]

@@ -147,22 +147,19 @@ def _not_utf8(path: str | Path) -> str:
     return f"{path}: not valid UTF-8"
 
 
-def _read_blocks(path: str | Path) -> Iterator[tuple[int, list[tuple[int, list[str]]]]]:
-    """Yield (first line number, [(line number, fields), ...]) per sentence block."""
+def _read_blocks(path: str | Path) -> Iterator[list[tuple[int, list[str]]]]:
+    """Yield [(line number, fields), ...] per sentence block."""
     block: list[tuple[int, list[str]]] = []
-    first = 0
     for lineno, raw in text_lines(path, CorpusError):
         line = raw.rstrip("\n").rstrip("\r")
         if not line:
             if block:
-                yield first, block
+                yield block
                 block = []
             continue
-        if not block:
-            first = lineno
         block.append((lineno, line.split("\t")))
     if block:
-        yield first, block
+        yield block
 
 
 def _parse_token(
@@ -279,7 +276,7 @@ def read_conll(
     labels_seen: dict[str, Multilabel] = {}
     sentences = [
         _block_to_sentence(path, i, block, columns, scheme, policy, tokens_seen, labels_seen)
-        for i, (_, block) in enumerate(_read_blocks(path))
+        for i, block in enumerate(_read_blocks(path))
     ]
     return TaggedCorpus(tuple(sentences), scheme=scheme)
 
@@ -321,7 +318,7 @@ def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCo
     tokens_seen: TokenTable = {}
     spans_i = len(columns)  # the optional mention list follows the token columns
     sentences = []
-    for _, block in _read_blocks(path):
+    for block in _read_blocks(path):
         tokens = []
         mentions: list[Mention] = []
         for lineno, fields in block:
@@ -599,8 +596,10 @@ def attach_contextual(corpus: TaggedCorpus, vectors: Sequence[np.ndarray]) -> Ta
 
 
 def merge(a: TaggedCorpus, b: TaggedCorpus) -> TaggedCorpus:
-    """Concatenate two corpora (e.g. train+dev for a final model)."""
-    contextual = None
-    if a.contextual is not None and b.contextual is not None:
-        contextual = a.contextual + b.contextual
+    """Concatenate two corpora (e.g. train+dev for a final model). Either
+    both carry contextual vectors or neither does: a corpus cannot have
+    vectors for only some of its sentences."""
+    if (a.contextual is None) != (b.contextual is None):
+        raise CorpusError("cannot merge a corpus with contextual vectors and one without")
+    contextual = None if a.contextual is None else a.contextual + b.contextual
     return TaggedCorpus(a.sentences + b.sentences, scheme=a.scheme, contextual=contextual)

@@ -28,7 +28,7 @@ any label sequence the models can emit yields a valid mention set.
 
 :func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
 and one member of every parameter's float32 values in registration order
-(format v3), and :func:`load_model` reads it, into float32 by default.
+(format v3), and :func:`load_model` reads it into float32, the precision it stores.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import codec
 from .autodiff import ForwardTape, Parameters, Tape, Var, dropout_mask
 from .codec import EOW, EncodedSentence
-from .core import LabelAlphabet, Mention, NestnerError, Sentence
+from .core import OUTSIDE, LabelAlphabet, LabelComponent, Mention, NestnerError, Sentence
 from .corpus import Vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable, TokenEmbedder
 
@@ -398,6 +398,8 @@ class CrfTagger(_NeuralTagger):
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
+        if alphabet.reserved != OUTSIDE:
+            raise ValueError(f"label alphabet must reserve id 0 for {OUTSIDE!r}")
         super().__init__(vocab, config.embedding, config.hidden_dim, pretrained, dtype)
         self.config = config
         self.alphabet = alphabet
@@ -749,7 +751,17 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
 _ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "pretrained", "parameters")
 
 
-def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
+def _parsed_alphabet(strings: list, multilabels: bool) -> LabelAlphabet:
+    """A checkpoint's alphabet, whose every string after the reserved one is
+    a CRF multilabel or, without ``multilabels``, a seq2seq component."""
+    alphabet = LabelAlphabet(tuple(strings))
+    labels = alphabet.strings[1:]
+    for component in {c for s in labels for c in s.split("|")} if multilabels else labels:
+        LabelComponent.parse(component)  # each distinct component once
+    return alphabet
+
+
+def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None):
     """The model an envelope describes, with no parameters registered yet."""
     kind = envelope["model_kind"]
     vocab = _vocab_from_dict(envelope["vocabulary"])
@@ -767,17 +779,17 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None, dtype):
                 f"was trained with {trained_with}"
             )
     if kind == "crf":
-        alphabet = LabelAlphabet(tuple(envelope["alphabets"]["labels"]))
-        return CrfTagger(CrfConfig(**config), vocab, alphabet, pretrained=pretrained, dtype=dtype)
+        alphabet = _parsed_alphabet(envelope["alphabets"]["labels"], multilabels=True)
+        return CrfTagger(CrfConfig(**config), vocab, alphabet, pretrained, dtype=np.float32)
     if kind == "seq2seq":
-        alphabet = LabelAlphabet(tuple(envelope["alphabets"]["components"]))
+        alphabet = _parsed_alphabet(envelope["alphabets"]["components"], multilabels=False)
         return Seq2seqTagger(
-            Seq2seqConfig(**config), vocab, alphabet, pretrained=pretrained, dtype=dtype
+            Seq2seqConfig(**config), vocab, alphabet, pretrained, dtype=np.float32
         )
     raise ModelFormatError(f"unknown model_kind {kind!r}")
 
 
-def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
+def _load_zip(handle, pretrained: PretrainedTable | None):
     file_size = handle.seek(0, os.SEEK_END)
     with zipfile.ZipFile(handle) as archive:
         for info in archive.infolist():  # no read may be larger than the file
@@ -799,7 +811,7 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
             if key not in envelope:
                 raise ModelFormatError(f"checkpoint has no {key!r}")
         try:
-            model = _unloaded_model(envelope, pretrained, dtype)
+            model = _unloaded_model(envelope, pretrained)
             expected = model.parameter_shapes()
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
@@ -811,11 +823,10 @@ def _load_zip(handle, pretrained: PretrainedTable | None, dtype):
                 raw = member.read(size)
                 if len(raw) != size:
                     raise ModelFormatError(f"parameter {name!r}: {_PARAMETERS_MEMBER} is too short")
-                stored = np.frombuffer(raw, _STORED).reshape(shape)
-                # checked as stored: a cast of a signalling NaN would warn first
-                if not np.isfinite(stored).all():
-                    raise ModelFormatError(f"parameter {name!r}: non-finite values")
-                model.params.add(name, stored)  # the one copy, out of the read-only buffer
+                try:  # the one copy, out of the read-only buffer, checks finiteness
+                    model.params.add(name, np.frombuffer(raw, _STORED).reshape(shape))
+                except ValueError as exc:
+                    raise ModelFormatError(f"parameter {name!r}: non-finite values") from exc
             if member.read(1):  # the read that reached the end checked the CRC
                 raise ModelFormatError(f"{_PARAMETERS_MEMBER} holds bytes past the last parameter")
         return model
@@ -829,23 +840,21 @@ _ARCHIVE_ERRORS = (
 
 
 def load_model(
-    path: str | Path,
-    pretrained: PretrainedTable | None = None,
-    dtype=np.float32,
+    path: str | Path, pretrained: PretrainedTable | None = None
 ) -> CrfTagger | Seq2seqTagger:
     """Read a checkpoint written by :func:`save_model` (format v3) into a
-    model whose parameters have ``dtype``. The default, float32, is the
-    precision the checkpoint stores, so loading only copies the values out
-    of the read buffer; float64 widens them exactly.
+    float32 model, the precision the checkpoint stores, so loading only
+    copies the values out of the read buffer.
 
     The envelope must list exactly the parameters a fresh model of the
     stored kind and config registers, in registration order, and the
     parameters member must hold exactly their float32 values; a model
     trained with pretrained vectors needs the same table (by row count and
     content hash). A file that is not a zip archive, a damaged archive, any
-    member but the two, a missing or malformed envelope key, a parameters
-    member too short or too long, or a non-finite value raises
-    :class:`ModelFormatError` with a message that starts with ``path``.
+    member but the two, a missing or malformed envelope key (an alphabet
+    entry that is not a label among them), a parameters member too short
+    or too long, or a non-finite value raises :class:`ModelFormatError`
+    with a message that starts with ``path``.
     """
     with open(path, "rb") as handle:
         try:
@@ -854,7 +863,7 @@ def load_model(
                     f"not a zip archive; only checkpoint format {FORMAT_VERSION} is read"
                 )
             try:
-                return _load_zip(handle, pretrained, dtype)
+                return _load_zip(handle, pretrained)
             except _ARCHIVE_ERRORS as exc:
                 raise ModelFormatError(f"damaged checkpoint archive ({exc!r})") from exc
         except ModelFormatError as exc:

@@ -20,7 +20,7 @@ from . import codec, models
 from .autodiff import Gradients, Parameters, Tape
 from .codec import EOW
 from .core import NestnerError, build_alphabet
-from .corpus import UNK, TaggedCorpus, Vocabulary, build_vocabulary, merge
+from .corpus import UNK, TaggedCorpus, Vocabulary, build_vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable
 from .metrics import score_mentions
 
@@ -54,7 +54,6 @@ class TrainConfig:
     epochs: int
     seed: int = 1
     batch_size: int = 8
-    include_dev_in_train: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -285,34 +284,31 @@ def train(
     scored on :func:`models.saved_copy`, the float32 model that loading the
     checkpoint gives, whatever dtype ``model`` trains in: the logged
     ``dev_f1`` is the one ``nestner predict`` reproduces from the saved file,
-    and the returned model holds the same values. With
-    ``include_dev_in_train`` the dev sentences join the training data and no
-    dev score is tracked; otherwise an empty dev corpus is an error, as no
-    epoch could beat the first on it. A rejected optimizer step stops the
-    run with an :class:`OptimizerError` naming the epoch, the batch and the
-    parameter, and leaves the last checkpoint written in place.
+    and the returned model holds the same values. An empty dev corpus is an
+    error, as no epoch could beat the first on it. ``model`` must be built
+    from ``corpus`` (to train on dev too, merge it in before
+    :func:`build_model`): a gold label outside its alphabet stops the run
+    before any step. A rejected optimizer step stops the run with an
+    :class:`OptimizerError` naming the epoch, the batch and the parameter,
+    and leaves the last checkpoint written in place.
     """
     if not corpus.sentences:
         raise NestnerError("training corpus is empty")
     regularization = regularization or RegularizationConfig()
-    if config.include_dev_in_train and dev is not None:
-        corpus = merge(corpus, dev)
-        dev = None
     if dev is not None and not dev.sentences:
         raise NestnerError("dev corpus is empty")
     encoded = [codec.encode(sentence) for sentence in corpus.sentences]
     if model.kind == "seq2seq":
         _check_nesting_depth(encoded, model.config.max_components_per_token)
+    targets = []
+    for i, encoded_sentence in enumerate(encoded):
+        try:
+            targets.append(model.gold_ids(encoded_sentence))
+        except NestnerError as exc:
+            raise NestnerError(f"sentence {i}: {exc}") from exc
+    items = list(zip(corpus.sentences, corpus.contextual or [None] * len(targets), targets))
     rng = np.random.default_rng(config.seed)
     adam = LazyAdam(model.params, optimizer)
-    items = [
-        (
-            sentence,
-            corpus.contextual[i] if corpus.contextual is not None else None,
-            model.gold_ids(encoded[i]),
-        )
-        for i, sentence in enumerate(corpus.sentences)
-    ]
     metrics: list[dict] = []
     best_f1 = -1.0
     best = None

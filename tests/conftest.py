@@ -63,3 +63,13 @@ def rewrite_checkpoint(path, damage) -> None:
         archive.writestr("envelope.json", raw_envelope)
         for name, data in members.items():
             archive.writestr(name, data)
+
+
+def set_label(key, value, index=-1):
+    """A checkpoint damage that puts ``value`` in place of string ``index``
+    of the envelope's alphabet ``key`` ("labels" or "components")."""
+
+    def damage(envelope, members):
+        envelope["alphabets"][key][index] = value
+
+    return damage

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import synthgrammar
-from conftest import COURT_MENTIONS, rewrite_checkpoint
-from nestner import models, training
+from conftest import COURT_MENTIONS, mention, rewrite_checkpoint, set_label
+from nestner import codec, models, training
 from nestner.cli import main
-from nestner.corpus import read_conll, read_spans, write_conll, write_spans
+from nestner.core import Sentence, Token
+from nestner.corpus import TaggedCorpus, read_conll, read_spans, write_conll, write_spans
 
 
 def run(*argv):
@@ -18,8 +19,6 @@ def run(*argv):
 @pytest.fixture
 def court_span_file(tmp_path, court_sentence):
     path = tmp_path / "court.spans"
-    from nestner.corpus import TaggedCorpus
-
     write_spans(TaggedCorpus((court_sentence,)), path)
     return path
 
@@ -320,22 +319,46 @@ class TestPipeline:
             "--output", str(pred_file),
         ) == 1
 
-    def test_train_include_dev_flag(self, tmp_path):
-        corpus = synthgrammar.generate(8, seed=6)
-        dev = synthgrammar.generate(4, seed=7)
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    def test_include_dev_builds_the_model_from_train_and_dev(self, tmp_path, kind):
+        """The saved model's vocabulary and alphabet hold dev's forms and
+        labels, a dev-only entity type among them, and no dev F1 is logged."""
+        dev = TaggedCorpus((
+            Sentence((Token("zog"), Token("wump"), Token("near")), {mention("ZZZ", 0, 2)}),
+            Sentence((Token("frib"),), {mention("ZZZ", 0, 1), mention("GPE", 0, 1)}),
+        ))
         train_file, dev_file = tmp_path / "t.conll", tmp_path / "d.conll"
-        write_conll(corpus, train_file)
+        write_conll(synthgrammar.generate(8, seed=6), train_file)
         write_conll(dev, dev_file)
         model_file = tmp_path / "m.json"
         metrics_file = tmp_path / "m.jsonl"
         assert run(
             "train", "--train", str(train_file), "--dev", str(dev_file), "--include-dev",
-            "--model", "crf", "--save", str(model_file), "--metrics", str(metrics_file),
+            "--model", kind, "--save", str(model_file), "--metrics", str(metrics_file),
             "--epochs", "2", "--hidden", "8", "--embed-dim", "8",
             "--char-dim", "2", "--char-rnn-dim", "2",
         ) == 0
         records = [json.loads(line) for line in metrics_file.read_text().splitlines()]
-        assert all("dev_f1" not in r for r in records)
+        assert len(records) == 2 and all("dev_f1" not in r for r in records)
+        model = models.load_model(model_file)
+        encoded = [codec.encode(s) for s in dev]
+        if kind == "crf":
+            labels, alphabet = {x for e in encoded for x in e.strings()}, model.alphabet
+        else:
+            labels, alphabet = {x for e in encoded for x in codec.flatten(e)}, model.components
+        assert "B-ZZZ" in labels and labels <= set(alphabet.strings)
+        assert {"zog", "wump", "frib"} <= set(model.vocab.forms)
+
+    def test_include_dev_without_dev_exits_1_naming_the_flag(self, tmp_path, capsys):
+        train_file = tmp_path / "t.conll"
+        write_conll(synthgrammar.generate(4, seed=6), train_file)
+        assert run(
+            "train", "--train", str(train_file), "--include-dev",
+            "--save", str(tmp_path / "m.model"), "--epochs", "1",
+        ) == 1
+        err = capsys.readouterr().err
+        assert "--include-dev needs --dev" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [train_file]
 
     def test_empty_dev_file_exits_1_naming_it(self, tmp_path, capsys):
         train_file, dev_file = tmp_path / "t.conll", tmp_path / "d.conll"
@@ -364,7 +387,6 @@ class TestPipeline:
     def test_lemma_and_pos_columns_flow_through(self, tmp_path):
         # lemmas are lowercased forms, POS alternates; both become extra inputs
         from nestner.core import Sentence as S, Token as T
-        from nestner.corpus import TaggedCorpus
 
         sentences = []
         for base in synthgrammar.generate(6, seed=13):
@@ -436,8 +458,13 @@ class TestBadCheckpoints:
             lambda envelope, members: members.update(
                 {"parameters.f32": members["parameters.f32"][:6]}
             ),
+            set_label("labels", 7),
+            set_label("labels", "X-L-ORG"),
         ],
-        ids=["parameters-int", "parameters-list", "hidden-dim-str", "member-cut"],
+        ids=[
+            "parameters-int", "parameters-list", "hidden-dim-str", "member-cut", "labels-int",
+            "label-malformed",
+        ],
     )
     def test_malformed_envelope_exits_1_naming_the_file(self, damaged, tmp_path, capsys, damage):
         assert damaged(damage) == 1

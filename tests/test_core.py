@@ -7,6 +7,7 @@ from nestner.core import (
     LabelParseError,
     Mention,
     Multilabel,
+    NestnerError,
     Sentence,
     Span,
     Token,
@@ -164,11 +165,10 @@ class TestAlphabet:
         alpha = build_alphabet([], reserved="<eow>")
         assert alpha.strings == ("<eow>",)
 
-    def test_unseen_falls_back_with_counter(self):
+    def test_unseen_label_raises(self):
         alpha = build_alphabet(["O", "B-ORG"])
-        assert alpha.fallbacks == 0
-        assert alpha.id_of("B-LOC") == 0
-        assert alpha.fallbacks == 1
+        with pytest.raises(NestnerError, match="'B-LOC' is not in the model's alphabet"):
+            alpha.id_of("B-LOC")
 
     def test_bijective(self):
         alpha = build_alphabet(["O", "A", "B"])

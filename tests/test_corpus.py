@@ -504,3 +504,14 @@ def test_merge_concatenates():
     a = corpus_of(Sentence((Token("a"),)))
     b = corpus_of(Sentence((Token("b"),)), Sentence((Token("c"),)))
     assert len(merge(a, b)) == 3
+
+
+def test_merge_refuses_contextual_vectors_on_one_side_only():
+    a = corpus_of(Sentence((Token("a"),)))
+    b = corpus_of(Sentence((Token("b"), Token("c"))))
+    with_vectors = attach_contextual(a, [np.zeros((1, 2))])
+    for pair in ((with_vectors, b), (b, with_vectors)):
+        with pytest.raises(CorpusError, match="contextual vectors and one without"):
+            merge(*pair)
+    both = merge(with_vectors, attach_contextual(b, [np.ones((2, 2))]))
+    assert [m.shape for m in both.contextual] == [(1, 2), (2, 2)]

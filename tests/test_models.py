@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import synthgrammar
-from conftest import mention, rewrite_checkpoint
+from conftest import mention, rewrite_checkpoint, set_label
 from test_autodiff import _reference_lstm
 from nestner import codec, models, training
 from nestner.autodiff import ForwardTape, Parameters, Tape
-from nestner.core import Sentence, Token, build_alphabet
+from nestner.core import NestnerError, Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
@@ -411,11 +411,19 @@ class TestCrfTagger:
         mentions = model.predict(sentence)  # every token claims to close X and Y
         assert all(m.span.end <= len(sentence.tokens) for m in mentions)
 
-    def test_unseen_gold_label_falls_back_to_outside(self):
+    def test_unseen_gold_label_raises(self):
         model = build("crf")
         other = Sentence((Token("aa"),), frozenset({mention("Z", 0, 1)}))
-        assert model.gold_ids(codec.encode(other)).tolist() == [0]
-        assert model.alphabet.fallbacks > 0
+        with pytest.raises(NestnerError, match="'U-Z' is not in the model's alphabet"):
+            model.gold_ids(codec.encode(other))
+
+    def test_alphabet_must_reserve_outside(self):
+        with pytest.raises(ValueError, match="reserve id 0 for 'O'"):
+            CrfTagger(
+                CrfConfig(embedding=TINY_EMBEDDING),
+                training.build_vocabulary(tiny_corpus()),
+                build_alphabet(["B-X"], reserved="<eow>"),
+            )
 
 
 class TestSeq2seqStep:
@@ -620,6 +628,12 @@ def remove_parameter(name):
     return damage
 
 
+def of_seq2seq(damage):
+    """Mark ``damage`` as one to the archive of ``build("seq2seq")``."""
+    damage.kind = "seq2seq"
+    return damage
+
+
 def swap_parameters(envelope, members):
     names = envelope["parameters"]
     names[0], names[1] = names[1], names[0]
@@ -691,9 +705,10 @@ class TestSerialization:
     def test_save_load_gives_each_parameter_rounded_to_float32(
         self, tmp_path, kind, dtype, sources, widths, seed
     ):
-        """Whatever the widths and sources, every loaded array is its
-        original rounded to float32: ``parameters.f32`` is split where the
-        loaded model's registration says, and nothing lands in a neighbour."""
+        """Whatever the widths, sources and dtype of the saved model, every
+        loaded array is its original rounded to float32: ``parameters.f32``
+        is split where the loaded model's registration says, and nothing
+        lands in a neighbour."""
         trainable, lemma, char, char_rnn, pos_onehot, pretrained = sources
         assume(trainable or lemma or char or pos_onehot or pretrained)
         table = None
@@ -710,11 +725,11 @@ class TestSerialization:
         )
         path = tmp_path / "model.ckpt"
         save_model(model, path)
-        loaded = load_model(path, pretrained=table, dtype=dtype)
+        loaded = load_model(path, pretrained=table)
         assert loaded.params.names() == model.params.names()
         for name, arr in model.params.items():
-            assert loaded.params[name].dtype == dtype
-            np.testing.assert_array_equal(loaded.params[name], arr.astype("<f4").astype(dtype))
+            assert loaded.params[name].dtype == np.float32
+            np.testing.assert_array_equal(loaded.params[name], arr.astype("<f4"))
 
     def test_version_mismatch_rejected(self, tmp_path):
         """An archive claiming format 1 is rejected, and so is a JSON
@@ -817,21 +832,30 @@ class TestSerialization:
              "envelope.json is not JSON"),
             (lambda env, members: members.update({"envelope.json": b"\xff{}"}),
              "codec can't decode"),
+            (set_label("labels", 7), "'int' object has no attribute 'split'"),
+            (set_label("labels", "B-X|X-L-ORG"),
+             "malformed component (want B-/I-/L-/U- prefix): 'X-L-ORG'"),
+            (set_label("labels", "<eow>", index=0), "label alphabet must reserve id 0 for 'O'"),
+            (of_seq2seq(set_label("components", "X-L-ORG")),
+             "malformed component (want B-/I-/L-/U- prefix): 'X-L-ORG'"),
+            (of_seq2seq(set_label("components", 7)), "'int' object has no attribute 'partition'"),
         ],
         ids=[
             "no-alphabets", "no-hidden-dim", "missing", "extra", "swapped", "shape", "data",
             "parameters-int", "parameters-list", "hidden-dim-str", "hidden-dim-negative",
             "hidden-dim-huge", "format-version", "format-version-2", "model-kind-list", "not-json", "not-utf8",
             "missing-member", "extra-member", "non-finite", "trailing-bytes", "short-member",
-            "no-pretrained", "envelope-not-json", "envelope-not-utf8",
+            "no-pretrained", "envelope-not-json", "envelope-not-utf8", "labels-int",
+            "label-malformed", "crf-reserved", "component-malformed", "components-int",
         ],
     )
     def test_malformed_checkpoint_rejected(self, tmp_path, damage, message):
         """Every malformation is a ModelFormatError naming the file; ``damage``
         edits the saved archive's envelope and members (see
-        ``rewrite_checkpoint``), or is the bytes of the whole file."""
+        ``rewrite_checkpoint``), or is the bytes of the whole file. The
+        archive is ``build("crf")``'s unless ``damage`` is ``of_seq2seq``."""
         path = tmp_path / "model.json"
-        save_model(build("crf"), path)
+        save_model(build(getattr(damage, "kind", "crf")), path)
         if isinstance(damage, bytes):
             path.write_bytes(damage)
         else:
@@ -840,10 +864,9 @@ class TestSerialization:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_signalling_nan_refused_without_a_warning(self, tmp_path, dtype):
-        """A signalling NaN stored in a checkpoint is refused as stored,
-        before a cast to ``dtype`` could warn about it."""
+    def test_signalling_nan_refused_without_a_warning(self, tmp_path):
+        """A signalling NaN stored in a checkpoint is refused with no numpy
+        warning on the way."""
         path = tmp_path / "model.ckpt"
         save_model(build("crf"), path)
         signalling = b"\x01\x00\x80\x7f"
@@ -851,7 +874,7 @@ class TestSerialization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ModelFormatError, match="'crf.emit.b': non-finite") as err:
-                load_model(path, dtype=dtype)
+                load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
     def test_members_out_of_order_rejected(self, tmp_path):

@@ -1,5 +1,6 @@
 import collections
 import gc
+import re
 import warnings
 import weakref
 
@@ -258,16 +259,33 @@ class TestTrainLoop:
             train(model, TaggedCorpus(()), TrainConfig(epochs=1))
 
     def test_empty_dev_corpus_rejected(self):
-        """No epoch could beat the first on an empty dev corpus; with
-        ``include_dev_in_train`` it only adds nothing to the training data."""
+        """No epoch could beat the first on an empty dev corpus."""
         corpus = small_corpus()
         model = build_model("crf", corpus, embedding=TINY, hidden_dim=8)
         before = model.params["crf.trans"].copy()
         with pytest.raises(NestnerError, match="dev corpus is empty"):
             train(model, corpus, TrainConfig(epochs=2), dev=TaggedCorpus(()))
         np.testing.assert_array_equal(model.params["crf.trans"], before)
-        config = TrainConfig(epochs=1, include_dev_in_train=True)
-        assert len(train(model, corpus, config, dev=TaggedCorpus(()))) == 1
+
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    def test_label_outside_the_alphabet_rejected_before_any_step(self, tmp_path, kind):
+        """A corpus the model was not built from may hold a gold label its
+        alphabet lacks: the run stops naming the sentence and the label,
+        with the parameters untouched and no checkpoint written."""
+        corpus = small_corpus()
+        model = build_model(
+            kind, corpus, embedding=TINY, hidden_dim=8, decoder_dim=8, label_embed_dim=4
+        )
+        before = {name: arr.copy() for name, arr in model.params.items()}
+        unseen = Sentence((Token("q"),), frozenset({mention("Q", 0, 1)}))
+        wider = merge(corpus, TaggedCorpus((unseen,)))
+        checkpoint = tmp_path / "model.ckpt"
+        message = f"sentence {len(corpus)}: label 'U-Q' is not in the model's alphabet"
+        with pytest.raises(NestnerError, match=re.escape(message)):
+            train(model, wider, TrainConfig(epochs=1), checkpoint_path=checkpoint)
+        for name, arr in model.params.items():
+            np.testing.assert_array_equal(arr, before[name])
+        assert not checkpoint.exists()
 
     def test_same_seed_identical_runs(self):
         corpus = small_corpus()
@@ -308,7 +326,7 @@ class TestTrainLoop:
         train(model, corpus, TrainConfig(epochs=2, seed=4))
         assert evaluate_model(model, corpus) == evaluate_model(model, corpus)
 
-    def test_dev_tracking_and_include_dev(self, tmp_path):
+    def test_dev_tracking(self, tmp_path):
         corpus = small_corpus()
         dev = synthgrammar.generate(4, seed=99)
         model = build_model("crf", corpus, embedding=TINY, hidden_dim=8)
@@ -318,13 +336,6 @@ class TestTrainLoop:
         )
         assert all("dev_f1" in record for record in metrics)
         assert (tmp_path / "ckpt.json").exists()
-
-        merged_model = build_model("crf", corpus, embedding=TINY, hidden_dim=8)
-        merged = train(
-            merged_model, corpus,
-            TrainConfig(epochs=1, seed=5, include_dev_in_train=True), dev=dev,
-        )
-        assert all("dev_f1" not in record for record in merged)
 
     def test_best_dev_parameters_restored(self):
         corpus = small_corpus()
