@@ -54,8 +54,10 @@ class Parameters:
         self.dtype = np.dtype(dtype)
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self._arrays:
-            raise ValueError(f"duplicate parameter name: {name}")
+        """Register a copy of ``value`` in this store's dtype. The values
+        come from outside (a checkpoint, a caller), so a non-finite one is a
+        ``ValueError``."""
+        self._check_new(name)
         arr = np.array(value, dtype=self.dtype)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite values in parameter {name}")
@@ -65,10 +67,22 @@ class Parameters:
     def uniform(
         self, name: str, shape: tuple[int, ...], rng: np.random.Generator, fan_in: int | None = None
     ) -> np.ndarray:
-        """uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)); fan_in defaults to shape[0]."""
+        """uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)); fan_in defaults to shape[0].
+
+        The float64 draw is stored as drawn, or cast once to a narrower
+        dtype, with no copy and no finiteness pass: a draw bounded by at most
+        1 is finite by construction."""
         fan = fan_in if fan_in is not None else shape[0]
         bound = (1.0 / max(fan, 1)) ** 0.5
-        return self.add(name, rng.uniform(-bound, bound, size=shape))
+        self._check_new(name)
+        drawn = rng.uniform(-bound, bound, size=shape)
+        arr = drawn if drawn.dtype == self.dtype else drawn.astype(self.dtype)
+        self._arrays[name] = arr
+        return arr
+
+    def _check_new(self, name: str) -> None:
+        if name in self._arrays:
+            raise ValueError(f"duplicate parameter name: {name}")
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         return self.add(name, np.zeros(shape))

@@ -78,11 +78,33 @@ class EncodedSentence:
 
 
 def contains_partial_crossing(mentions: Iterable[Mention]) -> bool:
-    """True if some pair of mentions overlaps without one containing the other."""
-    spans = [m.span for m in mentions]
-    for a, b in itertools.combinations(spans, 2):
-        if a.overlaps(b) and not a.contains(b) and not b.contains(a):
+    """True if some pair of mentions overlaps without one containing the other.
+
+    Equal spans of different types contain each other and touching spans
+    are disjoint, so neither pair crosses. Decided by one sorted sweep over
+    the spans, O(m log m) for m mentions (:func:`_spans_cross`), not by
+    comparing every pair.
+    """
+    return _spans_cross((m.span.start, m.span.end) for m in mentions)
+
+
+def _spans_cross(spans: Iterable[tuple[int, int]]) -> bool:
+    """True if two of the half-open ``(start, end)`` spans partially cross.
+
+    One sweep over the spans sorted by start, longer first among equal
+    starts, so O(m log m) for m spans. A stack holds the ends of the spans
+    still open at the current start; while no crossing has been seen they
+    form a nested chain, innermost (smallest end) on top. A span crosses one
+    of them iff it ends after the top's end: the top then starts earlier (an
+    equal start would end no earlier) and ends inside it.
+    """
+    open_ends: list[int] = []
+    for start, neg_end in sorted((start, -end) for start, end in spans):
+        while open_ends and open_ends[-1] <= start:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < -neg_end:
             return True
+        open_ends.append(-neg_end)
     return False
 
 
@@ -90,7 +112,8 @@ def encode(sentence: Sentence) -> EncodedSentence:
     """Per-token multilabels for a sentence's mention set.
 
     Components of each token are listed in mention priority order (earlier
-    start first, then longer span, then lexicographic type).
+    start first, then longer span, then lexicographic type). Each distinct
+    (tag, type) component is built once per sentence and shared.
     """
     if contains_partial_crossing(sentence.mentions):
         log.warning(
@@ -98,6 +121,7 @@ def encode(sentence: Sentence) -> EncodedSentence:
             "guaranteed to round-trip"
         )
     components: list[list[LabelComponent]] = [[] for _ in sentence.tokens]
+    made: dict[tuple[str, str], LabelComponent] = {}
     for mention in sorted(sentence.mentions, key=mention_sort_key):
         start, end = mention.span.start, mention.span.end
         for t in range(start, end):
@@ -109,7 +133,11 @@ def encode(sentence: Sentence) -> EncodedSentence:
                 tag = "L"
             else:
                 tag = "I"
-            components[t].append(LabelComponent(tag, mention.entity_type))
+            key = (tag, mention.entity_type)
+            component = made.get(key)
+            if component is None:
+                component = made[key] = LabelComponent(*key)
+            components[t].append(component)
     return EncodedSentence(tuple(Multilabel(tuple(c)) for c in components))
 
 
@@ -213,15 +241,6 @@ def unflatten(stream: Iterable[str], length: int) -> EncodedSentence:
     return EncodedSentence(tuple(labels))
 
 
-def _properly_nested(spans: tuple[tuple[int, int], ...]) -> bool:
-    for (s1, e1), (s2, e2) in itertools.combinations(spans, 2):
-        disjoint = e1 <= s2 or e2 <= s1
-        nested = (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2)
-        if not (disjoint or nested):
-            return False
-    return True
-
-
 def _typed_spans(length: int, n_types: int) -> tuple[tuple[Token, ...], list[tuple[str, int, int]]]:
     """Tokens of a ``length``-token sentence and every (type, start, end) over them."""
     types = [chr(ord("A") + i) for i in range(n_types)]
@@ -250,7 +269,7 @@ def enumerate_nested_sentences(
         tokens, typed = _typed_spans(length, n_types)
         for size in range(0, max_mentions + 1):
             for combo in itertools.combinations(typed, size):
-                if not _properly_nested(tuple((s, e) for _, s, e in combo)):
+                if _spans_cross((s, e) for _, s, e in combo):
                     continue
                 mentions = frozenset(Mention(t, Span(s, e)) for t, s, e in combo)
                 yield Sentence(tokens, mentions)

@@ -12,6 +12,7 @@ larger multilabel. All types here are immutable values after construction.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -29,13 +30,29 @@ class LabelParseError(NestnerError, ValueError):
     """A label string does not follow the multilabel grammar."""
 
 
-def _check_entity_type(entity_type: str) -> None:
+def _check_entity_type_uncached(entity_type: str) -> None:
     if not entity_type:
         raise ValueError("entity type must be non-empty")
     if "|" in entity_type or _WHITESPACE.search(entity_type):
         raise ValueError(f"entity type may not contain '|' or whitespace: {entity_type!r}")
     if entity_type.startswith("-"):
         raise ValueError(f"entity type may not start with '-': {entity_type!r}")
+
+
+# a corpus has a handful of entity types and every mention and component
+# names one, so each distinct valid ``str`` is checked once; a check that
+# raises is not cached, so an invalid type raises on every call
+_check_entity_type_memo = functools.lru_cache(maxsize=1024)(_check_entity_type_uncached)
+
+
+def _check_entity_type(entity_type: str) -> None:
+    """Raise ``ValueError`` unless ``entity_type`` follows the label grammar.
+    Only exact ``str`` values go through the memo: any other value, such as a
+    ``str`` subclass or a non-string, is checked in full every time."""
+    if type(entity_type) is str:
+        _check_entity_type_memo(entity_type)
+    else:
+        _check_entity_type_uncached(entity_type)
 
 
 @dataclass(frozen=True)
@@ -159,7 +176,12 @@ class Multilabel:
         return "|".join(str(c) for c in self.components)
 
     @classmethod
-    def parse(cls, text: str) -> "Multilabel":
+    def parse(
+        cls, text: str, components: dict[str, LabelComponent] | None = None
+    ) -> "Multilabel":
+        """The multilabel ``text`` spells. ``components`` is a caller's table
+        of the components it has parsed so far: a part found there is not
+        parsed again, and each part parsed is added to it."""
         if text == OUTSIDE:
             return cls()
         if not text:
@@ -167,7 +189,15 @@ class Multilabel:
         parts = text.split("|")
         if any(not p for p in parts):
             raise LabelParseError(f"stray '|' in label: {text!r}")
-        return cls(tuple(LabelComponent.parse(p) for p in parts))
+        if components is None:
+            components = {}
+        parsed = []
+        for part in parts:
+            component = components.get(part)
+            if component is None:
+                component = components[part] = LabelComponent.parse(part)
+            parsed.append(component)
+        return cls(tuple(parsed))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import codec
 from .core import (
+    LabelComponent,
     Mention,
     Multilabel,
     NestnerError,
@@ -48,6 +49,8 @@ class CorpusError(NestnerError):
 
 # one read's tokens by their declared (form, lemma, pos) column values
 TokenTable = dict[tuple[str, str | None, str | None], Token]
+# one read's parsed labels by label string, and their components by component string
+LabelTables = tuple[dict[str, Multilabel], dict[str, LabelComponent]]
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,27 @@ class TaggedCorpus:
 
 
 def _check_contextual(sentences: Sequence[Sentence], rows: Sequence[np.ndarray]) -> None:
+    """Every sentence has a 2-d (tokens, width) matrix of contextual vectors,
+    and all have one width, that of the first; a mismatch is a
+    :class:`CorpusError` naming the first sentence that breaks it."""
     if len(rows) != len(sentences):
         raise CorpusError(
             f"contextual vectors cover {len(rows)} sentences, corpus has {len(sentences)}"
         )
+    width = None
     for i, (sentence, mat) in enumerate(zip(sentences, rows)):
+        if np.ndim(mat) != 2:
+            raise CorpusError(
+                f"sentence {i}: contextual vectors must be a 2-d (tokens, width) matrix, "
+                f"got shape {np.shape(mat)}"
+            )
+        if width is None:
+            width = mat.shape[1]
+        elif mat.shape[1] != width:
+            raise CorpusError(
+                f"sentence {i}: contextual vectors have width {mat.shape[1]}, "
+                f"sentence 0 has width {width}"
+            )
         if mat.shape[0] != len(sentence.tokens):
             raise CorpusError(
                 f"sentence {i}: {mat.shape[0]} contextual rows for "
@@ -203,17 +222,19 @@ def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -
 
 
 def _parse_label(
-    path: str | Path, lineno: int, label: str, seen: dict[str, Multilabel]
+    path: str | Path, lineno: int, label: str, seen: LabelTables
 ) -> Multilabel:
     """One BILOU label, taken from ``seen`` (this read's parsed labels) when
-    an earlier line had it. A label that fails is never stored."""
-    parsed = seen.get(label)
+    an earlier line had it; a new label parses only the components this read
+    has not seen. A label that fails is never stored."""
+    labels, components = seen
+    parsed = labels.get(label)
     if parsed is None:
         try:
-            parsed = Multilabel.parse(label)
+            parsed = Multilabel.parse(label, components)
         except NestnerError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        seen[label] = parsed
+        labels[label] = parsed
     return parsed
 
 
@@ -225,7 +246,7 @@ def _block_to_sentence(
     scheme: str,
     policy: codec.RepairPolicy,
     tokens_seen: TokenTable,
-    labels_seen: dict[str, Multilabel],
+    labels_seen: LabelTables,
 ) -> Sentence:
     """One sentence block. Each label is parsed, BIO labels after their
     conversion to BILOU, and a bad one is reported with its line number."""
@@ -263,17 +284,18 @@ def read_conll(
     Gold data should use the default strict policy so corpus errors surface
     loudly; ``repair`` is for reading raw model output.
 
-    Each distinct label string and each distinct set of token column values
-    is parsed once per call and its frozen ``Multilabel`` or ``Token`` shared
-    by every line that repeats it; the tables are dropped when the call
-    returns. A bad label or form is reported at the first line holding it.
+    Each distinct label string, label component and set of token column
+    values is parsed once per call and its frozen ``Multilabel``,
+    ``LabelComponent`` or ``Token`` shared by every line that repeats it; the
+    tables are dropped when the call returns. A bad label or form is reported
+    at the first line holding it.
     """
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
     tokens_seen: TokenTable = {}
-    labels_seen: dict[str, Multilabel] = {}
+    labels_seen: LabelTables = ({}, {})
     sentences = [
         _block_to_sentence(path, i, block, columns, scheme, policy, tokens_seen, labels_seen)
         for i, block in enumerate(_read_blocks(path))
@@ -543,11 +565,13 @@ def build_vocabulary(corpus: TaggedCorpus, min_freq: int = 1) -> Vocabulary:
     for sentence in corpus.sentences:
         for token in sentence.tokens:
             form_counts[token.form] += 1
-            char_counts.update(token.form)
             if token.lemma is not None:
                 lemma_counts[token.lemma] += 1
             if token.pos is not None:
                 pos_set.add(token.pos)
+    for form, count in form_counts.items():  # each distinct form's characters once
+        for char in form:
+            char_counts[char] += count
     return Vocabulary(
         forms=_index_by_frequency(form_counts, min_freq),
         chars=_index_by_frequency(char_counts, 1),

@@ -48,7 +48,15 @@ import numpy as np
 from . import codec
 from .autodiff import ForwardTape, Parameters, Tape, Var, dropout_mask
 from .codec import EOW, EncodedSentence
-from .core import OUTSIDE, LabelAlphabet, LabelComponent, Mention, NestnerError, Sentence
+from .core import (
+    OUTSIDE,
+    LabelAlphabet,
+    LabelComponent,
+    Mention,
+    Multilabel,
+    NestnerError,
+    Sentence,
+)
 from .corpus import Vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable, TokenEmbedder
 
@@ -403,6 +411,7 @@ class CrfTagger(_NeuralTagger):
         super().__init__(vocab, config.embedding, config.hidden_dim, pretrained, dtype)
         self.config = config
         self.alphabet = alphabet
+        self._parsed: dict[int, Multilabel] = {}
         if rng is not None:
             self._register(self.params, rng)
 
@@ -441,9 +450,16 @@ class CrfTagger(_NeuralTagger):
         for ex in examples:
             stop = start + len(ex.sentence.tokens)
             path = viterbi(scores[start:stop], trans, bounds)
-            encoded.append(EncodedSentence.from_strings([self.alphabet.string_of(i) for i in path]))
+            encoded.append(EncodedSentence(tuple(self._label(i) for i in path)))
             start = stop
         return encoded
+
+    def _label(self, i: int) -> Multilabel:
+        """Label ``i`` of the alphabet, parsed the first time a decode emits it."""
+        label = self._parsed.get(i)
+        if label is None:
+            label = self._parsed[i] = Multilabel.parse(self.alphabet.string_of(i))
+        return label
 
 
 # -------------------------------------------------------------------- seq2seq

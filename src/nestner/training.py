@@ -164,20 +164,22 @@ def _check_nesting_depth(encoded: Sequence[codec.EncodedSentence], limit: int) -
                 )
 
 
+def _multilabels_of(encoded: Sequence[codec.EncodedSentence]):
+    return build_alphabet((label for e in encoded for label in e.strings()), reserved="O")
+
+
+def _components_of(encoded: Sequence[codec.EncodedSentence]):
+    return build_alphabet((symbol for e in encoded for symbol in codec.flatten(e)), reserved=EOW)
+
+
 def multilabel_alphabet(corpus: TaggedCorpus):
     """Alphabet of whole multilabel strings observed in the corpus."""
-    labels = []
-    for sentence in corpus.sentences:
-        labels.extend(codec.encode(sentence).strings())
-    return build_alphabet(labels, reserved="O")
+    return _multilabels_of([codec.encode(sentence) for sentence in corpus.sentences])
 
 
 def component_alphabet(corpus: TaggedCorpus):
     """Alphabet of single components observed in the corpus, with <eow> at 0."""
-    symbols = []
-    for sentence in corpus.sentences:
-        symbols.extend(codec.flatten(codec.encode(sentence)))
-    return build_alphabet(symbols, reserved=EOW)
+    return _components_of([codec.encode(sentence) for sentence in corpus.sentences])
 
 
 def build_model(
@@ -194,7 +196,8 @@ def build_model(
     seed: int = 1,
     dtype=np.float64,
 ):
-    """Untrained tagger with vocabulary and label alphabet taken from ``corpus``."""
+    """Untrained tagger with vocabulary and label alphabet taken from ``corpus``,
+    whose sentences are each encoded once."""
     if vocab is None:
         vocab = build_vocabulary(corpus, min_freq)
     if embedding is None:
@@ -202,13 +205,14 @@ def build_model(
     if embedding.use_pos_onehot and embedding.pos_dim == 0:
         embedding = replace(embedding, pos_dim=vocab.n_pos)
     rng = np.random.default_rng(seed)
+    encoded = [codec.encode(sentence) for sentence in corpus.sentences]
     if kind == "crf":
         config = models.CrfConfig(embedding=embedding, hidden_dim=hidden_dim)
         return models.CrfTagger(
-            config, vocab, multilabel_alphabet(corpus), pretrained, rng=rng, dtype=dtype
+            config, vocab, _multilabels_of(encoded), pretrained, rng=rng, dtype=dtype
         )
     if kind == "seq2seq":
-        _check_nesting_depth([codec.encode(s) for s in corpus.sentences], max_components_per_token)
+        _check_nesting_depth(encoded, max_components_per_token)
         config = models.Seq2seqConfig(
             embedding=embedding,
             hidden_dim=hidden_dim,
@@ -217,7 +221,7 @@ def build_model(
             max_components_per_token=max_components_per_token,
         )
         return models.Seq2seqTagger(
-            config, vocab, component_alphabet(corpus), pretrained, rng=rng, dtype=dtype
+            config, vocab, _components_of(encoded), pretrained, rng=rng, dtype=dtype
         )
     raise ValueError(f"unknown model kind {kind!r}; valid: crf, seq2seq")
 

@@ -33,6 +33,28 @@ class TestParameters:
         with pytest.raises(ValueError):
             params.add("w", np.array([1.0, np.inf]))
 
+    def test_non_finite_rejected_with_nan(self):
+        params = Parameters(np.float32)
+        with pytest.raises(ValueError, match="non-finite values in parameter w"):
+            params.add("w", np.array([[0.5, np.nan]]))
+        assert "w" not in params
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_uniform_stores_the_draw_itself(self, dtype):
+        params = Parameters(dtype)
+        arr = params.uniform("w", (5, 3), np.random.default_rng(4), fan_in=7)
+        expected = np.random.default_rng(4).uniform(-(1 / 7) ** 0.5, (1 / 7) ** 0.5, size=(5, 3))
+        assert arr.dtype == dtype and params["w"] is arr
+        np.testing.assert_array_equal(arr, expected.astype(dtype))
+        if dtype == np.float64:
+            assert np.array_equal(arr, expected)  # float64: the draw as drawn
+
+    def test_uniform_rejects_a_duplicate_name(self):
+        params = Parameters()
+        params.zeros("w", (2,))
+        with pytest.raises(ValueError, match="duplicate parameter name: w"):
+            params.uniform("w", (2,), np.random.default_rng(0))
+
     def test_uniform_bound_follows_fan_in(self):
         params = Parameters()
         rng = np.random.default_rng(1)

@@ -184,6 +184,62 @@ class TestEnumeration:
                 assert not overlap or nested
 
 
+def crosses_pairwise(mentions):
+    """The definition, over every pair: the oracle for the sweep."""
+    return any(
+        a.span.overlaps(b.span) and not a.span.contains(b.span) and not b.span.contains(a.span)
+        for a, b in itertools.combinations(mentions, 2)
+    )
+
+
+@st.composite
+def mention_sets(draw):
+    """Mention sets over at most 12 tokens that mix random spans with the
+    cases a sweep can get wrong: equal spans of different types, spans
+    touching end to start, and chains of nested spans."""
+    n = draw(st.integers(1, 12))
+    span = st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda se: se[0] < se[1])
+    types = st.sampled_from("ABC")
+    found = {mention(t, s, e) for t, (s, e) in draw(st.lists(st.tuples(types, span), max_size=8))}
+    for s, e in draw(st.lists(span, max_size=2)):  # one span, two types
+        found |= {mention("A", s, e), mention("B", s, e)}
+    for s, e in draw(st.lists(span, max_size=2)):  # touching: (s, e) then (e, ...)
+        found.add(mention(draw(types), s, e))
+        if e < n:
+            found.add(mention(draw(types), e, draw(st.integers(e + 1, n))))
+    for s, e in draw(st.lists(span, max_size=2)):  # a chain nested inside (s, e)
+        for _ in range(draw(st.integers(1, 4))):
+            if s >= e:
+                break
+            found.add(mention(draw(types), s, e))
+            s, e = s + draw(st.integers(0, 1)), e - draw(st.integers(0, 1))
+    return frozenset(found)
+
+
+class TestPartialCrossing:
+    @settings(max_examples=400, deadline=None)
+    @given(mention_sets())
+    def test_sweep_agrees_with_every_pair(self, mentions):
+        assert contains_partial_crossing(mentions) == crosses_pairwise(mentions)
+
+    @pytest.mark.parametrize(
+        "spans,crossing",
+        [
+            ([("A", 0, 3), ("B", 0, 3)], False),  # equal spans, different types
+            ([("A", 0, 2), ("B", 2, 4)], False),  # touching
+            ([("A", 0, 6), ("A", 1, 5), ("B", 2, 4), ("C", 2, 3)], False),  # a chain
+            ([("A", 0, 6), ("A", 1, 5), ("B", 4, 7)], True),  # crosses the chain's top two
+            ([("A", 0, 2), ("B", 1, 3)], True),
+            ([("A", 1, 3), ("B", 0, 2), ("C", 5, 6)], True),
+            ([("A", 0, 4), ("B", 0, 2), ("C", 1, 4)], True),  # equal starts are not enough
+        ],
+    )
+    def test_cases(self, spans, crossing):
+        mentions = frozenset(mention(t, s, e) for t, s, e in spans)
+        assert contains_partial_crossing(mentions) is crossing
+        assert crosses_pairwise(mentions) is crossing
+
+
 class TestCrossingPairs:
     def test_one_crossing_pair_of_spans_at_length_three(self):
         # spans (0,2) and (1,3) are the only crossing pair; two types give 4 typings

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import COURT_LABELS, mention
+from nestner import core
 from nestner.core import (
     LabelComponent,
     LabelParseError,
@@ -51,6 +52,62 @@ class TestMention:
 
     def test_type_with_inner_dash_ok(self):
         assert Mention("work-of-art", Span(0, 1)).entity_type == "work-of-art"
+
+
+def _raised(make):
+    try:
+        make()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestEntityTypeMemo:
+    """Each distinct valid type is checked once; an invalid one, or a value
+    that is not a ``str``, is checked again on every call."""
+
+    @pytest.mark.parametrize(
+        "bad,raised",
+        [
+            ("", (ValueError, "entity type must be non-empty")),
+            ("A|B", (ValueError, "entity type may not contain '|' or whitespace: 'A|B'")),
+            ("A B", (ValueError, "entity type may not contain '|' or whitespace: 'A B'")),
+            ("A\tB", (ValueError, "entity type may not contain '|' or whitespace: 'A\\tB'")),
+            ("-X", (ValueError, "entity type may not start with '-': '-X'")),
+            (None, (ValueError, "entity type must be non-empty")),
+            (7, (TypeError, "argument of type 'int' is not iterable")),
+            (b"X", (TypeError, "a bytes-like object is required, not 'str'")),
+            (["X"], (TypeError, "expected string or bytes-like object, got 'list'")),
+        ],
+    )
+    def test_invalid_type_raises_alike_on_every_call(self, bad, raised):
+        makers = [
+            lambda: Mention(bad, Span(0, 1)),
+            lambda: LabelComponent("B", bad),
+        ]
+        for make in makers:
+            assert _raised(make) == raised
+            assert _raised(make) == raised
+        Mention("VALID", Span(0, 1))
+        for make in makers:
+            assert _raised(make) == raised
+
+    def test_a_valid_type_is_checked_once(self):
+        memo = core._check_entity_type_memo
+        memo.cache_clear()
+        for start in range(5):
+            Mention("ORG", Span(start, start + 1))
+            LabelComponent("I", "ORG")
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 9)
+
+    def test_invalid_types_are_never_cached(self):
+        memo = core._check_entity_type_memo
+        assert memo.cache_info().maxsize is not None  # the memo is bounded
+        hits = memo.cache_info().hits
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                core._check_entity_type("A|B")
+        assert memo.cache_info().hits == hits  # checked again each time
 
 
 class TestMentionPriority:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +7,10 @@ from hypothesis import given, strategies as st
 import synthgrammar
 from conftest import COURT_MENTIONS, mention
 from nestner.codec import decode, encode, EncodedSentence
-from nestner.core import Multilabel, Sentence, Token
+from nestner.core import LabelComponent, Multilabel, Sentence, Token
 from nestner.corpus import (
+    PAD,
+    UNK,
     ColumnSpec,
     CorpusError,
     TaggedCorpus,
@@ -223,6 +227,22 @@ class TestInterning:
                 id(t) for s in second for t in s.tokens
             }
 
+    def test_each_component_parsed_once_within_a_read_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.conll"
+        path.write_text("a\tB-X|B-Y\nb\tI-X|L-Y\nc\tL-X\n\nd\tB-X|U-Y\ne\tL-X\n", "utf-8")
+        parsed = []
+        parse = LabelComponent.parse.__func__
+
+        def counting(cls, text):
+            parsed.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(LabelComponent, "parse", classmethod(counting))
+        read_conll(path)
+        assert sorted(parsed) == ["B-X", "B-Y", "I-X", "L-X", "L-Y", "U-Y"]
+        read_conll(path)
+        assert len(parsed) == 12  # the next read parses them again
+
     @pytest.mark.parametrize("scheme", ["bilou", "bio"])
     def test_a_repeated_bad_label_is_reported_at_its_first_line(self, tmp_path, scheme):
         path = tmp_path / "bad.conll"
@@ -399,6 +419,16 @@ class TestVocabulary:
         vocab = build_vocabulary(corpus)
         assert 1 in vocab.char_ids("aq")
 
+    def test_chars_ranked_by_their_count_over_every_token(self):
+        corpus = synthgrammar.generate(40, seed=5)
+        per_token = Counter()  # the reference: every token's characters, in turn
+        for sentence in corpus.sentences:
+            for token in sentence.tokens:
+                per_token.update(token.form)
+        ranked = sorted(per_token.items(), key=lambda kv: (-kv[1], kv[0]))
+        expected = {PAD: 0, UNK: 1, **{c: i for i, (c, _) in enumerate(ranked, start=2)}}
+        assert build_vocabulary(corpus).chars == expected
+
 
 class TestSpanFiles:
     def test_round_trip(self, tmp_path, court_sentence):
@@ -515,3 +545,18 @@ def test_merge_refuses_contextual_vectors_on_one_side_only():
             merge(*pair)
     both = merge(with_vectors, attach_contextual(b, [np.ones((2, 2))]))
     assert [m.shape for m in both.contextual] == [(1, 2), (2, 2)]
+
+
+def test_merge_refuses_contextual_vectors_of_two_widths():
+    a = attach_contextual(corpus_of(Sentence((Token("a"),))), [np.zeros((1, 2))])
+    b = attach_contextual(corpus_of(Sentence((Token("b"), Token("c")))), [np.ones((2, 3))])
+    with pytest.raises(CorpusError, match="sentence 1: contextual vectors have width 3, "
+                                          "sentence 0 has width 2"):
+        merge(a, b)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 1)])
+def test_contextual_vectors_must_be_matrices(shape):
+    corpus = corpus_of(Sentence((Token("a"), Token("b"))))
+    with pytest.raises(CorpusError, match=r"sentence 0: .* 2-d \(tokens, width\) matrix"):
+        attach_contextual(corpus, [np.zeros(shape)])

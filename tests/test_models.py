@@ -20,7 +20,7 @@ from conftest import mention, rewrite_checkpoint, set_label
 from test_autodiff import _reference_lstm
 from nestner import codec, models, training
 from nestner.autodiff import ForwardTape, Parameters, Tape
-from nestner.core import NestnerError, Sentence, Token, build_alphabet
+from nestner.core import Multilabel, NestnerError, Sentence, Token, build_alphabet
 from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
@@ -410,6 +410,21 @@ class TestCrfTagger:
         sentence = tiny_corpus().sentences[0]
         mentions = model.predict(sentence)  # every token claims to close X and Y
         assert all(m.span.end <= len(sentence.tokens) for m in mentions)
+
+    def test_each_label_parsed_once_when_first_decoded(self, monkeypatch):
+        model = build("crf")
+        assert model._parsed == {}  # building the model parses nothing
+        sentences = tiny_corpus().sentences
+        first = [model.predict(sentence) for sentence in sentences]
+        assert model._parsed and all(
+            str(label) == model.alphabet.string_of(i) for i, label in model._parsed.items()
+        )
+
+        def no_parse(text):
+            raise AssertionError(f"label {text!r} parsed again")
+
+        monkeypatch.setattr(Multilabel, "parse", no_parse)
+        assert [model.predict(sentence) for sentence in sentences] == first
 
     def test_unseen_gold_label_raises(self):
         model = build("crf")

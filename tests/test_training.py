@@ -239,6 +239,26 @@ class TestBuildModel:
             build_model("seq2seq", corpus, embedding=TINY, max_components_per_token=2)
         assert "depth" in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+    def test_each_sentence_encoded_once(self, kind, monkeypatch):
+        corpus = small_corpus()
+        counts = collections.Counter()
+        encode = codec.encode
+
+        def counting(sentence):
+            counts[sentence] += 1
+            return encode(sentence)
+
+        monkeypatch.setattr(codec, "encode", counting)
+        model = build_model(kind, corpus, embedding=TINY, hidden_dim=4)
+        assert counts == collections.Counter(corpus.sentences)
+        monkeypatch.undo()
+        label_alphabet = model.alphabet if kind == "crf" else model.components
+        public = (
+            training.multilabel_alphabet if kind == "crf" else training.component_alphabet
+        )
+        assert label_alphabet.strings == public(corpus).strings
+
     def test_pos_dim_resolved_from_vocabulary(self):
         corpus = TaggedCorpus((Sentence((Token("a", pos="N"), Token("b", pos="V"))),))
         model = build_model(
