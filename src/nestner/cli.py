@@ -267,6 +267,16 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     gold = read_conll(args.gold, columns=args.columns)
     pred = read_conll(args.pred, columns=args.columns, policy=args.pred_policy)
+    if len(pred) != len(gold):
+        raise NestnerError(
+            f"{args.pred} has {len(pred)} sentences, {args.gold} has {len(gold)}"
+        )
+    for i, (gold_sentence, pred_sentence) in enumerate(zip(gold.sentences, pred.sentences)):
+        if pred_sentence.forms() != gold_sentence.forms():
+            raise NestnerError(
+                f"{args.pred}: sentence {i} does not have the tokens of sentence {i} "
+                f"of {args.gold}"
+            )
     overall, per_type = score_mentions(
         [s.mentions for s in gold.sentences],
         [s.mentions for s in pred.sentences],

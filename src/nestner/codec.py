@@ -17,6 +17,7 @@ components are followed by the ``<eow>`` sentinel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from .core import (
 )
 
 EOW = "<eow>"
+
+_new_tuple = tuple.__new__
 
 RepairPolicy = Literal["strict", "repair"]
 
@@ -70,7 +73,7 @@ class EncodedSentence:
         return len(self.labels)
 
     def strings(self) -> list[str]:
-        return [str(label) for label in self.labels]
+        return [label.text for label in self.labels]
 
     @classmethod
     def from_strings(cls, labels: Iterable[str]) -> "EncodedSentence":
@@ -85,68 +88,85 @@ def contains_partial_crossing(mentions: Iterable[Mention]) -> bool:
     the spans, O(m log m) for m mentions (:func:`_spans_cross`), not by
     comparing every pair.
     """
-    return _spans_cross((m.span.start, m.span.end) for m in mentions)
+    return _spans_cross(m.span for m in mentions)
 
 
 def _spans_cross(spans: Iterable[tuple[int, int]]) -> bool:
-    """True if two of the half-open ``(start, end)`` spans partially cross.
+    """True if two of the half-open ``(start, end)`` spans partially cross,
+    decided by :func:`_ordered_spans_cross` after one sort, so O(m log m)
+    for m spans."""
+    return _ordered_spans_cross(sorted(spans, key=lambda span: (span[0], -span[1])))
 
-    One sweep over the spans sorted by start, longer first among equal
-    starts, so O(m log m) for m spans. A stack holds the ends of the spans
-    still open at the current start; while no crossing has been seen they
-    form a nested chain, innermost (smallest end) on top. A span crosses one
-    of them iff it ends after the top's end: the top then starts earlier (an
-    equal start would end no earlier) and ends inside it.
+
+def _ordered_spans_cross(spans: Iterable[tuple[int, int]]) -> bool:
+    """True if two of the half-open ``(start, end)`` spans, given sorted by
+    start and longer first among equal starts, partially cross.
+
+    One sweep: a stack holds the ends of the spans still open at the current
+    start; while no crossing has been seen they form a nested chain,
+    innermost (smallest end) on top. A span crosses one of them iff it ends
+    after the top's end: the top then starts earlier (an equal start would
+    end no earlier) and ends inside it.
     """
     open_ends: list[int] = []
-    for start, neg_end in sorted((start, -end) for start, end in spans):
+    for start, end in spans:
         while open_ends and open_ends[-1] <= start:
             open_ends.pop()
-        if open_ends and open_ends[-1] < -neg_end:
+        if open_ends and open_ends[-1] < end:
             return True
-        open_ends.append(-neg_end)
+        open_ends.append(end)
     return False
+
+
+# Labels are interned like entity types are checked (``core``): a corpus has
+# a few entity types and a few hundred distinct multilabels, so each
+# component and multilabel is built, and its text formatted, once while it
+# stays among the most recently used.
+
+
+@functools.lru_cache(maxsize=1024)
+def _component(tag: str, entity_type: str) -> LabelComponent:
+    return LabelComponent(tag, entity_type)
+
+
+@functools.lru_cache(maxsize=4096)
+def _multilabel(keys: tuple[tuple[str, str], ...]) -> Multilabel:
+    """The multilabel of the components with these ``(tag, type)`` keys."""
+    return Multilabel(tuple(_component(tag, entity_type) for tag, entity_type in keys))
 
 
 def encode(sentence: Sentence) -> EncodedSentence:
     """Per-token multilabels for a sentence's mention set.
 
     Components of each token are listed in mention priority order (earlier
-    start first, then longer span, then lexicographic type). Each distinct
-    (tag, type) component is built once per sentence and shared.
+    start first, then longer span, then lexicographic type). Every
+    component and multilabel is an interned value shared by all tokens and
+    sentences that hold it.
     """
-    if contains_partial_crossing(sentence.mentions):
+    ordered = sorted(sentence.mentions, key=mention_sort_key)
+    if _ordered_spans_cross(span for _, span in ordered):
         log.warning(
             "mention set contains partially crossing spans; encoding is not "
             "guaranteed to round-trip"
         )
-    components: list[list[LabelComponent]] = [[] for _ in sentence.tokens]
-    made: dict[tuple[str, str], LabelComponent] = {}
-    for mention in sorted(sentence.mentions, key=mention_sort_key):
-        start, end = mention.span.start, mention.span.end
-        for t in range(start, end):
-            if end - start == 1:
-                tag = "U"
-            elif t == start:
-                tag = "B"
-            elif t == end - 1:
-                tag = "L"
-            else:
-                tag = "I"
-            key = (tag, mention.entity_type)
-            component = made.get(key)
-            if component is None:
-                component = made[key] = LabelComponent(*key)
-            components[t].append(component)
-    return EncodedSentence(tuple(Multilabel(tuple(c)) for c in components))
+    keys: list[list[tuple[str, str]]] = [[] for _ in sentence.tokens]
+    for entity_type, (start, end) in ordered:
+        if end - start == 1:
+            keys[start].append(("U", entity_type))
+            continue
+        keys[start].append(("B", entity_type))
+        inside = ("I", entity_type)
+        for t in range(start + 1, end - 1):
+            keys[t].append(inside)
+        keys[end - 1].append(("L", entity_type))
+    return EncodedSentence(tuple(map(_multilabel, map(tuple, keys))))
 
 
-class _Open:
-    __slots__ = ("entity_type", "start")
-
-    def __init__(self, entity_type: str, start: int):
-        self.entity_type = entity_type
-        self.start = start
+def _mention(entity_type: str, start: int, end: int) -> Mention:
+    """``Mention(entity_type, Span(start, end))`` without the constructors'
+    checks: :func:`decode` takes its types from components, which checked
+    them, and its spans lie inside the sentence by construction."""
+    return _new_tuple(Mention, (entity_type, _new_tuple(Span, (start, end))))
 
 
 def decode(encoded: EncodedSentence, policy: RepairPolicy = "strict") -> frozenset[Mention]:
@@ -164,50 +184,47 @@ def decode(encoded: EncodedSentence, policy: RepairPolicy = "strict") -> frozens
     """
     if policy not in ("strict", "repair"):
         raise ValueError(f"unknown decode policy: {policy!r}")
-    open_mentions: list[_Open] = []
+    strict = policy == "strict"
+    # open mentions in opening order, each [type, start, last token matched
+    # at]; a mention opened at token t counts as matched at t, so no later
+    # component of t continues it, and a closed one's type becomes None
+    open_mentions: list[list] = []
     found: set[Mention] = set()
     for t, label in enumerate(encoded.labels):
-        matched: set[int] = set()
-        closed: set[int] = set()
-        opened_here: list[_Open] = []
-        for component in label.components:
+        components = label.components
+        if not components:  # outside every mention: nothing opens or closes
+            continue
+        closed = False
+        for component in components:
             tag, entity_type = component.tag, component.entity_type
             if tag == "U":
-                found.add(Mention(entity_type, Span(t, t + 1)))
+                found.add(_mention(entity_type, t, t + 1))
             elif tag == "B":
-                opened_here.append(_Open(entity_type, t))
-            else:  # I or L continue an open mention of the same type
-                target = None
-                for i, open_mention in enumerate(open_mentions):
-                    if i not in matched and open_mention.entity_type == entity_type:
-                        target = i
+                open_mentions.append([entity_type, t, t])
+            else:  # I or L continue the first open mention of its type not matched at t
+                for entry in open_mentions:
+                    if entry[0] == entity_type and entry[2] != t:
+                        entry[2] = t
+                        if tag == "L":
+                            found.add(_mention(entity_type, entry[1], t + 1))
+                            entry[0] = None
+                            closed = True
                         break
-                if target is None:
-                    if policy == "strict":
+                else:
+                    if strict:
                         raise DecodeError(t, str(component), "no open mention to continue")
                     if tag == "L":
-                        found.add(Mention(entity_type, Span(t, t + 1)))
+                        found.add(_mention(entity_type, t, t + 1))
                     else:
-                        opened_here.append(_Open(entity_type, t))
-                else:
-                    matched.add(target)
-                    if tag == "L":
-                        open_mention = open_mentions[target]
-                        found.add(Mention(entity_type, Span(open_mention.start, t + 1)))
-                        closed.add(target)
+                        open_mentions.append([entity_type, t, t])
         if closed:
-            open_mentions = [m for i, m in enumerate(open_mentions) if i not in closed]
-        open_mentions.extend(opened_here)
+            open_mentions = [entry for entry in open_mentions if entry[0] is not None]
     if open_mentions:
-        if policy == "strict":
-            unterminated = open_mentions[0]
-            raise DecodeError(
-                unterminated.start,
-                f"B-{unterminated.entity_type}",
-                "mention still open at sentence end",
-            )
-        for open_mention in open_mentions:
-            found.add(Mention(open_mention.entity_type, Span(open_mention.start, encoded.length)))
+        if strict:
+            entity_type, start, _ = open_mentions[0]
+            raise DecodeError(start, f"B-{entity_type}", "mention still open at sentence end")
+        for entity_type, start, _ in open_mentions:
+            found.add(_mention(entity_type, start, encoded.length))
     return frozenset(found)
 
 
@@ -215,7 +232,7 @@ def flatten(encoded: EncodedSentence) -> tuple[str, ...]:
     """Flat component stream: each token's components in priority order, then <eow>."""
     stream: list[str] = []
     for label in encoded.labels:
-        stream.extend(str(c) for c in label.components)
+        stream.extend(c.text for c in label.components)
         stream.append(EOW)
     return tuple(stream)
 

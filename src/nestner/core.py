@@ -8,6 +8,11 @@ Label string grammar (bit-exact):
 
 "O" marks a token outside every mention and is never a component of a
 larger multilabel. All types here are immutable values after construction.
+``Span`` and ``Mention`` are tuple-backed: a ``Span`` is the tuple
+``(start, end)`` and a ``Mention`` the tuple ``(entity_type, span)``, so
+they are built, hashed, compared and ordered as tuples (in C) and equal the
+plain tuples with the same items. Their constructors check their values.
+Label components and multilabels carry their label text, formatted once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 COMPONENT_TAGS = ("B", "I", "L", "U")
 OUTSIDE = "O"
@@ -66,16 +72,29 @@ class Token:
             raise ValueError(f"token form must be non-empty and whitespace-free: {self.form!r}")
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open token range: ``start`` inclusive, ``end`` exclusive."""
-
+class _SpanFields(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span: need 0 <= start < end, got ({self.start}, {self.end})")
+
+class Span(_SpanFields):
+    """Half-open token range: ``start`` inclusive, ``end`` exclusive; the
+    tuple ``(start, end)``, whose order is the spans' order."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int) -> "Span":
+        if not 0 <= start < end:
+            raise ValueError(f"invalid span: need 0 <= start < end, got ({start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable) -> "Span":  # and so ``_replace``: through the check
+        return cls(*iterable)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # tuple(self) would size its result by len(), the span's length
+        return (self.start, self.end)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -87,15 +106,24 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
-class Mention:
-    """A typed token span, e.g. ``Mention("ORG", Span(1, 9))``."""
-
+class _MentionFields(NamedTuple):
     entity_type: str
     span: Span
 
-    def __post_init__(self) -> None:
-        _check_entity_type(self.entity_type)
+
+class Mention(_MentionFields):
+    """A typed token span, e.g. ``Mention("ORG", Span(1, 9))``; the tuple
+    ``(entity_type, span)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, entity_type: str, span: Span) -> "Mention":
+        _check_entity_type(entity_type)
+        return tuple.__new__(cls, (entity_type, span))
+
+    @classmethod
+    def _make(cls, iterable) -> "Mention":  # and so ``_replace``: through the check
+        return cls(*iterable)
 
     @property
     def start(self) -> int:
@@ -113,7 +141,8 @@ def mention_sort_key(mention: Mention) -> tuple[int, int, str]:
     comes first. Equal spans of different types are ordered lexicographically
     by type, which keeps the encoding deterministic.
     """
-    return (mention.span.start, -mention.span.end, mention.entity_type)
+    entity_type, (start, end) = mention
+    return (start, -end, entity_type)
 
 
 def mention_precedes(a: Mention, b: Mention) -> bool:
@@ -123,18 +152,21 @@ def mention_precedes(a: Mention, b: Mention) -> bool:
 
 @dataclass(frozen=True)
 class LabelComponent:
-    """One BILOU component of a multilabel, e.g. ``I-ORG``."""
+    """One BILOU component of a multilabel, e.g. ``I-ORG``; ``text`` is its
+    label text, formatted once."""
 
     tag: str
     entity_type: str
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tag not in COMPONENT_TAGS:
             raise ValueError(f"component tag must be one of {COMPONENT_TAGS}, got {self.tag!r}")
         _check_entity_type(self.entity_type)
+        object.__setattr__(self, "text", f"{self.tag}-{self.entity_type}")
 
     def __str__(self) -> str:
-        return f"{self.tag}-{self.entity_type}"
+        return self.text
 
     @classmethod
     def parse(cls, text: str) -> "LabelComponent":
@@ -153,12 +185,16 @@ class LabelComponent:
 
 @dataclass(frozen=True)
 class Multilabel:
-    """Priority-ordered BILOU components for one token; empty means outside."""
+    """Priority-ordered BILOU components for one token; empty means outside.
+    ``text`` is its label text, formatted once."""
 
     components: tuple[LabelComponent, ...] = ()
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+        components = tuple(self.components)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "text", "|".join(map(str, components)) or OUTSIDE)
 
     @property
     def is_outside(self) -> bool:
@@ -171,9 +207,7 @@ class Multilabel:
         return len(self.components)
 
     def __str__(self) -> str:
-        if not self.components:
-            return OUTSIDE
-        return "|".join(str(c) for c in self.components)
+        return self.text
 
     @classmethod
     def parse(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +48,6 @@ class CorpusError(NestnerError):
     """A corpus file is malformed; the message carries file/line coordinates."""
 
 
-# one read's tokens by their declared (form, lemma, pos) column values
-TokenTable = dict[tuple[str, str | None, str | None], Token]
 # one read's parsed labels by label string, and their components by component string
 LabelTables = tuple[dict[str, Multilabel], dict[str, LabelComponent]]
 
@@ -112,6 +111,12 @@ class TaggedCorpus:
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)
 
+    @functools.cached_property
+    def encoded(self) -> tuple[codec.EncodedSentence, ...]:
+        """Each sentence's multilabels, encoded on first use and then kept, so
+        a model built from this corpus and trained on it encodes it once."""
+        return tuple(codec.encode(sentence) for sentence in self.sentences)
+
 
 def _check_contextual(sentences: Sequence[Sentence], rows: Sequence[np.ndarray]) -> None:
     """Every sentence has a 2-d (tokens, width) matrix of contextual vectors,
@@ -166,111 +171,87 @@ def _not_utf8(path: str | Path) -> str:
     return f"{path}: not valid UTF-8"
 
 
-def _read_blocks(path: str | Path) -> Iterator[list[tuple[int, list[str]]]]:
-    """Yield [(line number, fields), ...] per sentence block."""
-    block: list[tuple[int, list[str]]] = []
-    for lineno, raw in text_lines(path, CorpusError):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line:
-            if block:
-                yield block
-                block = []
-            continue
-        block.append((lineno, line.split("\t")))
-    if block:
-        yield block
+def _read_blocks(
+    path: str | Path, columns: ColumnSpec
+) -> Iterator[tuple[list[int], list[Token], list[list[str]]]]:
+    """Yield each sentence block of a vertical file as its line numbers, its
+    tokens and its lines' fields, in one pass over the file's lines.
 
-
-def _parse_token(
-    path: str | Path,
-    lineno: int,
-    fields: list[str],
-    columns: ColumnSpec,
-    seen: TokenTable,
-) -> Token:
-    """The token in one line's fields, which must fill every declared column,
-    taken from ``seen`` when an earlier line of this read had the same values.
-    Values that fail are never stored."""
-    if len(fields) < len(columns):
-        raise CorpusError(
-            f"{path}:{lineno}: expected at least {len(columns)} tab-separated "
-            f"columns, found {len(fields)}"
-        )
+    Every line must fill the declared columns. A line whose token column
+    values an earlier line of this read had gets that line's ``Token``; a
+    bad form is reported at the first line holding it and never stored. A
+    byte that is not UTF-8 is reported as ``<path>:<line>: not valid UTF-8``.
+    """
+    width = len(columns)
     form_i, lemma_i, pos_i = columns.token_indices
-    key = (
-        fields[form_i],
-        fields[lemma_i] if lemma_i is not None else None,
-        fields[pos_i] if pos_i is not None else None,
-    )
-    token = seen.get(key)
-    if token is None:
+    token_key = operator.itemgetter(*(i for i in columns.token_indices if i is not None))
+    seen: dict[object, Token] = {}
+    linenos: list[int] = []
+    tokens: list[Token] = []
+    rows: list[list[str]] = []
+    with open(path, encoding="utf-8") as handle:
         try:
-            token = Token(*key)
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        seen[key] = token
-    return token
+            # text mode has turned every \r\n and lone \r into \n
+            for lineno, line in enumerate(handle, start=1):
+                if line == "\n":
+                    if tokens:
+                        yield linenos, tokens, rows
+                        linenos, tokens, rows = [], [], []
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) < width:
+                    raise CorpusError(
+                        f"{path}:{lineno}: expected at least {width} tab-separated "
+                        f"columns, found {len(fields)}"
+                    )
+                key = token_key(fields)
+                token = seen.get(key)
+                if token is None:
+                    try:
+                        token = Token(
+                            fields[form_i],
+                            fields[lemma_i] if lemma_i is not None else None,
+                            fields[pos_i] if pos_i is not None else None,
+                        )
+                    except ValueError as exc:
+                        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+                    seen[key] = token
+                linenos.append(lineno)
+                tokens.append(token)
+                rows.append(fields)
+        except UnicodeDecodeError:
+            raise CorpusError(_not_utf8(path)) from None
+    if tokens:
+        yield linenos, tokens, rows
 
 
-def _token_fields(token: Token, columns: ColumnSpec, label: str | None = None) -> list[str]:
-    """One line's fields in column order: ``_`` for a missing lemma or POS."""
-    fields = []
+def _lines(tokens: Sequence[Token], columns: ColumnSpec, labels: Sequence[str] = ()) -> list[str]:
+    """Each token's line, without its newline: the declared columns in order,
+    ``_`` for a missing lemma or POS, built one column at a time."""
+    values = []
     for name in columns.names:
-        value = label if name == "label" else getattr(token, name)
-        fields.append("_" if value is None else value)
-    return fields
+        if name == "label":
+            values.append(labels)
+        elif name == "form":
+            values.append([token.form for token in tokens])
+        else:
+            column = [getattr(token, name) for token in tokens]
+            values.append(["_" if value is None else value for value in column])
+    return list(map("\t".join, zip(*values)))
 
 
 def _parse_label(
     path: str | Path, lineno: int, label: str, seen: LabelTables
 ) -> Multilabel:
-    """One BILOU label, taken from ``seen`` (this read's parsed labels) when
-    an earlier line had it; a new label parses only the components this read
-    has not seen. A label that fails is never stored."""
+    """One BILOU label not parsed before in this read, parsed with the
+    components it has; a label that fails is never stored."""
     labels, components = seen
-    parsed = labels.get(label)
-    if parsed is None:
-        try:
-            parsed = Multilabel.parse(label, components)
-        except NestnerError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        labels[label] = parsed
-    return parsed
-
-
-def _block_to_sentence(
-    path: str | Path,
-    sentence_index: int,
-    block: list[tuple[int, list[str]]],
-    columns: ColumnSpec,
-    scheme: str,
-    policy: codec.RepairPolicy,
-    tokens_seen: TokenTable,
-    labels_seen: LabelTables,
-) -> Sentence:
-    """One sentence block. Each label is parsed, BIO labels after their
-    conversion to BILOU, and a bad one is reported with its line number."""
-    tokens = tuple(
-        _parse_token(path, lineno, fields, columns, tokens_seen) for lineno, fields in block
-    )
-    label_i = columns.index("label")
-    if label_i is None:
-        return Sentence(tokens)
-    labels = [fields[label_i] for _, fields in block]
-    if scheme == "bio":
-        try:
-            labels = bio_to_bilou(labels)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}: sentence {sentence_index}: {exc}") from exc
-    parsed = tuple(
-        _parse_label(path, lineno, label, labels_seen)
-        for (lineno, _), label in zip(block, labels)
-    )
     try:
-        mentions = codec.decode(codec.EncodedSentence(parsed), policy=policy)
-    except codec.DecodeError as exc:
-        raise CorpusError(f"{path}: sentence {sentence_index}: {exc}") from exc
-    return Sentence(tokens, mentions)
+        parsed = Multilabel.parse(label, components)
+    except NestnerError as exc:
+        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+    labels[label] = parsed
+    return parsed
 
 
 def read_conll(
@@ -294,12 +275,31 @@ def read_conll(
         columns = ColumnSpec.parse(columns)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
-    tokens_seen: TokenTable = {}
+    label_i = columns.index("label")
     labels_seen: LabelTables = ({}, {})
-    sentences = [
-        _block_to_sentence(path, i, block, columns, scheme, policy, tokens_seen, labels_seen)
-        for i, block in enumerate(_read_blocks(path))
-    ]
+    known = labels_seen[0].get
+    sentences = []
+    for i, (linenos, tokens, rows) in enumerate(_read_blocks(path, columns)):
+        if label_i is None:
+            sentences.append(Sentence(tokens))
+            continue
+        labels = [fields[label_i] for fields in rows]
+        if scheme == "bio":
+            try:
+                labels = bio_to_bilou(labels)
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: sentence {i}: {exc}") from exc
+        parsed = []
+        for lineno, label in zip(linenos, labels):
+            multilabel = known(label)
+            if multilabel is None:
+                multilabel = _parse_label(path, lineno, label, labels_seen)
+            parsed.append(multilabel)
+        try:
+            mentions = codec.decode(codec.EncodedSentence(parsed), policy=policy)
+        except codec.DecodeError as exc:
+            raise CorpusError(f"{path}: sentence {i}: {exc}") from exc
+        sentences.append(Sentence(tokens, mentions))
     return TaggedCorpus(tuple(sentences), scheme=scheme)
 
 
@@ -324,8 +324,7 @@ def write_conll(
         for i, (sentence, labels) in enumerate(zip(corpus.sentences, labeled)):
             if i:
                 handle.write("\n")
-            for token, label in zip(sentence.tokens, labels):
-                handle.write("\t".join(_token_fields(token, columns, label)) + "\n")
+            handle.write("\n".join(_lines(sentence.tokens, columns, labels)) + "\n")
 
 
 def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCorpus:
@@ -337,14 +336,11 @@ def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCo
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
     _check_span_columns(columns)
-    tokens_seen: TokenTable = {}
     spans_i = len(columns)  # the optional mention list follows the token columns
     sentences = []
-    for block in _read_blocks(path):
-        tokens = []
+    for linenos, tokens, rows in _read_blocks(path, columns):
         mentions: list[Mention] = []
-        for lineno, fields in block:
-            tokens.append(_parse_token(path, lineno, fields, columns, tokens_seen))
+        for lineno, fields in zip(linenos, rows):
             if len(fields) > spans_i and fields[spans_i]:
                 mentions.extend(_parse_span_list(path, lineno, fields[spans_i]))
         unique = frozenset(mentions)
@@ -352,32 +348,31 @@ def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCo
             log.warning(
                 "%s: duplicate mentions in sentence starting at line %d were dropped",
                 path,
-                block[0][0],
+                linenos[0],
             )
         try:
-            sentences.append(Sentence(tuple(tokens), unique))
+            sentences.append(Sentence(tokens, unique))
         except ValueError as exc:
-            raise CorpusError(f"{path}:{block[0][0]}: {exc}") from exc
+            raise CorpusError(f"{path}:{linenos[0]}: {exc}") from exc
     return TaggedCorpus(tuple(sentences))
 
 
 def _parse_span_list(path: str | Path, lineno: int, text: str) -> list[Mention]:
     mentions = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
         parts = chunk.split()
-        if len(parts) != 3:
+        if len(parts) == 3:
+            entity_type, start, end = parts
+            try:
+                mentions.append(Mention(entity_type, Span(int(start), int(end))))
+            except ValueError as exc:
+                raise CorpusError(
+                    f"{path}:{lineno}: bad mention {chunk.strip()!r}: {exc}"
+                ) from exc
+        elif parts:
             raise CorpusError(
-                f"{path}:{lineno}: bad mention {chunk!r}, want 'TYPE START END'"
+                f"{path}:{lineno}: bad mention {chunk.strip()!r}, want 'TYPE START END'"
             )
-        entity_type, start_s, end_s = parts
-        try:
-            mention = Mention(entity_type, Span(int(start_s), int(end_s)))
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: bad mention {chunk!r}: {exc}") from exc
-        mentions.append(mention)
     return mentions
 
 
@@ -398,18 +393,13 @@ def write_spans(
         for i, sentence in enumerate(corpus.sentences):
             if i:
                 handle.write("\n")
-            starts: dict[int, list[Mention]] = {}
-            for mention in sorted(sentence.mentions, key=mention_sort_key):
-                starts.setdefault(mention.span.start, []).append(mention)
-            for t, token in enumerate(sentence.tokens):
-                fields = _token_fields(token, columns)
-                if t in starts:
-                    fields.append(
-                        ";".join(
-                            f"{m.entity_type} {m.span.start} {m.span.end}" for m in starts[t]
-                        )
-                    )
-                handle.write("\t".join(fields) + "\n")
+            starts: dict[int, list[str]] = {}
+            for entity_type, (start, end) in sorted(sentence.mentions, key=mention_sort_key):
+                starts.setdefault(start, []).append(f"{entity_type} {start} {end}")
+            lines = _lines(sentence.tokens, columns)
+            for t, mentions in starts.items():
+                lines[t] += "\t" + ";".join(mentions)
+            handle.write("\n".join(lines) + "\n")
 
 
 def _parse_flat(labels: Sequence[str], allowed: str) -> list[tuple[str, str] | None]:

@@ -31,11 +31,6 @@ class Score:
         return Score(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
-def _sentence_score(gold: frozenset[Mention], pred: frozenset[Mention]) -> Score:
-    tp = len(gold & pred)
-    return Score(tp=tp, fp=len(pred) - tp, fn=len(gold) - tp)
-
-
 def score_mentions(
     gold: Sequence[Iterable[Mention]],
     pred: Sequence[Iterable[Mention]],
@@ -43,22 +38,26 @@ def score_mentions(
     """Micro-averaged strict score plus a per-entity-type breakdown.
 
     ``gold`` and ``pred`` are parallel per-sentence mention collections;
-    mentions match only when both span and type are identical.
+    mentions match only when both span and type are identical. Each
+    sentence's matches, false positives and misses are counted by type in
+    one pass over ``g & p``, ``p - g`` and ``g - p``.
     """
     if len(gold) != len(pred):
         raise NestnerError(
             f"sentence count mismatch: {len(gold)} gold vs {len(pred)} predicted"
         )
-    overall = Score()
-    per_type: dict[str, Score] = {}
+    counts: dict[str, list[int]] = {}  # type -> [tp, fp, fn]
     for gold_sentence, pred_sentence in zip(gold, pred):
         g = frozenset(gold_sentence)
         p = frozenset(pred_sentence)
-        overall = overall + _sentence_score(g, p)
-        for entity_type in {m.entity_type for m in g | p}:
-            gt = frozenset(m for m in g if m.entity_type == entity_type)
-            pt = frozenset(m for m in p if m.entity_type == entity_type)
-            per_type[entity_type] = per_type.get(entity_type, Score()) + _sentence_score(gt, pt)
+        for slot, mentions in enumerate((g & p, p - g, g - p)):
+            for entity_type, _ in mentions:
+                row = counts.get(entity_type)
+                if row is None:
+                    row = counts[entity_type] = [0, 0, 0]
+                row[slot] += 1
+    per_type = {entity_type: Score(*row) for entity_type, row in counts.items()}
+    overall = sum(per_type.values(), Score())
     return overall, per_type
 
 

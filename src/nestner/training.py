@@ -174,12 +174,12 @@ def _components_of(encoded: Sequence[codec.EncodedSentence]):
 
 def multilabel_alphabet(corpus: TaggedCorpus):
     """Alphabet of whole multilabel strings observed in the corpus."""
-    return _multilabels_of([codec.encode(sentence) for sentence in corpus.sentences])
+    return _multilabels_of(corpus.encoded)
 
 
 def component_alphabet(corpus: TaggedCorpus):
     """Alphabet of single components observed in the corpus, with <eow> at 0."""
-    return _components_of([codec.encode(sentence) for sentence in corpus.sentences])
+    return _components_of(corpus.encoded)
 
 
 def build_model(
@@ -196,8 +196,9 @@ def build_model(
     seed: int = 1,
     dtype=np.float64,
 ):
-    """Untrained tagger with vocabulary and label alphabet taken from ``corpus``,
-    whose sentences are each encoded once."""
+    """Untrained tagger with vocabulary and label alphabet taken from
+    ``corpus``, from the encodings it keeps (:attr:`TaggedCorpus.encoded`),
+    which :func:`train` on the same corpus reuses."""
     if vocab is None:
         vocab = build_vocabulary(corpus, min_freq)
     if embedding is None:
@@ -205,7 +206,7 @@ def build_model(
     if embedding.use_pos_onehot and embedding.pos_dim == 0:
         embedding = replace(embedding, pos_dim=vocab.n_pos)
     rng = np.random.default_rng(seed)
-    encoded = [codec.encode(sentence) for sentence in corpus.sentences]
+    encoded = corpus.encoded
     if kind == "crf":
         config = models.CrfConfig(embedding=embedding, hidden_dim=hidden_dim)
         return models.CrfTagger(
@@ -301,7 +302,7 @@ def train(
     regularization = regularization or RegularizationConfig()
     if dev is not None and not dev.sentences:
         raise NestnerError("dev corpus is empty")
-    encoded = [codec.encode(sentence) for sentence in corpus.sentences]
+    encoded = corpus.encoded
     if model.kind == "seq2seq":
         _check_nesting_depth(encoded, model.config.max_components_per_token)
     targets = []

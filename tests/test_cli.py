@@ -144,6 +144,24 @@ class TestPipeline:
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows[0]["type"] == "ALL" and rows[0]["f1"] == 1.0
 
+    @pytest.mark.parametrize(
+        "pred_text, message",
+        [
+            # the same forms and labels, split into sentences of 2 and 2 tokens
+            ("a\tB-X\nb\tL-X\n\nc\tO\nd\tU-Y\n", "pred.conll: sentence 0 does not have the tokens"),
+            ("a\tB-X\nb\tL-X\nc\tO\n\ne\tU-Y\n", "pred.conll: sentence 1 does not have the tokens"),
+            ("a\tB-X\nb\tL-X\nc\tO\n", "pred.conll has 1 sentences"),
+        ],
+    )
+    def test_evaluate_misaligned_files_exit_1(self, tmp_path, capsys, pred_text, message):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("a\tB-X\nb\tL-X\nc\tO\n\nd\tU-Y\n", encoding="utf-8")
+        pred = tmp_path / "pred.conll"
+        pred.write_text(pred_text, encoding="utf-8")
+        assert run("evaluate", "--gold", str(gold), "--pred", str(pred)) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(gold) in err and "Traceback" not in err
+
     def test_identical_seeds_identical_outputs(self, tmp_path):
         corpus = synthgrammar.generate(10, seed=5)
         train_file = tmp_path / "train.conll"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +55,86 @@ class TestMention:
 
     def test_type_with_inner_dash_ok(self):
         assert Mention("work-of-art", Span(0, 1)).entity_type == "work-of-art"
+
+
+class TestTupleBackedValues:
+    """``Span`` is the tuple ``(start, end)`` and ``Mention`` the tuple
+    ``(entity_type, span)``: their constructors check, and nothing changes
+    them afterwards."""
+
+    @pytest.mark.parametrize("start,end", [(3, 3), (4, 2), (-1, 2)])
+    def test_invalid_span_message(self, start, end):
+        with pytest.raises(ValueError) as err:
+            Span(start, end)
+        assert str(err.value) == f"invalid span: need 0 <= start < end, got ({start}, {end})"
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Span._make((3, 3)), lambda: Span(1, 3)._replace(end=0),
+         lambda: Mention._make(("A|B", Span(0, 1))),
+         lambda: mention("X", 1, 3)._replace(entity_type="")],
+    )
+    def test_make_and_replace_check_like_the_constructor(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize(
+        "value, attribute",
+        [(Span(1, 3), "start"), (Span(1, 3), "end"), (Span(1, 3), "other"),
+         (mention("X", 1, 3), "entity_type"), (mention("X", 1, 3), "span"),
+         (mention("X", 1, 3), "other")],
+    )
+    def test_assignment_raises_attribute_error(self, value, attribute):
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, 0)
+        assert not hasattr(value, "__dict__")
+
+    def test_fields_and_length(self):
+        m = mention("ORG", 2, 7)
+        assert (m.entity_type, m.span, m.start, m.end) == ("ORG", Span(2, 7), 2, 7)
+        assert (m.span.start, m.span.end, len(m.span)) == (2, 7, 5)
+        assert repr(m) == "Mention(entity_type='ORG', span=Span(start=2, end=7))"
+
+    def test_equal_to_plain_tuples(self):
+        assert Span(0, 2) == (0, 2) and hash(Span(0, 2)) == hash((0, 2))
+        assert mention("X", 0, 2) == ("X", (0, 2))
+        assert hash(mention("X", 0, 2)) == hash(("X", (0, 2)))
+        assert mention("X", 0, 2) in {("X", (0, 2))}
+        assert mention("X", 0, 2) != ("X", (0, 3)) and mention("X", 0, 2) != ("Y", (0, 2))
+
+    @given(st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 4), st.integers(1, 3))))
+    @settings(deadline=None)
+    def test_hash_agrees_with_equality(self, raw):
+        made = [mention(t, s, s + n) for t, s, n in raw]
+        again = [mention(t, s, s + n) for t, s, n in raw]
+        for a, b in zip(made, again):
+            assert a == b and hash(a) == hash(b) and a is not b
+        for a in made:
+            for b in made:
+                same = (a.entity_type, a.start, a.end) == (b.entity_type, b.start, b.end)
+                assert (a == b) == same
+                assert a != b or hash(a) == hash(b)
+        assert len(frozenset(made)) == len(set(map(tuple, raw)))
+
+    @pytest.mark.parametrize("value", [Span(0, 1), Span(0, 10**12), mention("work-of-art", 3, 9)])
+    def test_pickle_and_copy_round_trip(self, value):
+        for back in (pickle.loads(pickle.dumps(value, protocol)) for protocol in (2, 5)):
+            assert back == value and type(back) is type(value)
+            if isinstance(back, Mention):
+                assert type(back.span) is Span
+        assert copy.deepcopy(value) == value and copy.copy(value) == value
+
+    def test_span_order_is_start_then_end(self):
+        spans = [Span(2, 3), Span(0, 5), Span(0, 1), Span(1, 4)]
+        assert sorted(spans) == [Span(0, 1), Span(0, 5), Span(1, 4), Span(2, 3)]
+        assert Span(0, 1) < Span(0, 2) < Span(1, 2)
+
+    def test_mention_sort_key_order_unchanged(self):
+        mentions = [mention("Y", 2, 4), mention("B", 0, 1), mention("X", 2, 4),
+                    mention("A", 0, 3), mention("C", 3, 4), mention("A", 2, 3)]
+        assert [mention_sort_key(m) for m in sorted(mentions, key=mention_sort_key)] == [
+            (0, -3, "A"), (0, -1, "B"), (2, -4, "X"), (2, -4, "Y"), (2, -3, "A"), (3, -4, "C")
+        ]
 
 
 def _raised(make):

@@ -241,6 +241,8 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
     def test_each_sentence_encoded_once(self, kind, monkeypatch):
+        """``build_model`` then ``train`` with a dev corpus, as ``nestner
+        train`` calls them: one encoding per training sentence in the run."""
         corpus = small_corpus()
         counts = collections.Counter()
         encode = codec.encode
@@ -250,14 +252,16 @@ class TestBuildModel:
             return encode(sentence)
 
         monkeypatch.setattr(codec, "encode", counting)
-        model = build_model(kind, corpus, embedding=TINY, hidden_dim=4)
+        model = build_model(kind, corpus, embedding=TINY, hidden_dim=4, dtype=np.float32)
+        assert counts == collections.Counter(corpus.sentences)
+        train(model, corpus, TrainConfig(epochs=1), dev=synthgrammar.generate(3, seed=12))
         assert counts == collections.Counter(corpus.sentences)
         monkeypatch.undo()
         label_alphabet = model.alphabet if kind == "crf" else model.components
         public = (
             training.multilabel_alphabet if kind == "crf" else training.component_alphabet
         )
-        assert label_alphabet.strings == public(corpus).strings
+        assert label_alphabet.strings == public(TaggedCorpus(corpus.sentences)).strings
 
     def test_pos_dim_resolved_from_vocabulary(self):
         corpus = TaggedCorpus((Sentence((Token("a", pos="N"), Token("b", pos="V"))),))
