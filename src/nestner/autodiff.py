@@ -144,8 +144,18 @@ class Gradients:
         return out
 
     def nonfinite_names(self) -> list[str]:
+        """Sorted names of the gradients holding a NaN or an infinity. Each
+        is found by two reductions that make no temporary: NaN propagates
+        through both the minimum and the maximum, and -inf or +inf shows in
+        one of them."""
         arrays = [*self.dense.items(), *((name, r.values) for name, r in self.rows.items())]
-        return sorted({name for name, g in arrays if not np.all(np.isfinite(g))})
+        return sorted(
+            {
+                name
+                for name, g in arrays
+                if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max()))
+            }
+        )
 
 
 class Var:
@@ -271,6 +281,130 @@ def _pack(n_rows: int, lengths: Sequence[int] | None, reverse: bool) -> _Packing
     rows = (starts + (sorted_lens - 1 - step if reverse else step))[running]
     bounds = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
     return _Packing(rows, bounds.tolist(), order, n_seq)
+
+
+def _scaled_span(dtype: np.dtype) -> float:
+    """The widest transition block :func:`_scaled_chain` takes: ``-log(tiny) / 2``."""
+    return -0.5 * float(np.log(np.finfo(dtype).tiny))
+
+
+def _scaled_chain(e_p: np.ndarray, a: np.ndarray, pack: _Packing, last_rows: np.ndarray):
+    """Summed log Z of packed CRF sequences, and a function returning their
+    packed marginals and expected transition counts, by scaled
+    forward-backward recursions in probability space (Rabiner 1989).
+
+    ``e_p`` holds the emissions in packed order, ``a`` is the (k+2, k+2)
+    ``trans`` of :meth:`Tape.crf_nll` and ``last_rows`` each sequence's
+    last packed position. With ``E = exp(inner - max(inner))`` and every
+    row's emissions, plus the start row on first rows and the stop column
+    on last rows, shifted by their maximum and exponentiated once, α is kept
+    as a distribution over labels: each step is one ``(n_s, k) @ E``
+    product times the rows' weights, normalised to sum 1. log Z is the sum
+    of the logs of the normalisers and of the shifts, plus ``max(inner)``
+    once per transition. β is scaled by the same normalisers, so that
+    ``α_t · β_t`` is 1 at every row: the marginals are ``α ⊙ β``, and the
+    expected transition counts are ``E ⊙ (α_prevᵀ @ v)``, one GEMM, with
+    ``v`` each row's weights times its β over its normaliser. Nothing is
+    exponentiated after the weights.
+
+    The caller takes this path while ``inner`` spans less than
+    :func:`_scaled_span` nats, so every entry of ``E`` lies in (√tiny, 1].
+    Every row sum before the weights is then above ``max(α) · min(E) >
+    √tiny / k``, and the weights' maximum is 1, so no normaliser underflows,
+    and an entry that the weights push below ``tiny`` is less than
+    ``k · √tiny`` of its row's sum (about 1e-151 in float64 and 3e-17 in
+    float32 at k = 300): below the dtype's precision, as is all it feeds
+    into later rows. β's entries at one row lie within a factor
+    ``exp(ptp(inner))`` of each other and average 1 under α, so they stay
+    within (√tiny, 1/√tiny); ``v`` stays below ``k / √tiny`` and every
+    count term below ``1 / √tiny``, so nothing overflows.
+    """
+    bounds = pack.bounds
+    first = bounds[1]
+    k = e_p.shape[1]
+    inner = a[:k, :k]
+    top = inner.max()
+    trans_exp = inner - top
+    np.exp(trans_exp, out=trans_exp)
+    weights = np.array(e_p)  # e_p may be a view of the emissions
+    weights[:first] += a[k, :k]
+    weights[last_rows] += a[:k, k + 1]
+    shift = weights.max(axis=1, keepdims=True)
+    weights -= shift
+    np.exp(weights, out=weights)
+    alpha = np.empty_like(weights)
+    norms = np.empty(len(weights), dtype=weights.dtype)
+    norms[:first] = weights[:first].sum(axis=1)
+    np.divide(weights[:first], norms[:first, None], out=alpha[:first])
+    for lo, hi, nxt in zip(bounds, bounds[1:], bounds[2:]):
+        step = np.matmul(alpha[lo : lo + nxt - hi], trans_exp, out=alpha[hi:nxt])
+        step *= weights[hi:nxt]
+        step /= step.sum(axis=1, out=norms[hi:nxt])[:, None]
+    log_z = np.log(norms).sum() + shift.sum() + (len(weights) - first) * top
+
+    def expected() -> tuple[np.ndarray, np.ndarray]:
+        trans_exp_t = np.ascontiguousarray(trans_exp.T)
+        beta = np.empty_like(alpha)
+        beta[last_rows] = 1.0
+        v = weights / norms[:, None]
+        for lo, hi, nxt in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
+            step = v[hi:nxt]
+            step *= beta[hi:nxt]
+            np.matmul(step, trans_exp_t, out=beta[lo : lo + nxt - hi])
+        d_e = alpha * beta
+        d_a = np.zeros_like(a)
+        d_a[k, :k] = d_e[:first].sum(axis=0)
+        d_a[:k, k + 1] = d_e[last_rows].sum(axis=0)
+        if len(v) > first:
+            np.multiply(trans_exp, alpha[pack.previous()].T @ v[first:], out=d_a[:k, :k])
+        return d_e, d_a
+
+    return log_z, expected
+
+
+def _log_chain(e_p: np.ndarray, a: np.ndarray, pack: _Packing, last_rows: np.ndarray):
+    """:func:`_scaled_chain` in log space, for transition blocks too wide to
+    scale: each step is :func:`_log_matmul`, exact per entry where terms
+    underflow, and the expected transition counts are the k x k step
+    marginals, summed one step at a time."""
+    bounds = pack.bounds
+    first = bounds[1]
+    k = e_p.shape[1]
+    inner = a[:k, :k]
+    col_max = inner.max(axis=0)
+    exp_cols = np.exp(inner - col_max)
+    alpha = np.empty_like(e_p)
+    alpha[:first] = e_p[:first] + a[k, :k]
+    for lo, hi, nxt in zip(bounds, bounds[1:], bounds[2:]):
+        alpha[hi:nxt] = _log_matmul(alpha[lo : lo + nxt - hi], inner, exp_cols, col_max)
+        alpha[hi:nxt] += e_p[hi:nxt]
+    last = alpha[last_rows] + a[:k, k + 1]
+    m = last.max(axis=1, keepdims=True)
+    log_z = m[:, 0] + np.log(np.exp(last - m).sum(axis=1))  # by sequence
+
+    def expected() -> tuple[np.ndarray, np.ndarray]:
+        row_max = inner.max(axis=1)
+        exp_rows_t = np.exp(inner.T - row_max)
+        beta = np.empty_like(alpha)
+        beta[last_rows] = a[:k, k + 1]
+        for lo, hi, nxt in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
+            beta[lo : lo + nxt - hi] = _log_matmul(
+                e_p[hi:nxt] + beta[hi:nxt], inner.T, exp_rows_t, row_max
+            )
+        # each packed position's slot in its step is its sequence's place in running order
+        slot = np.arange(len(e_p)) - np.repeat(bounds[:-1], np.diff(bounds))
+        log_z_at = log_z[pack.order][slot][:, None]
+        d_e = np.exp(alpha + beta - log_z_at)
+        d_a = np.zeros_like(a)
+        d_a[k, :k] = d_e[:first].sum(axis=0)
+        d_a[:k, k + 1] = d_e[last_rows].sum(axis=0)
+        # each step's exp(alpha[t-1, i] + inner[i, j] + e[t, j] + beta[t, j] - log_z)
+        nxt = e_p[first:] + beta[first:] - log_z_at[first:]
+        for prev, after in zip(alpha[pack.previous()], nxt):
+            d_a[:k, :k] += np.exp(prev[:, None] + inner + after)
+        return d_e, d_a
+
+    return log_z.sum(), expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -443,40 +577,32 @@ class Tape:
         without it), and ``path`` holds the L gold labels in the same order.
         ``trans`` is (k+2, k+2): row k holds start transitions and column k+1
         stop transitions. The sequences advance together as in :meth:`gru`,
-        so each forward step is one (n_s, k) x (k, k) product in exp space
-        (:func:`_log_matmul`, exact per entry where terms underflow), and the
-        transition block is exponentiated once per call. Backward runs the
-        backward algorithm the same way and takes the gradient from the
-        marginals. The expected transition counts of every step of every
-        sequence are one (k, P) x (P, k) GEMM, each row scaled by its
-        sequence's log Z, while the transition block spans less than half the
-        dtype's exponent range, so that no factor of a count can overflow or
-        underflow unnoticed; wider blocks sum the k x k step marginals one
-        step at a time. No per-token k x k scores are kept.
+        so each step of the forward and the backward recursion is one
+        (n_s, k) x (k, k) product over the sequences still running, and
+        backward takes the gradient from the marginals. The expected
+        transition counts of every step of every sequence are one
+        (k, P) x (P, k) GEMM when the recursions run scaled, and a sum of
+        k x k step marginals otherwise. No per-token k x k scores are kept.
+
+        The recursions run scaled, in probability space (Rabiner 1989),
+        while the transition block ``trans[:k, :k]`` spans less than
+        ``-log(tiny) / 2`` of the dtype (354 nats in float64, 43.7 in
+        float32); see :func:`_scaled_chain`. The start row and the stop
+        column enter as part of the first and the last row's emissions,
+        whose spread is free. Wider blocks run in log space
+        (:func:`_log_chain`).
         """
         e = emissions.value
         a = trans.value
         n, k = e.shape
         assert a.shape == (k + 2, k + 2)
         pack = _pack(n, lengths, reverse=False)
-        bounds = pack.bounds
-        first = bounds[1]  # every sequence's first row is in step 0
-        assert n >= 1 and first == pack.n_seq, "every sequence needs a row"
+        assert n >= 1 and pack.bounds[1] == pack.n_seq, "every sequence needs a row"
         ends = np.cumsum([n] if lengths is None else lengths)
         last_rows = pack.unpacked(np.arange(n))[ends - 1]  # packed, by sequence
         inner = a[:k, :k]
-        col_max = inner.max(axis=0)
-        exp_cols = np.exp(inner - col_max)
-        e_p = e[pack.rows]  # packed order
-        alpha = np.empty_like(e_p)
-        alpha[:first] = e_p[:first] + a[k, :k]
-        for lo, hi, nxt in zip(bounds, bounds[1:], bounds[2:]):
-            alpha[hi:nxt] = _log_matmul(alpha[lo : lo + nxt - hi], inner, exp_cols, col_max)
-            alpha[hi:nxt] += e_p[hi:nxt]
-        last = alpha[last_rows] + a[:k, k + 1]
-        m = last.max(axis=1, keepdims=True)
-        log_z = m[:, 0] + np.log(np.exp(last - m).sum(axis=1))  # by sequence
-        value = log_z.sum()
+        chain = _scaled_chain if np.ptp(inner) < _scaled_span(a.dtype) else _log_chain
+        value, expected = chain(e[pack.rows], a, pack, last_rows)
         if path is not None:
             p = np.asarray(path, dtype=np.intp)
             assert p.shape == (n,)
@@ -490,37 +616,7 @@ class Tape:
             )
 
         def back(g, grads):
-            row_max = inner.max(axis=1)
-            exp_rows_t = np.exp(inner.T - row_max)
-            beta = np.empty_like(alpha)
-            beta[last_rows] = a[:k, k + 1]
-            for lo, hi, nxt in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
-                beta[lo : lo + nxt - hi] = _log_matmul(
-                    e_p[hi:nxt] + beta[hi:nxt], inner.T, exp_rows_t, row_max
-                )
-            # each packed position's slot in its step is its sequence's place in running order
-            slot = np.arange(len(e_p)) - np.repeat(bounds[:-1], np.diff(bounds))
-            log_z_at = log_z[pack.order][slot][:, None]
-            d_e = np.exp(alpha + beta - log_z_at)
-            d_a = np.zeros_like(a)
-            d_a[k, :k] = d_e[:first].sum(axis=0)
-            d_a[:k, k + 1] = d_e[last_rows].sum(axis=0)
-            if len(e_p) > first:
-                # sum over steps of exp(alpha[t-1, i] + inner[i, j] + v[t, j] - log_z), v = e + beta
-                prev = alpha[pack.previous()]
-                nxt = e_p[first:] + beta[first:]
-                if np.ptp(inner) < -0.5 * np.log(np.finfo(a.dtype).tiny):
-                    # every factor shifted to at most 1; the last is at most exp(ptp(inner))
-                    m_prev = prev.max(axis=1, keepdims=True)
-                    m_next = nxt.max(axis=1, keepdims=True)
-                    shift = m_prev + m_next - log_z_at[first:]
-                    top = shift.max()
-                    counts = np.exp(prev - m_prev).T @ (np.exp(nxt - m_next) * np.exp(shift - top))
-                    d_a[:k, :k] = np.exp(inner + top) * counts
-                else:
-                    nxt -= log_z_at[first:]
-                    for t in range(len(prev)):
-                        d_a[:k, :k] += np.exp(prev[t][:, None] + inner + nxt[t])
+            d_e, d_a = expected()
             d_rows = pack.unpacked(d_e)
             if path is not None:
                 d_rows[np.arange(n), p] -= 1.0

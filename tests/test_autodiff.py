@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestner
 from nestner.autodiff import (
-    ForwardTape, Gradients, Parameters, RowGradient, Tape, _pack, dropout_mask, grad_check,
+    ForwardTape, Gradients, Parameters, RowGradient, Tape, _pack, _scaled_span, dropout_mask,
+    grad_check,
 )
 from nestner.models import CrfTagger, Seq2seqTagger
 
@@ -790,6 +793,111 @@ class TestPackedCrf:
         np.testing.assert_allclose(d_a, ref_a, **close)
 
 
+def _spanning(rng, shape, span):
+    """Uniform values whose largest minus smallest is ``span`` (0 for one value)."""
+    x = rng.random(shape)
+    spread = x.max() - x.min()
+    return rng.normal() + (x - x.min()) * (span / spread if spread else 0.0)
+
+
+def _path_scale(emissions, trans):
+    """The largest magnitude a term of one path's score can have, summed
+    over the path: a log Z near zero is a difference of terms this size."""
+    return float(np.abs(emissions).max(axis=1).sum() + 2 * len(emissions) * np.abs(trans).max())
+
+
+@st.composite
+def crf_regimes(draw):
+    """Packed CRF inputs on both sides of the scaled path's condition: 1-5
+    sentences of 1-5 rows, k <= 4, emissions spread up to hundreds of nats
+    (float64) or tens (float32), and a transition block and a stop column
+    spanning just below or just above ``_scaled_span`` of the dtype."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bound = _scaled_span(dtype)
+    inner_span, stop_span = (
+        bound * draw(st.sampled_from([0.999, 1.001])) for _ in range(2)
+    )
+    # float32 log-space marginals lose about eps * |log score|: the float32
+    # tolerances hold for scores near 1e3, which a spread of 300 exceeds
+    spreads = [0.5, 5.0, 50.0] + ([300.0] if dtype == np.float64 else [])
+    emission_spread = draw(st.sampled_from(spreads))
+    emissions = rng.standard_normal((sum(lengths), k)) * emission_spread
+    trans = rng.standard_normal((k + 2, k + 2)) * 3.0
+    trans[:k, :k] = _spanning(rng, (k, k), inner_span)
+    trans[:k, k + 1] = _spanning(rng, k, stop_span)
+    return emissions.astype(dtype), trans.astype(dtype), lengths
+
+
+class TestCrfRegimes:
+    """:meth:`Tape.crf_nll` runs scaled while the transition block spans
+    less than ``_scaled_span`` of the dtype, and in log space otherwise;
+    both agree with the enumeration oracle, and with each other where both
+    apply."""
+
+    @staticmethod
+    def _run_watched(emissions, trans, lengths, scaled_span=_scaled_span):
+        """The op's value and gradients, and the chain each call ran."""
+        ran = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_scaled_chain", "_log_chain"):
+                chain = getattr(nestner.autodiff, name)
+                patch.setattr(
+                    nestner.autodiff, name,
+                    lambda *args, chain=chain, name=name: ran.append(name) or chain(*args),
+                )
+            patch.setattr(nestner.autodiff, "_scaled_span", scaled_span)
+            value, d_e, d_a = TestPackedCrf._run(
+                emissions, trans, lengths, dtype=emissions.dtype.type
+            )
+        return value, d_e, d_a, ran
+
+    @given(crf_regimes())
+    @settings(max_examples=60, deadline=None)
+    def test_log_partition_matches_path_enumeration(self, regime):
+        emissions, trans, lengths = regime
+        k = emissions.shape[1]
+        value, d_e, d_a, ran = self._run_watched(emissions, trans, lengths)
+        scaled = np.ptp(trans[:k, :k]) < _scaled_span(trans.dtype)  # the stop column is free
+        assert ran == ["_scaled_chain" if scaled else "_log_chain"]
+        total, ref_e, ref_a = 0.0, np.zeros(d_e.shape), np.zeros(d_a.shape)
+        bounds = np.cumsum([0, *lengths])
+        for lo, hi in zip(bounds, bounds[1:]):
+            log_z, one_e, one_a = _enumerated_crf(emissions[lo:hi], trans)
+            total += log_z
+            ref_e[lo:hi] = one_e
+            ref_a += one_a
+        if emissions.dtype == np.float64:
+            rel, close = 1e-12, dict(rtol=0, atol=1e-10)
+        else:  # as in TestPackedCrf: float32 log scores near 1e3
+            rel, close = 1e-6, dict(rtol=3e-4, atol=1e-5)
+        assert value == pytest.approx(total, rel=rel, abs=rel * _path_scale(emissions, trans))
+        np.testing.assert_allclose(d_e, ref_e, **close)
+        np.testing.assert_allclose(d_a, ref_a, **close)
+
+    @given(crf_regimes())
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_path_matches_log_space_path(self, regime):
+        emissions, trans, lengths = regime
+        k = emissions.shape[1]
+        if np.ptp(trans[:k, :k]) >= _scaled_span(trans.dtype):
+            trans[:k, :k] *= 0.99 * _scaled_span(trans.dtype) / np.ptp(trans[:k, :k])
+        value, d_e, d_a, ran = self._run_watched(emissions, trans, lengths)
+        log_value, log_e, log_a, log_ran = self._run_watched(
+            emissions, trans, lengths, scaled_span=lambda dtype: -np.inf
+        )
+        assert (ran, log_ran) == (["_scaled_chain"], ["_log_chain"])
+        if emissions.dtype == np.float64:
+            rel, close = 1e-12, dict(rtol=1e-9, atol=1e-12)
+        else:
+            rel, close = 1e-6, dict(rtol=3e-4, atol=1e-5)
+        assert value == pytest.approx(log_value, rel=rel, abs=rel * _path_scale(emissions, trans))
+        np.testing.assert_allclose(d_e, log_e, **close)
+        np.testing.assert_allclose(d_a, log_a, **close)
+
+
 class TestGradCheckReport:
     def test_corrupted_gradient_reported_by_name(self):
         params = make_params([("good", (3,)), ("evil", (3,))], seed=3)
@@ -823,6 +931,18 @@ class TestGradients:
         grads.rows["worse"] = RowGradient(np.array([0]), np.array([[np.inf]]))
         grads.rows["fine"] = RowGradient(np.array([2]), np.array([[1.0]]))
         assert grads.nonfinite_names() == ["bad", "worse"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_nonfinite_value_is_found_in_dense_and_row_gradients(self, bad, dtype):
+        grads = Gradients()
+        grads.dense["clean"] = np.arange(6, dtype=dtype).reshape(2, 3)
+        grads.dense["dense"] = np.arange(6, dtype=dtype).reshape(2, 3)
+        grads.dense["dense"][1, 1] = bad
+        grads.rows["rows"] = RowGradient(np.array([1, 4]), np.ones((2, 3), dtype=dtype))
+        grads.rows["rows"].values[0, 2] = bad
+        grads.rows["empty"] = RowGradient(np.zeros(0, np.intp), np.zeros((0, 3), dtype=dtype))
+        assert grads.nonfinite_names() == ["dense", "rows"]
 
     def test_materialize_combines_rows(self):
         grads = Gradients()

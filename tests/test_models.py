@@ -332,6 +332,33 @@ class TestPrunedViterbi:
         assert len(calls) == 1
         assert batch == [model.predict(sentence) for sentence in corpus]
 
+    @staticmethod
+    def _tested_steps(monkeypatch, emissions, trans) -> tuple[list[int], list[int]]:
+        """The path of ``viterbi`` and, per candidate test, the labels it kept."""
+        kept = []
+        flatnonzero = np.flatnonzero
+
+        def counted(a):
+            ids = flatnonzero(a)
+            kept.append(len(ids))
+            return ids
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "flatnonzero", counted)
+            path = viterbi(emissions, trans)
+        return path, kept
+
+    @pytest.mark.parametrize("k", [96, 128, 300])
+    @pytest.mark.parametrize("n", [2, 6, 20, 45])
+    def test_tables_that_never_prune_take_the_dense_path(self, monkeypatch, k, n):
+        """Random normal tables keep most labels at every step's test, so
+        every step runs dense, and the path is the dense reference's."""
+        emissions, trans = viterbi_table("flat", 7 * k + n, n, k)
+        path, kept = self._tested_steps(monkeypatch, emissions, trans)
+        assert path == reference_viterbi(emissions, trans)
+        assert len(kept) == n - 1
+        assert min(kept, default=k) > int(models.PRUNE_MAX_SHARE * k)
+
     def test_pruned_steps_build_no_square_buffer(self):
         """At k=300 with a dominant label per token every step prunes: the
         call allocates less than one (k, k) score buffer."""
