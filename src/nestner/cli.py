@@ -31,6 +31,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _labeled_columns(text: str) -> str:
+    """A ``--columns`` value for a command that reads gold or predicted labels."""
+    if "label" not in (name.strip() for name in text.split(",")):
+        raise argparse.ArgumentTypeError(f"{text!r} has no 'label' column")
+    return text
+
+
+def non_negative_int(text: str) -> int:
+    """An integer flag value that may not be negative, such as ``--seed``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nestner", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,14 +63,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="multilabel file -> span file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--columns", default="form,label")
+    p.add_argument("--columns", type=_labeled_columns, default="form,label")
     p.add_argument("--policy", choices=["strict", "repair"], default="strict")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("convert", help="flat BIO <-> BILOU label conversion")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--columns", default="form,label")
+    p.add_argument("--columns", type=_labeled_columns, default="form,label")
     p.add_argument("--to", choices=["bilou", "bio"], required=True)
     p.set_defaults(func=cmd_convert)
 
@@ -65,13 +80,13 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=["crf", "seq2seq"], default="crf")
     p.add_argument("--save", required=True, help="checkpoint path")
     p.add_argument("--metrics", help="write per-epoch records to this file (JSON lines)")
-    p.add_argument("--columns", default="form,label")
+    p.add_argument("--columns", type=_labeled_columns, default="form,label")
     p.add_argument("--scheme", choices=["bilou", "bio"], default="bilou")
     p.add_argument("--pretrained", help="text-format word vector file")
     p.add_argument("--pretrained-dim", type=int, default=300)
     p.add_argument("--contextual", help="sidecar vector file for --train")
     p.add_argument("--dev-contextual", help="sidecar vector file for --dev")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=non_negative_int, default=1)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch", type=int, default=8)
@@ -100,13 +115,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="strict mention-level scoring")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--columns", default="form,label")
+    p.add_argument("--columns", type=_labeled_columns, default="form,label")
     p.add_argument("--pred-policy", choices=["strict", "repair"], default="strict")
     p.add_argument("--json", action="store_true", help="line-delimited records instead of a table")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of both model kinds")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=non_negative_int, default=1)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

@@ -17,7 +17,6 @@ components are followed by the ``<eow>`` sentinel.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -77,7 +76,7 @@ class EncodedSentence:
 
     @classmethod
     def from_strings(cls, labels: Iterable[str]) -> "EncodedSentence":
-        return cls(tuple(Multilabel.parse(s) for s in labels))
+        return cls(tuple(map(Multilabel.parse, labels)))
 
 
 def contains_partial_crossing(mentions: Iterable[Mention]) -> bool:
@@ -118,30 +117,14 @@ def _ordered_spans_cross(spans: Iterable[tuple[int, int]]) -> bool:
     return False
 
 
-# Labels are interned like entity types are checked (``core``): a corpus has
-# a few entity types and a few hundred distinct multilabels, so each
-# component and multilabel is built, and its text formatted, once while it
-# stays among the most recently used.
-
-
-@functools.lru_cache(maxsize=1024)
-def _component(tag: str, entity_type: str) -> LabelComponent:
-    return LabelComponent(tag, entity_type)
-
-
-@functools.lru_cache(maxsize=4096)
-def _multilabel(keys: tuple[tuple[str, str], ...]) -> Multilabel:
-    """The multilabel of the components with these ``(tag, type)`` keys."""
-    return Multilabel(tuple(_component(tag, entity_type) for tag, entity_type in keys))
-
-
 def encode(sentence: Sentence) -> EncodedSentence:
     """Per-token multilabels for a sentence's mention set.
 
     Components of each token are listed in mention priority order (earlier
     start first, then longer span, then lexicographic type). Every
-    component and multilabel is an interned value shared by all tokens and
-    sentences that hold it.
+    multilabel comes from the label table (``core``), so it is the object
+    that parsing its text gives, shared by all tokens and sentences that
+    hold it.
     """
     ordered = sorted(sentence.mentions, key=mention_sort_key)
     if _ordered_spans_cross(span for _, span in ordered):
@@ -159,7 +142,7 @@ def encode(sentence: Sentence) -> EncodedSentence:
         for t in range(start + 1, end - 1):
             keys[t].append(inside)
         keys[end - 1].append(("L", entity_type))
-    return EncodedSentence(tuple(map(_multilabel, map(tuple, keys))))
+    return EncodedSentence(tuple(map(Multilabel.from_keys, map(tuple, keys))))
 
 
 def _mention(entity_type: str, start: int, end: int) -> Mention:
@@ -238,15 +221,18 @@ def flatten(encoded: EncodedSentence) -> tuple[str, ...]:
 
 
 def unflatten(stream: Iterable[str], length: int) -> EncodedSentence:
-    """Inverse of :func:`flatten`; ``stream`` must contain exactly ``length`` <eow>."""
+    """Inverse of :func:`flatten`; ``stream`` must contain exactly ``length`` <eow>.
+    Each component and multilabel comes from the label table (``core``), so
+    only a component the table does not hold is parsed."""
     labels: list[Multilabel] = []
-    pending: list[LabelComponent] = []
+    pending: list[tuple[str, str]] = []  # the token's components' (tag, type) keys
     for symbol in stream:
         if symbol == EOW:
-            labels.append(Multilabel(tuple(pending)))
+            labels.append(Multilabel.from_keys(tuple(pending)))
             pending = []
         else:
-            pending.append(LabelComponent.parse(symbol))
+            component = LabelComponent.parse(symbol)
+            pending.append((component.tag, component.entity_type))
     if pending:
         raise ComponentStreamError(
             f"stream has {len(pending)} trailing component(s) after the last {EOW}"

@@ -13,6 +13,8 @@ larger multilabel. All types here are immutable values after construction.
 they are built, hashed, compared and ordered as tuples (in C) and equal the
 plain tuples with the same items. Their constructors check their values.
 Label components and multilabels carry their label text, formatted once.
+The package builds them only in its label table, which ``LabelComponent.parse``,
+``Multilabel.parse`` and ``Multilabel.from_keys`` read.
 """
 
 from __future__ import annotations
@@ -150,6 +152,58 @@ def mention_precedes(a: Mention, b: Mention) -> bool:
     return mention_sort_key(a) < mention_sort_key(b)
 
 
+# The label table. Every LabelComponent and Multilabel this package makes is
+# made here, once per process while it stays among the most recently used: a
+# corpus has a few entity types and a few hundred distinct multilabels.
+# ``encode`` finds a multilabel by its components' ``(tag, type)`` keys and
+# the parsers by its text, and both reach the same objects. A label that
+# fails to parse is never stored, so it raises on every call.
+
+
+@functools.lru_cache(maxsize=1024)
+def _component(text: str) -> LabelComponent:
+    """The component ``text`` spells, e.g. ``I-ORG``, from the label table;
+    a malformed one is a :class:`LabelParseError`."""
+    if text == OUTSIDE:
+        raise LabelParseError(f"'O' is a full label, not a component: {text!r}")
+    tag, sep, entity_type = text.partition("-")
+    if not sep or tag not in COMPONENT_TAGS:
+        raise LabelParseError(f"malformed component (want B-/I-/L-/U- prefix): {text!r}")
+    if not entity_type:
+        raise LabelParseError(f"component has empty entity type: {text!r}")
+    try:
+        return LabelComponent(tag, entity_type)
+    except ValueError as exc:
+        raise LabelParseError(f"bad component {text!r}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=4096)
+def _multilabel(keys: tuple[tuple[str, str], ...]) -> Multilabel:
+    """The multilabel of the components with these ``(tag, type)`` keys,
+    e.g. ``(("I", "ORG"), ("U", "GPE"))``, from the label table."""
+    return Multilabel(tuple(_component(f"{tag}-{entity_type}") for tag, entity_type in keys))
+
+
+@functools.lru_cache(maxsize=4096)
+def _parsed_multilabel(text: str) -> Multilabel:
+    """The multilabel ``text`` spells, e.g. ``I-ORG|U-GPE`` or ``O``; a
+    malformed one is a :class:`LabelParseError`.
+
+    The result comes from the label table: it is the object that parsing the
+    same text, or encoding the same components, gives for as long as the
+    table holds it. The table outlives every call and holds up to 4,096
+    multilabels and 1,024 components, the most recently used.
+    """
+    if text == OUTSIDE:
+        return _multilabel(())
+    if not text:
+        raise LabelParseError("empty label string")
+    parts = text.split("|")
+    if any(not p for p in parts):
+        raise LabelParseError(f"stray '|' in label: {text!r}")
+    return _multilabel(tuple((c.tag, c.entity_type) for c in map(_component, parts)))
+
+
 @dataclass(frozen=True)
 class LabelComponent:
     """One BILOU component of a multilabel, e.g. ``I-ORG``; ``text`` is its
@@ -168,19 +222,7 @@ class LabelComponent:
     def __str__(self) -> str:
         return self.text
 
-    @classmethod
-    def parse(cls, text: str) -> "LabelComponent":
-        if text == OUTSIDE:
-            raise LabelParseError(f"'O' is a full label, not a component: {text!r}")
-        tag, sep, entity_type = text.partition("-")
-        if not sep or tag not in COMPONENT_TAGS:
-            raise LabelParseError(f"malformed component (want B-/I-/L-/U- prefix): {text!r}")
-        if not entity_type:
-            raise LabelParseError(f"component has empty entity type: {text!r}")
-        try:
-            return cls(tag, entity_type)
-        except ValueError as exc:
-            raise LabelParseError(f"bad component {text!r}: {exc}") from exc
+    parse = staticmethod(_component)
 
 
 @dataclass(frozen=True)
@@ -209,29 +251,8 @@ class Multilabel:
     def __str__(self) -> str:
         return self.text
 
-    @classmethod
-    def parse(
-        cls, text: str, components: dict[str, LabelComponent] | None = None
-    ) -> "Multilabel":
-        """The multilabel ``text`` spells. ``components`` is a caller's table
-        of the components it has parsed so far: a part found there is not
-        parsed again, and each part parsed is added to it."""
-        if text == OUTSIDE:
-            return cls()
-        if not text:
-            raise LabelParseError("empty label string")
-        parts = text.split("|")
-        if any(not p for p in parts):
-            raise LabelParseError(f"stray '|' in label: {text!r}")
-        if components is None:
-            components = {}
-        parsed = []
-        for part in parts:
-            component = components.get(part)
-            if component is None:
-                component = components[part] = LabelComponent.parse(part)
-            parsed.append(component)
-        return cls(tuple(parsed))
+    parse = staticmethod(_parsed_multilabel)
+    from_keys = staticmethod(_multilabel)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import codec
 from .core import (
-    LabelComponent,
     Mention,
     Multilabel,
     NestnerError,
@@ -46,10 +45,6 @@ SCHEMES = ("bilou", "bio")
 
 class CorpusError(NestnerError):
     """A corpus file is malformed; the message carries file/line coordinates."""
-
-
-# one read's parsed labels by label string, and their components by component string
-LabelTables = tuple[dict[str, Multilabel], dict[str, LabelComponent]]
 
 
 @dataclass(frozen=True)
@@ -240,20 +235,6 @@ def _lines(tokens: Sequence[Token], columns: ColumnSpec, labels: Sequence[str] =
     return list(map("\t".join, zip(*values)))
 
 
-def _parse_label(
-    path: str | Path, lineno: int, label: str, seen: LabelTables
-) -> Multilabel:
-    """One BILOU label not parsed before in this read, parsed with the
-    components it has; a label that fails is never stored."""
-    labels, components = seen
-    try:
-        parsed = Multilabel.parse(label, components)
-    except NestnerError as exc:
-        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-    labels[label] = parsed
-    return parsed
-
-
 def read_conll(
     path: str | Path,
     columns: ColumnSpec | str = "form,label",
@@ -265,19 +246,19 @@ def read_conll(
     Gold data should use the default strict policy so corpus errors surface
     loudly; ``repair`` is for reading raw model output.
 
-    Each distinct label string, label component and set of token column
-    values is parsed once per call and its frozen ``Multilabel``,
-    ``LabelComponent`` or ``Token`` shared by every line that repeats it; the
-    tables are dropped when the call returns. A bad label or form is reported
-    at the first line holding it.
+    Each label comes from the process's label table (``core``) by its text,
+    so a label string is parsed once while the table holds it, and every
+    line that repeats it shares one ``Multilabel``. Each distinct set of
+    token column values is parsed once per call into one ``Token`` shared by
+    every line that repeats it; that table is dropped when the call returns.
+    A bad label or form is reported at the first line holding it.
     """
     if isinstance(columns, str):
         columns = ColumnSpec.parse(columns)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
     label_i = columns.index("label")
-    labels_seen: LabelTables = ({}, {})
-    known = labels_seen[0].get
+    parse = Multilabel.parse
     sentences = []
     for i, (linenos, tokens, rows) in enumerate(_read_blocks(path, columns)):
         if label_i is None:
@@ -291,10 +272,10 @@ def read_conll(
                 raise CorpusError(f"{path}: sentence {i}: {exc}") from exc
         parsed = []
         for lineno, label in zip(linenos, labels):
-            multilabel = known(label)
-            if multilabel is None:
-                multilabel = _parse_label(path, lineno, label, labels_seen)
-            parsed.append(multilabel)
+            try:
+                parsed.append(parse(label))
+            except NestnerError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         try:
             mentions = codec.decode(codec.EncodedSentence(parsed), policy=policy)
         except codec.DecodeError as exc:

@@ -23,8 +23,13 @@ its label part for every label. A greedy step is then one ``h @ dec.wh``
 product plus two row gathers, and the sentences of a block decode in
 lockstep, one product per step over those still running.
 
-Decoded label sequences from either model go through the repair decoder, so
-any label sequence the models can emit yields a valid mention set.
+A model parses its alphabet's labels when it is built or loaded, into the
+label table of :mod:`nestner.core`, so a bad label is an error then. Decoding
+turns each label id into its alphabet string and takes the label the table
+holds for it, so prediction builds no component, and builds a multilabel
+only when the seq2seq decoder first emits a combination the table has never
+held. Decoded label sequences from either model go through the repair
+decoder, so any label sequence the models can emit yields a valid mention set.
 
 :func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
 and one member of every parameter's float32 values in registration order
@@ -411,7 +416,8 @@ class CrfTagger(_NeuralTagger):
         super().__init__(vocab, config.embedding, config.hidden_dim, pretrained, dtype)
         self.config = config
         self.alphabet = alphabet
-        self._parsed: dict[int, Multilabel] = {}
+        for label in alphabet.strings:  # into the label table, where decoding finds them
+            Multilabel.parse(label)
         if rng is not None:
             self._register(self.params, rng)
 
@@ -450,16 +456,9 @@ class CrfTagger(_NeuralTagger):
         for ex in examples:
             stop = start + len(ex.sentence.tokens)
             path = viterbi(scores[start:stop], trans, bounds)
-            encoded.append(EncodedSentence(tuple(self._label(i) for i in path)))
+            encoded.append(EncodedSentence.from_strings(map(self.alphabet.string_of, path)))
             start = stop
         return encoded
-
-    def _label(self, i: int) -> Multilabel:
-        """Label ``i`` of the alphabet, parsed the first time a decode emits it."""
-        label = self._parsed.get(i)
-        if label is None:
-            label = self._parsed[i] = Multilabel.parse(self.alphabet.string_of(i))
-        return label
 
 
 # -------------------------------------------------------------------- seq2seq
@@ -499,6 +498,8 @@ class Seq2seqTagger(_NeuralTagger):
         super().__init__(vocab, config.embedding, config.hidden_dim, pretrained, dtype)
         self.config = config
         self.components = components
+        for component in components.strings[1:]:  # as in CrfTagger
+            LabelComponent.parse(component)
         # extra label-table row embeds the beginning-of-sentence "previous label"
         self.bos_id = len(components)
         if rng is not None:
@@ -767,16 +768,6 @@ def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
 _ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "pretrained", "parameters")
 
 
-def _parsed_alphabet(strings: list, multilabels: bool) -> LabelAlphabet:
-    """A checkpoint's alphabet, whose every string after the reserved one is
-    a CRF multilabel or, without ``multilabels``, a seq2seq component."""
-    alphabet = LabelAlphabet(tuple(strings))
-    labels = alphabet.strings[1:]
-    for component in {c for s in labels for c in s.split("|")} if multilabels else labels:
-        LabelComponent.parse(component)  # each distinct component once
-    return alphabet
-
-
 def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None):
     """The model an envelope describes, with no parameters registered yet."""
     kind = envelope["model_kind"]
@@ -795,10 +786,10 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None):
                 f"was trained with {trained_with}"
             )
     if kind == "crf":
-        alphabet = _parsed_alphabet(envelope["alphabets"]["labels"], multilabels=True)
+        alphabet = LabelAlphabet(tuple(envelope["alphabets"]["labels"]))
         return CrfTagger(CrfConfig(**config), vocab, alphabet, pretrained, dtype=np.float32)
     if kind == "seq2seq":
-        alphabet = _parsed_alphabet(envelope["alphabets"]["components"], multilabels=False)
+        alphabet = LabelAlphabet(tuple(envelope["alphabets"]["components"]))
         return Seq2seqTagger(
             Seq2seqConfig(**config), vocab, alphabet, pretrained, dtype=np.float32
         )

@@ -3,7 +3,7 @@ import zipfile
 
 import pytest
 
-from nestner.core import Mention, Sentence, Span, Token
+from nestner.core import LabelComponent, Mention, Multilabel, Sentence, Span, Token
 
 # Nested court sentence: an ORG stretching over three GPEs, the standard
 # worked example for the encoding.
@@ -42,6 +42,21 @@ def court_sentence() -> Sentence:
 @pytest.fixture
 def court_conll_text() -> str:
     return "".join(f"{f}\t{l}\n" for f, l in zip(COURT_FORMS, COURT_LABELS))
+
+
+@pytest.fixture
+def labels_built(monkeypatch) -> list:
+    """Every ``LabelComponent`` and ``Multilabel`` built while the test runs,
+    in the order they were built."""
+    built = []
+    for cls in (LabelComponent, Multilabel):
+
+        def counting(self, original=cls.__post_init__):
+            original(self)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
 
 
 # ------------------------------------------------------------- checkpoints

@@ -608,6 +608,40 @@ class TestErrors:
         assert list(tmp_path.iterdir()) in ([], [tmp_path / "train.conll"])  # nothing saved
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "--train", "{conll}", "--save", "{out}"),
+            ("evaluate", "--gold", "{conll}", "--pred", "{conll}"),
+            ("decode", "--input", "{conll}", "--output", "{out}"),
+            ("convert", "--input", "{conll}", "--output", "{out}", "--to", "bio"),
+        ],
+        ids=["train", "evaluate", "decode", "convert"],
+    )
+    def test_columns_without_label_exit_1_naming_the_flag(self, tmp_path, capsys, argv):
+        """These commands read labels: without a label column they would score,
+        train on or write an all-outside corpus."""
+        conll, out = tmp_path / "in.conll", tmp_path / "out"
+        write_conll(synthgrammar.generate(2, seed=3), conll)
+        argv = [arg.format(conll=conll, out=out) for arg in argv]
+        assert run(*argv, "--columns", "form") == 1
+        err = capsys.readouterr().err
+        assert "argument --columns: 'form' has no 'label' column" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [("train", "--train", "{conll}", "--save", "{out}"), ("gradcheck",)],
+        ids=["train", "gradcheck"],
+    )
+    def test_negative_seed_exits_1_naming_flag_and_value(self, tmp_path, capsys, argv):
+        conll, out = tmp_path / "in.conll", tmp_path / "out"
+        write_conll(synthgrammar.generate(2, seed=3), conll)
+        argv = [arg.format(conll=conll, out=out) for arg in argv]
+        assert run(*argv, "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_pretrained_dim_below_one_exits_1_naming_it(self, tmp_path, capsys):
         """A zero width would read every line of any text file as a word."""
         train_file = tmp_path / "train.conll"

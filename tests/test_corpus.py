@@ -227,21 +227,27 @@ class TestInterning:
                 id(t) for s in second for t in s.tokens
             }
 
-    def test_each_component_parsed_once_within_a_read_only(self, tmp_path, monkeypatch):
+    def test_each_label_built_once_per_process(self, tmp_path, labels_built):
+        """Reading a label builds it once, in the label table: a second read of
+        the file builds none, and encoding the mentions read gives the very
+        labels that parsing their text gives."""
         path = tmp_path / "in.conll"
-        path.write_text("a\tB-X|B-Y\nb\tI-X|L-Y\nc\tL-X\n\nd\tB-X|U-Y\ne\tL-X\n", "utf-8")
-        parsed = []
-        parse = LabelComponent.parse.__func__
-
-        def counting(cls, text):
-            parsed.append(text)
-            return parse(cls, text)
-
-        monkeypatch.setattr(LabelComponent, "parse", classmethod(counting))
-        read_conll(path)
-        assert sorted(parsed) == ["B-X", "B-Y", "I-X", "L-X", "L-Y", "U-Y"]
-        read_conll(path)
-        assert len(parsed) == 12  # the next read parses them again
+        path.write_text(
+            "a\tB-RD1|B-RD2\nb\tI-RD1|L-RD2\nc\tL-RD1\n\nd\tB-RD1|U-RD2\ne\tL-RD1\n", "utf-8"
+        )
+        first = read_conll(path)
+        assert sorted(str(c) for c in labels_built if isinstance(c, LabelComponent)) == [
+            "B-RD1", "B-RD2", "I-RD1", "L-RD1", "L-RD2", "U-RD2"
+        ]
+        assert sorted(str(m) for m in labels_built if isinstance(m, Multilabel)) == [
+            "B-RD1|B-RD2", "B-RD1|U-RD2", "I-RD1|L-RD2", "L-RD1"
+        ]
+        labels_built.clear()
+        assert read_conll(path).sentences == first.sentences
+        encoded = [encode(sentence) for sentence in first]
+        assert labels_built == []
+        assert encoded[0].labels[0] is Multilabel.parse("B-RD1|B-RD2")
+        assert encoded[1].labels[0].components[1] is LabelComponent.parse("U-RD2")
 
     @pytest.mark.parametrize("scheme", ["bilou", "bio"])
     def test_a_repeated_bad_label_is_reported_at_its_first_line(self, tmp_path, scheme):

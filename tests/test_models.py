@@ -20,7 +20,15 @@ from conftest import mention, rewrite_checkpoint, set_label
 from test_autodiff import _reference_lstm
 from nestner import codec, models, training
 from nestner.autodiff import ForwardTape, Parameters, Tape
-from nestner.core import Multilabel, NestnerError, Sentence, Token, build_alphabet
+from nestner.core import (
+    LabelComponent,
+    LabelParseError,
+    Multilabel,
+    NestnerError,
+    Sentence,
+    Token,
+    build_alphabet,
+)
 from nestner.corpus import TaggedCorpus
 from nestner.embeddings import EmbeddingConfig, PretrainedTable
 from nestner.models import (
@@ -438,20 +446,22 @@ class TestCrfTagger:
         mentions = model.predict(sentence)  # every token claims to close X and Y
         assert all(m.span.end <= len(sentence.tokens) for m in mentions)
 
-    def test_each_label_parsed_once_when_first_decoded(self, monkeypatch):
+    def test_alphabet_parsed_into_the_label_table_when_built(self, labels_built):
+        """Building a CRF tagger parses every label of its alphabet, so a label
+        that does not parse fails the build, and decoding finds each label in
+        the table instead of parsing it."""
         model = build("crf")
-        assert model._parsed == {}  # building the model parses nothing
-        sentences = tiny_corpus().sentences
-        first = [model.predict(sentence) for sentence in sentences]
-        assert model._parsed and all(
-            str(label) == model.alphabet.string_of(i) for i, label in model._parsed.items()
-        )
-
-        def no_parse(text):
-            raise AssertionError(f"label {text!r} parsed again")
-
-        monkeypatch.setattr(Multilabel, "parse", no_parse)
-        assert [model.predict(sentence) for sentence in sentences] == first
+        with pytest.raises(LabelParseError, match="'X-L-ORG'"):
+            CrfTagger(model.config, model.vocab, build_alphabet(["B-X", "B-X|X-L-ORG"]))
+        alphabet = build_alphabet(["U-CT1", "B-CT1|U-CT2"])
+        labels_built.clear()
+        CrfTagger(model.config, model.vocab, alphabet)
+        assert sorted(str(m) for m in labels_built if isinstance(m, Multilabel)) == [
+            "B-CT1|U-CT2", "U-CT1"
+        ]
+        labels_built.clear()
+        assert [str(Multilabel.parse(label)) for label in alphabet.strings] == list(alphabet.strings)
+        assert labels_built == []
 
     def test_unseen_gold_label_raises(self):
         model = build("crf")
@@ -1130,6 +1140,35 @@ def _loads_or_format_error(tmp_path, data: bytes) -> None:
 _FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
+
+
+@pytest.mark.parametrize("kind", ["crf", "seq2seq"])
+def test_predict_after_load_builds_no_label_the_table_holds(tmp_path, kind, labels_built):
+    """Loading a checkpoint parses its alphabet into the label table, and
+    prediction then builds no component: the CRF builds no label at all, and
+    the seq2seq decoder only a combination of components that the table has
+    never held, once. A label that fails to parse raises on every call and
+    is never stored."""
+    path = tmp_path / "model.ckpt"
+    save_model(build(kind), path)
+    model = load_model(path)
+    sentences = synthgrammar.generate(6, seed=2).sentences
+    labels_built.clear()
+    first = model.predict_batch(sentences)
+    assert not any(isinstance(label, LabelComponent) for label in labels_built)
+    assert len({label.text for label in labels_built}) == len(labels_built)
+    if kind == "crf":
+        assert labels_built == []
+    labels_built.clear()
+    assert model.predict_batch(sentences) == first
+    assert labels_built == []
+    for parse, bad in ((Multilabel.parse, "B-X|X-L-ORG"), (LabelComponent.parse, "X-L-ORG")):
+        before = parse.cache_info()
+        for _ in range(2):
+            with pytest.raises(LabelParseError, match="malformed component"):
+                parse(bad)
+        after = parse.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
 class TestCheckpointFuzz:
