@@ -366,7 +366,14 @@ def _log_chain(e_p: np.ndarray, a: np.ndarray, pack: _Packing, last_rows: np.nda
     """:func:`_scaled_chain` in log space, for transition blocks too wide to
     scale: each step is :func:`_log_matmul`, exact per entry where terms
     underflow, and the expected transition counts are the k x k step
-    marginals, summed one step at a time."""
+    marginals, summed one step at a time.
+
+    It runs in float64 whatever the inputs' dtype and casts the marginals and
+    counts back: in float32 the marginals ``exp(alpha + beta - log_z)``,
+    formed from log scores in the thousands, would lose about eps times
+    those scores."""
+    dtype = e_p.dtype
+    e_p, a = e_p.astype(np.float64), a.astype(np.float64)
     bounds = pack.bounds
     first = bounds[1]
     k = e_p.shape[1]
@@ -402,7 +409,7 @@ def _log_chain(e_p: np.ndarray, a: np.ndarray, pack: _Packing, last_rows: np.nda
         nxt = e_p[first:] + beta[first:] - log_z_at[first:]
         for prev, after in zip(alpha[pack.previous()], nxt):
             d_a[:k, :k] += np.exp(prev[:, None] + inner + after)
-        return d_e, d_a
+        return d_e.astype(dtype), d_a.astype(dtype)
 
     return log_z.sum(), expected
 
@@ -589,7 +596,7 @@ class Tape:
         ``-log(tiny) / 2`` of the dtype (354 nats in float64, 43.7 in
         float32); see :func:`_scaled_chain`. The start row and the stop
         column enter as part of the first and the last row's emissions,
-        whose spread is free. Wider blocks run in log space
+        whose spread is free. Wider blocks run in log space, in float64
         (:func:`_log_chain`).
         """
         e = emissions.value

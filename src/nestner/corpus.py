@@ -1,10 +1,13 @@
 """CoNLL-style vertical file I/O, scheme conversion, and vocabulary building.
 
 Files are UTF-8, tab-separated, one token per line, blank line between
-sentences, final newline required. Which columns a file carries is declared
-per call (e.g. ``"form,label"`` or ``"form,lemma,pos,label"``) rather than
-sniffed. Gold label columns are BILOU multilabels and must decode strictly;
-flat BIO corpora are converted on read.
+sentences, final newline required. Corpus, span, sidecar and pretrained
+files are all opened, decoded and split into blocks by :func:`text_blocks`
+alone: a leading byte order mark is dropped, and a line that is empty once
+its line end is removed ends a block. Which columns a file carries is
+declared per call (e.g. ``"form,label"`` or ``"form,lemma,pos,label"``)
+rather than sniffed. Gold label columns are BILOU multilabels and must
+decode strictly; flat BIO corpora are converted on read.
 
 Mention span files (for the encode/decode commands) use the token columns
 plus one optional trailing column listing mentions that start at that token
@@ -142,14 +145,27 @@ def _check_contextual(sentences: Sequence[Sentence], rows: Sequence[np.ndarray])
             )
 
 
-def text_lines(path: str | Path, error: type[NestnerError]) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line) for each line of a UTF-8 text file. A byte
-    that is not UTF-8 raises ``error`` with ``<path>:<line>: not valid UTF-8``."""
-    with open(path, encoding="utf-8") as handle:
+def text_blocks(path: str | Path, error: type[NestnerError]) -> Iterator[tuple[int, list[str]]]:
+    """Yield each block of a UTF-8 text file as the number of its first line
+    and its lines, each with its line end. A line that is empty once its line
+    end is removed ends a block and is in none. A leading byte order mark is
+    not part of line 1, and a byte that is not UTF-8 raises ``error`` with
+    ``<path>:<line>: not valid UTF-8``. Every reader of a text input reads
+    through it."""
+    lines: list[str] = []
+    with open(path, encoding="utf-8-sig") as handle:
         try:
-            yield from enumerate(handle, start=1)
+            # text mode has turned every \r\n and lone \r into \n
+            for lineno, line in enumerate(handle, start=1):
+                if line != "\n":
+                    lines.append(line)
+                elif lines:
+                    yield lineno - len(lines), lines
+                    lines = []
         except UnicodeDecodeError:
             raise error(_not_utf8(path)) from None
+    if lines:
+        yield lineno + 1 - len(lines), lines
 
 
 def _not_utf8(path: str | Path) -> str:
@@ -168,56 +184,43 @@ def _not_utf8(path: str | Path) -> str:
 
 def _read_blocks(
     path: str | Path, columns: ColumnSpec
-) -> Iterator[tuple[list[int], list[Token], list[list[str]]]]:
-    """Yield each sentence block of a vertical file as its line numbers, its
-    tokens and its lines' fields, in one pass over the file's lines.
+) -> Iterator[tuple[int, list[Token], list[list[str]]]]:
+    """Yield each sentence block of a vertical file as the number of its
+    first line, its tokens and its lines' fields.
 
     Every line must fill the declared columns. A line whose token column
     values an earlier line of this read had gets that line's ``Token``; a
-    bad form is reported at the first line holding it and never stored. A
-    byte that is not UTF-8 is reported as ``<path>:<line>: not valid UTF-8``.
+    bad form is reported at the first line holding it and never stored.
     """
     width = len(columns)
     form_i, lemma_i, pos_i = columns.token_indices
     token_key = operator.itemgetter(*(i for i in columns.token_indices if i is not None))
     seen: dict[object, Token] = {}
-    linenos: list[int] = []
-    tokens: list[Token] = []
-    rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as handle:
-        try:
-            # text mode has turned every \r\n and lone \r into \n
-            for lineno, line in enumerate(handle, start=1):
-                if line == "\n":
-                    if tokens:
-                        yield linenos, tokens, rows
-                        linenos, tokens, rows = [], [], []
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) < width:
-                    raise CorpusError(
-                        f"{path}:{lineno}: expected at least {width} tab-separated "
-                        f"columns, found {len(fields)}"
+    for start, lines in text_blocks(path, CorpusError):
+        tokens: list[Token] = []
+        rows: list[list[str]] = []
+        for lineno, line in enumerate(lines, start):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) < width:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected at least {width} tab-separated "
+                    f"columns, found {len(fields)}"
+                )
+            key = token_key(fields)
+            token = seen.get(key)
+            if token is None:
+                try:
+                    token = Token(
+                        fields[form_i],
+                        fields[lemma_i] if lemma_i is not None else None,
+                        fields[pos_i] if pos_i is not None else None,
                     )
-                key = token_key(fields)
-                token = seen.get(key)
-                if token is None:
-                    try:
-                        token = Token(
-                            fields[form_i],
-                            fields[lemma_i] if lemma_i is not None else None,
-                            fields[pos_i] if pos_i is not None else None,
-                        )
-                    except ValueError as exc:
-                        raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-                    seen[key] = token
-                linenos.append(lineno)
-                tokens.append(token)
-                rows.append(fields)
-        except UnicodeDecodeError:
-            raise CorpusError(_not_utf8(path)) from None
-    if tokens:
-        yield linenos, tokens, rows
+                except ValueError as exc:
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+                seen[key] = token
+            tokens.append(token)
+            rows.append(fields)
+        yield start, tokens, rows
 
 
 def _lines(tokens: Sequence[Token], columns: ColumnSpec, labels: Sequence[str] = ()) -> list[str]:
@@ -260,7 +263,7 @@ def read_conll(
     label_i = columns.index("label")
     parse = Multilabel.parse
     sentences = []
-    for i, (linenos, tokens, rows) in enumerate(_read_blocks(path, columns)):
+    for i, (start, tokens, rows) in enumerate(_read_blocks(path, columns)):
         if label_i is None:
             sentences.append(Sentence(tokens))
             continue
@@ -271,7 +274,7 @@ def read_conll(
             except CorpusError as exc:
                 raise CorpusError(f"{path}: sentence {i}: {exc}") from exc
         parsed = []
-        for lineno, label in zip(linenos, labels):
+        for lineno, label in enumerate(labels, start):
             try:
                 parsed.append(parse(label))
             except NestnerError as exc:
@@ -319,9 +322,9 @@ def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCo
     _check_span_columns(columns)
     spans_i = len(columns)  # the optional mention list follows the token columns
     sentences = []
-    for linenos, tokens, rows in _read_blocks(path, columns):
+    for start, tokens, rows in _read_blocks(path, columns):
         mentions: list[Mention] = []
-        for lineno, fields in zip(linenos, rows):
+        for lineno, fields in enumerate(rows, start):
             if len(fields) > spans_i and fields[spans_i]:
                 mentions.extend(_parse_span_list(path, lineno, fields[spans_i]))
         unique = frozenset(mentions)
@@ -329,12 +332,12 @@ def read_spans(path: str | Path, columns: ColumnSpec | str = "form") -> TaggedCo
             log.warning(
                 "%s: duplicate mentions in sentence starting at line %d were dropped",
                 path,
-                linenos[0],
+                start,
             )
         try:
             sentences.append(Sentence(tokens, unique))
         except ValueError as exc:
-            raise CorpusError(f"{path}:{linenos[0]}: {exc}") from exc
+            raise CorpusError(f"{path}:{start}: {exc}") from exc
     return TaggedCorpus(tuple(sentences))
 
 
@@ -552,37 +555,31 @@ def build_vocabulary(corpus: TaggedCorpus, min_freq: int = 1) -> Vocabulary:
 
 
 def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarray, ...]:
-    """Read a sidecar file of per-token vectors: floats per line, blank line
-    between sentences. Returns one (n_tokens, dim) array per sentence.
+    """Read a sidecar file of per-token vectors: whitespace-separated floats
+    per line, an empty line between sentences (the blank-line rule of every
+    reader, :func:`text_blocks`). Returns one (n_tokens, dim) array per
+    sentence.
 
     Every row has ``dim`` values; without ``dim``, as many as the file's
-    first row."""
+    first row. A whitespace-only line is a row with no values, an error."""
     sentences: list[np.ndarray] = []
-    rows: list[list[float]] = []
-
-    def flush() -> None:
-        nonlocal rows
-        if rows:
-            sentences.append(np.asarray(rows, dtype=np.float64))
-            rows = []
-
-    for lineno, raw in text_lines(path, CorpusError):
-        line = raw.strip()
-        if not line:
-            flush()
-            continue
-        try:
-            values = [float(x) for x in line.split()]
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
-        if not np.all(np.isfinite(values)):
-            raise CorpusError(f"{path}:{lineno}: non-finite value")
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise CorpusError(f"{path}:{lineno}: expected {dim} values, found {len(values)}")
-        rows.append(values)
-    flush()
+    for start, lines in text_blocks(path, CorpusError):
+        rows: list[list[float]] = []
+        for lineno, line in enumerate(lines, start):
+            try:
+                values = [float(x) for x in line.split()]
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
+            if not values:
+                raise CorpusError(f"{path}:{lineno}: whitespace-only line, no values")
+            if not np.all(np.isfinite(values)):
+                raise CorpusError(f"{path}:{lineno}: non-finite value")
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise CorpusError(f"{path}:{lineno}: expected {dim} values, found {len(values)}")
+            rows.append(values)
+        sentences.append(np.asarray(rows, dtype=np.float64))
     return tuple(sentences)
 
 

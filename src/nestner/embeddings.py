@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Parameters, Tape, Var
 from .core import NestnerError, Token
-from .corpus import UNK, Vocabulary, text_lines
+from .corpus import UNK, Vocabulary, text_blocks
 
 
 class PretrainedFormatError(NestnerError):
@@ -129,31 +129,32 @@ def load_pretrained(path: str | Path, expected_dim: int) -> PretrainedTable:
         raise ValueError(f"pretrained_dim (--pretrained-dim) must be >= 1, got {expected_dim}")
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
-    for lineno, raw in text_lines(path, PretrainedFormatError):
-        fields = raw.rstrip("\n").split(" ")
-        fields = [f for f in fields if f]
-        if not fields:
-            continue
-        if lineno == 1 and len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
-            if int(fields[1]) != expected_dim:
+    for start, block in text_blocks(path, PretrainedFormatError):
+        for lineno, raw in enumerate(block, start):
+            fields = raw.rstrip("\n").split(" ")
+            fields = [f for f in fields if f]
+            if not fields:
+                continue
+            if lineno == 1 and len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
+                if int(fields[1]) != expected_dim:
+                    raise PretrainedFormatError(
+                        f"{path}:1: header declares dimension {fields[1]}, expected {expected_dim}"
+                    )
+                continue
+            word, values = fields[0], fields[1:]
+            if len(values) != expected_dim:
                 raise PretrainedFormatError(
-                    f"{path}:1: header declares dimension {fields[1]}, expected {expected_dim}"
+                    f"{path}:{lineno}: expected {expected_dim} values, found {len(values)}"
                 )
-            continue
-        word, values = fields[0], fields[1:]
-        if len(values) != expected_dim:
-            raise PretrainedFormatError(
-                f"{path}:{lineno}: expected {expected_dim} values, found {len(values)}"
-            )
-        try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError as exc:
-            raise PretrainedFormatError(f"{path}:{lineno}: non-numeric field") from exc
-        if not np.all(np.isfinite(vec)):
-            raise PretrainedFormatError(f"{path}:{lineno}: non-finite value")
-        if word not in index:
-            index[word] = len(rows)
-            rows.append(vec)
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise PretrainedFormatError(f"{path}:{lineno}: non-numeric field") from exc
+            if not np.all(np.isfinite(vec)):
+                raise PretrainedFormatError(f"{path}:{lineno}: non-finite value")
+            if word not in index:
+                index[word] = len(rows)
+                rows.append(vec)
     matrix = np.vstack(rows) if rows else np.zeros((0, expected_dim))
     return PretrainedTable(index, matrix)
 

@@ -103,12 +103,6 @@ class Seq2seqConfig:
         )
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.max(scores)
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 # ----------------------------------------------------------------- CRF layer
 
 
@@ -573,10 +567,12 @@ class Seq2seqTagger(_NeuralTagger):
         """Distribution over components plus ``<eow>`` for one decode step
         from a state of (1, decoder_dim) rows or (decoder_dim,) vectors:
         encoder row ``t`` of ``enc_outputs``, a (T, 2*hidden) Var or a list
-        of row Vars, goes through :meth:`_projections` and :meth:`_step`."""
+        of row Vars, goes through :meth:`_projections` and :meth:`_step`.
+        The acceptance gate's hard-attention criterion calls it."""
         row = enc_outputs.value[t] if isinstance(enc_outputs, Var) else enc_outputs[t].value
         logits, new_state = self._step(tape, state, [0], [prev_id], self._projections(row[None]))
-        return softmax(logits.value[0]), new_state
+        e = np.exp(logits.value[0] - logits.value[0].max())
+        return e / e.sum(), new_state
 
     def gold_ids(self, encoded: EncodedSentence) -> np.ndarray:
         """The gold component stream of an encoded sentence, as ids."""

@@ -164,22 +164,15 @@ def _check_nesting_depth(encoded: Sequence[codec.EncodedSentence], limit: int) -
                 )
 
 
-def _multilabels_of(encoded: Sequence[codec.EncodedSentence]):
-    return build_alphabet((label for e in encoded for label in e.strings()), reserved="O")
-
-
-def _components_of(encoded: Sequence[codec.EncodedSentence]):
-    return build_alphabet((symbol for e in encoded for symbol in codec.flatten(e)), reserved=EOW)
-
-
 def multilabel_alphabet(corpus: TaggedCorpus):
     """Alphabet of whole multilabel strings observed in the corpus."""
-    return _multilabels_of(corpus.encoded)
+    return build_alphabet((label for e in corpus.encoded for label in e.strings()), reserved="O")
 
 
 def component_alphabet(corpus: TaggedCorpus):
     """Alphabet of single components observed in the corpus, with <eow> at 0."""
-    return _components_of(corpus.encoded)
+    symbols = (symbol for e in corpus.encoded for symbol in codec.flatten(e))
+    return build_alphabet(symbols, reserved=EOW)
 
 
 def build_model(
@@ -206,14 +199,13 @@ def build_model(
     if embedding.use_pos_onehot and embedding.pos_dim == 0:
         embedding = replace(embedding, pos_dim=vocab.n_pos)
     rng = np.random.default_rng(seed)
-    encoded = corpus.encoded
     if kind == "crf":
         config = models.CrfConfig(embedding=embedding, hidden_dim=hidden_dim)
         return models.CrfTagger(
-            config, vocab, _multilabels_of(encoded), pretrained, rng=rng, dtype=dtype
+            config, vocab, multilabel_alphabet(corpus), pretrained, rng=rng, dtype=dtype
         )
     if kind == "seq2seq":
-        _check_nesting_depth(encoded, max_components_per_token)
+        _check_nesting_depth(corpus.encoded, max_components_per_token)
         config = models.Seq2seqConfig(
             embedding=embedding,
             hidden_dim=hidden_dim,
@@ -222,7 +214,7 @@ def build_model(
             max_components_per_token=max_components_per_token,
         )
         return models.Seq2seqTagger(
-            config, vocab, _components_of(encoded), pretrained, rng=rng, dtype=dtype
+            config, vocab, component_alphabet(corpus), pretrained, rng=rng, dtype=dtype
         )
     raise ValueError(f"unknown model kind {kind!r}; valid: crf, seq2seq")
 

@@ -123,7 +123,8 @@ class TestPipeline:
         write_conll(corpus, train_file)
         model_file, metrics_file = self._train(tmp_path, "crf", train_file)
 
-        records = [json.loads(line) for line in metrics_file.read_text().splitlines()]
+        lines = metrics_file.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
         assert len(records) == 25
         assert all({"epoch", "train_loss"} <= set(r) for r in records)
 
@@ -238,7 +239,8 @@ class TestPipeline:
             "--metrics", str(metrics_file), "--epochs", "6", "--lr", "1e-2", "--hidden", "8",
             "--embed-dim", "8", "--char-dim", "0", "--char-rnn-dim", "0",
         ) == 0
-        best = max(json.loads(line)["dev_f1"] for line in metrics_file.read_text().splitlines())
+        lines = metrics_file.read_text(encoding="utf-8").splitlines()
+        best = max(json.loads(line)["dev_f1"] for line in lines)
         pred_file = tmp_path / "pred.conll"
         assert run(
             "predict", "--model-file", str(model_file), "--input", str(dev_file),
@@ -356,7 +358,8 @@ class TestPipeline:
             "--epochs", "2", "--hidden", "8", "--embed-dim", "8",
             "--char-dim", "2", "--char-rnn-dim", "2",
         ) == 0
-        records = [json.loads(line) for line in metrics_file.read_text().splitlines()]
+        lines = metrics_file.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
         assert len(records) == 2 and all("dev_f1" not in r for r in records)
         model = models.load_model(model_file)
         encoded = [codec.encode(s) for s in dev]

@@ -25,6 +25,7 @@ from nestner.corpus import (
     write_conll,
     write_spans,
 )
+from nestner.embeddings import PretrainedFormatError, load_pretrained
 
 
 def corpus_of(*sentences):
@@ -566,3 +567,64 @@ def test_contextual_vectors_must_be_matrices(shape):
     corpus = corpus_of(Sentence((Token("a"), Token("b"))))
     with pytest.raises(CorpusError, match=r"sentence 0: .* 2-d \(tokens, width\) matrix"):
         attach_contextual(corpus, [np.zeros(shape)])
+
+
+def _pretrained_values(path):
+    table = load_pretrained(path, 2)
+    return table.index, table.matrix.tolist()
+
+
+# Each reader's result as plain values, and a file it reads.
+TEXT_READERS = {
+    "conll": (lambda p: read_conll(p).sentences, "é\tB-X\nb\tL-X\n\nc\tO\n"),
+    "spans": (lambda p: read_spans(p).sentences, "é\tX 0 2\nb\n\nc\n"),
+    "contextual": (lambda p: [m.tolist() for m in read_contextual(p)], "1 2\n3 4\n\n5 6\n"),
+    "pretrained": (_pretrained_values, "2 2\né 1 2\nb 3 4\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path, reader):
+    read, text = TEXT_READERS[reader]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(marked) == read(plain)
+
+
+class TestBlankLineRule:
+    """A line that is empty once its line end is removed ends a block, in
+    every format; a whitespace-only line is a line like any other."""
+
+    def test_conll(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_bytes(b"\na\tO\r\n\r\n\n\rb\tO\n\n")
+        assert [[t.form for t in s.tokens] for s in read_conll(path)] == [["a"], ["b"]]
+        path.write_text("a\tO\n \nb\tO\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"f\.conll:2: expected at least 2"):
+            read_conll(path)
+
+    def test_spans(self, tmp_path):
+        path = tmp_path / "f.spans"
+        path.write_bytes(b"\na\tX 0 1\r\n\r\n\n\rb\n\n")
+        assert [len(s.mentions) for s in read_spans(path)] == [1, 0]
+        path.write_text("a\n \nb\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"f\.spans:2: token form must be non-empty"):
+            read_spans(path)
+
+    def test_contextual(self, tmp_path):
+        path = tmp_path / "f.vec"
+        path.write_bytes(b"\n1 2\r\n\r\n\n\r3 4\n\n")
+        assert [m.tolist() for m in read_contextual(path)] == [[[1.0, 2.0]], [[3.0, 4.0]]]
+        path.write_text("1 2\n \t\n3 4\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"f\.vec:2: whitespace-only line, no values"):
+            read_contextual(path)
+
+    def test_pretrained_skips_blank_and_whitespace_only_lines(self, tmp_path):
+        path = tmp_path / "f.vec"
+        path.write_bytes(b"2 2\r\n\r\n \na 1 2\n  \rb 3 4\n\n")
+        table = load_pretrained(path, 2)
+        assert table.index == {"a": 0, "b": 1}
+        path.write_text("2 2\n\n \na 1 2 3\n", encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"f\.vec:4: expected 2 values, found 3"):
+            load_pretrained(path, 2)

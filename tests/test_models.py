@@ -43,7 +43,6 @@ from nestner.models import (
     load_model,
     save_model,
     saved_copy,
-    softmax,
     transition_bounds,
     viterbi,
 )
@@ -76,6 +75,15 @@ def greedy_stream(model, sentence):
     """The component strings a seq2seq tagger decodes for one sentence."""
     ids = model._greedy_ids(ForwardTape(model.params), [Example(sentence)])[0]
     return [model.components.string_of(i) for i in ids]
+
+
+def step_distribution(model, tape, state, t, prev_id, projections):
+    """The distribution over components plus ``<eow>`` of one greedy
+    decoder step that reads encoder row ``t`` and the label ``prev_id``,
+    with the new state: :meth:`Seq2seqTagger._step`'s logits, softmaxed."""
+    logits, state = model._step(tape, state, [t], [prev_id], projections)
+    e = np.exp(logits.value[0] - logits.value[0].max())
+    return e / e.sum(), state
 
 
 # ------------------------------------------------------- enumeration oracles
@@ -482,22 +490,22 @@ class TestSeq2seqStep:
     def test_distribution_sums_to_one(self):
         model = build("seq2seq")
         tape = Tape(model.params)
-        enc = [tape.const(np.random.default_rng(0).standard_normal(12)) for _ in range(2)]
+        projections = model._projections(np.random.default_rng(0).standard_normal((2, 12)))
         state = model._init_state(tape, tape.const(np.zeros(6)), tape.const(np.zeros(6)))
-        dist, _ = model.step(tape, state, 0, model.bos_id, enc)
+        dist, _ = step_distribution(model, tape, state, 0, model.bos_id, projections)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert dist.shape == (len(model.components),)
 
     def test_same_inputs_same_distribution(self):
         model = build("seq2seq")
         rng = np.random.default_rng(1)
-        enc_values = [rng.standard_normal(12) for _ in range(3)]
+        enc_values = rng.standard_normal((3, 12))
 
         def run():
             tape = Tape(model.params)
-            enc = [tape.const(v) for v in enc_values]
             state = model._init_state(tape, tape.const(np.zeros(6)), tape.const(np.zeros(6)))
-            dist, _ = model.step(tape, state, 1, model.bos_id, enc)
+            projections = model._projections(enc_values)
+            dist, _ = step_distribution(model, tape, state, 1, model.bos_id, projections)
             return dist
 
         np.testing.assert_array_equal(run(), run())
@@ -505,17 +513,17 @@ class TestSeq2seqStep:
     def test_hard_attention_ignores_other_positions_bitwise(self):
         model = build("seq2seq")
         rng = np.random.default_rng(2)
-        enc_values = [rng.standard_normal(12) for _ in range(4)]
+        enc_values = rng.standard_normal((4, 12))
 
         def run(values):
             tape = Tape(model.params)
-            enc = [tape.const(v) for v in values]
             state = model._init_state(tape, tape.const(np.zeros(6)), tape.const(np.zeros(6)))
-            dist, _ = model.step(tape, state, 2, model.bos_id, enc)
+            projections = model._projections(values)
+            dist, _ = step_distribution(model, tape, state, 2, model.bos_id, projections)
             return dist
 
         baseline = run(enc_values)
-        perturbed = [v + 17.0 for v in enc_values]
+        perturbed = enc_values + 17.0
         perturbed[2] = enc_values[2]
         assert run(perturbed).tobytes() == baseline.tobytes()
 
@@ -600,10 +608,11 @@ class TestSeq2seqLoss:
         # hand-rolled oracle: walk the gold stream multiplying step probabilities
         tape2 = Tape(model.params)
         enc, state = model._start(tape2, [Example(sentence)])
+        projections = model._projections(enc.value)
         t, prev = 0, model.bos_id
         log_prob = 0.0
         for symbol in codec.flatten(codec.encode(sentence)):
-            dist, state = model.step(tape2, state, t, prev, enc)
+            dist, state = step_distribution(model, tape2, state, t, prev, projections)
             sym_id = model.components.id_of(symbol)
             log_prob += math.log(dist[sym_id])
             prev = sym_id
@@ -792,7 +801,7 @@ class TestSerialization:
         rewrite_checkpoint(path, lambda env, members: env.update(format_version=1))
         with pytest.raises(ModelFormatError, match="format_version 1"):
             load_model(path)
-        path.write_text(json.dumps({"format_version": 3, "model_kind": "crf"}))
+        path.write_text(json.dumps({"format_version": 3, "model_kind": "crf"}), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="not a zip archive") as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -1003,7 +1012,7 @@ class TestSerialization:
         envelope.update(format_version=1)
         envelope.pop("pretrained")
         damage(envelope)
-        path.write_text(json.dumps(envelope))
+        path.write_text(json.dumps(envelope), encoding="utf-8")
         with pytest.raises(
             ModelFormatError, match="not a zip archive; only checkpoint format 3 is read"
         ) as err:
@@ -1273,11 +1282,6 @@ def test_config_width_below_one_rejected_naming_the_field(kind, field, value):
     config = CrfConfig if kind == "crf" else Seq2seqConfig
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
         config(embedding=TINY_EMBEDDING, **{field: value})
-
-
-def test_softmax_matches_definition():
-    x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(softmax(x), np.exp(x) / np.exp(x).sum(), atol=1e-12)
 
 
 def test_component_alphabet_reserves_eow():

@@ -28,7 +28,8 @@ READERS = {
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """One valid file per reader, as bytes; each reads without error."""
+    """One valid file per reader, as bytes, plain and behind a UTF-8 byte
+    order mark, by (reader, with mark); each reads without error."""
     directory = tmp_path_factory.mktemp("valid")
     corpus = synthgrammar.generate(3, seed=5)
     write_conll(corpus, directory / "nested.conll")
@@ -45,10 +46,14 @@ def valid(tmp_path_factory):
         "contextual": b"0.5 -1e3\n2 3\n\n4.25 5\n",
         "pretrained": b"2 2\ncourt 0.1 0.2\nof -3 4e-2\n",
     }
+    marked = {}
     for reader, data in files.items():
-        (directory / reader).write_bytes(data)
-        READERS[reader](directory / reader)
-    return files
+        for bom, content in ((False, data), (True, b"\xef\xbb\xbf" + data)):
+            path = directory / f"{reader}-{bom}"
+            path.write_bytes(content)
+            READERS[reader](path)
+            marked[reader, bom] = content
+    return marked
 
 
 def check(reader, path):
@@ -73,11 +78,12 @@ def test_arbitrary_bytes(tmp_path, data):
 @FUZZ
 @given(
     reader=st.sampled_from(sorted(READERS)),
+    bom=st.booleans(),
     flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
     cut=st.none() | st.integers(0, 10**6),
 )
-def test_valid_files_with_flipped_or_cut_bytes(tmp_path, valid, reader, flips, cut):
-    data = bytearray(valid[reader])
+def test_valid_files_with_flipped_or_cut_bytes(tmp_path, valid, reader, bom, flips, cut):
+    data = bytearray(valid[reader, bom])
     for position, value in flips:
         data[position % len(data)] = value
     if cut is not None:
