@@ -82,8 +82,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", help="write per-epoch records to this file (JSON lines)")
     p.add_argument("--columns", type=_labeled_columns, default="form,label")
     p.add_argument("--scheme", choices=["bilou", "bio"], default="bilou")
-    p.add_argument("--pretrained", help="text-format word vector file")
-    p.add_argument("--pretrained-dim", type=int, default=300)
+    p.add_argument("--pretrained", help="text-format word vector file; it sets its own width")
     p.add_argument("--contextual", help="sidecar vector file for --train")
     p.add_argument("--dev-contextual", help="sidecar vector file for --dev")
     p.add_argument("--seed", type=non_negative_int, default=1)
@@ -108,7 +107,6 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--columns", default="form,label", help="columns of the input file")
     p.add_argument("--pretrained")
-    p.add_argument("--pretrained-dim", type=int, default=300)
     p.add_argument("--contextual")
     p.set_defaults(func=cmd_predict)
 
@@ -171,12 +169,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _load_pretrained_arg(args):
-    if not args.pretrained:
-        return None
-    return load_pretrained(args.pretrained, args.pretrained_dim)
-
-
 def _with_sidecar(corpus: TaggedCorpus, path: str, dim: int | None = None) -> TaggedCorpus:
     """``corpus`` with the contextual vectors of the sidecar file at ``path``
     attached; a count that does not match the corpus is an error naming the file."""
@@ -210,7 +202,7 @@ def cmd_train(args) -> int:
             dev_corpus = _with_sidecar(dev_corpus, args.dev_contextual, contextual_dim)
     if args.include_dev:  # the vocabulary and alphabet come from train + dev
         train_corpus, dev_corpus = corpus_io.merge(train_corpus, dev_corpus), None
-    pretrained = _load_pretrained_arg(args)
+    pretrained = load_pretrained(args.pretrained) if args.pretrained else None
     embedding = EmbeddingConfig(
         pretrained_dim=pretrained.dim if pretrained else 0,
         trainable_dim=args.embed_dim,
@@ -252,8 +244,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    pretrained = _load_pretrained_arg(args)
+    pretrained = load_pretrained(args.pretrained) if args.pretrained else None
     model = models.load_model(args.model_file, pretrained=pretrained)
+    if pretrained is not None and not model.config.embedding.pretrained_dim:
+        raise NestnerError(
+            f"--pretrained: {args.model_file} was trained without pretrained vectors"
+        )
     columns = ColumnSpec.parse(args.columns)
     token_columns = ColumnSpec(tuple(n for n in columns.names if n != "label"))
     input_columns = columns if columns.has_label else token_columns

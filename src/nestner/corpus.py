@@ -182,6 +182,26 @@ def _not_utf8(path: str | Path) -> str:
     return f"{path}: not valid UTF-8"
 
 
+def vector_row(
+    fields: Sequence[str], width: int | None, path: str | Path, lineno: int,
+    error: type[NestnerError],
+) -> np.ndarray:
+    """The values of line ``lineno`` of a vector file: ``width`` fields (at
+    least one if ``width`` is None, as on a file's first row), each a finite
+    number, as float64. Both vector readers check every row here."""
+    if width is None and not fields:
+        raise error(f"{path}:{lineno}: no values")
+    if width is not None and len(fields) != width:
+        raise error(f"{path}:{lineno}: expected {width} values, found {len(fields)}")
+    try:
+        values = np.array([float(field) for field in fields])
+    except ValueError as exc:
+        raise error(f"{path}:{lineno}: non-numeric field") from exc
+    if not np.isfinite(values).all():
+        raise error(f"{path}:{lineno}: non-finite value")
+    return values
+
+
 def _read_blocks(
     path: str | Path, columns: ColumnSpec
 ) -> Iterator[tuple[int, list[Token], list[list[str]]]]:
@@ -560,25 +580,18 @@ def read_contextual(path: str | Path, dim: int | None = None) -> tuple[np.ndarra
     reader, :func:`text_blocks`). Returns one (n_tokens, dim) array per
     sentence.
 
-    Every row has ``dim`` values; without ``dim``, as many as the file's
-    first row. A whitespace-only line is a row with no values, an error."""
+    Every row has as many values as the first (:func:`vector_row`), and
+    ``dim`` if given. A whitespace-only line is a row with no values, an
+    error."""
     sentences: list[np.ndarray] = []
     for start, lines in text_blocks(path, CorpusError):
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for lineno, line in enumerate(lines, start):
-            try:
-                values = [float(x) for x in line.split()]
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: non-numeric field") from exc
-            if not values:
+            fields = line.split()
+            if not fields:
                 raise CorpusError(f"{path}:{lineno}: whitespace-only line, no values")
-            if not np.all(np.isfinite(values)):
-                raise CorpusError(f"{path}:{lineno}: non-finite value")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise CorpusError(f"{path}:{lineno}: expected {dim} values, found {len(values)}")
-            rows.append(values)
+            rows.append(vector_row(fields, dim, path, lineno, CorpusError))
+            dim = len(fields)
         sentences.append(np.asarray(rows, dtype=np.float64))
     return tuple(sentences)
 

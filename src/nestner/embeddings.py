@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Parameters, Tape, Var
 from .core import NestnerError, Token
-from .corpus import UNK, Vocabulary, text_blocks
+from .corpus import UNK, Vocabulary, text_blocks, vector_row
 
 
 class PretrainedFormatError(NestnerError):
@@ -106,9 +106,6 @@ class PretrainedTable:
     def __len__(self) -> int:
         return len(self.index)
 
-    def __contains__(self, form: str) -> bool:
-        return form in self.index or form.lower() in self.index
-
     def vector(self, form: str) -> np.ndarray:
         """Row for ``form`` (exact match first, then lowercased); zeros if absent."""
         idx = self.index.get(form)
@@ -119,52 +116,36 @@ class PretrainedTable:
         return self.matrix[idx]
 
 
-def load_pretrained(path: str | Path, expected_dim: int) -> PretrainedTable:
-    """Read text-format vectors: optional "count dim" header, then "word v1 .. vd" rows.
+def load_pretrained(path: str | Path) -> PretrainedTable:
+    """Read text-format vectors: an optional fastText ``count dim`` header
+    (two unsigned decimals), then ``word v1 .. vd`` rows split at spaces;
+    blank lines are skipped.
 
-    Duplicate words keep their first occurrence; every row must have exactly
-    ``expected_dim`` values, at least one.
+    The file sets its width: the header's ``dim`` on the first non-blank
+    line, else the first row's (``corpus.vector_row`` checks every row). A
+    file with neither has none, an error. Duplicates keep the first row.
     """
-    if expected_dim < 1:
-        raise ValueError(f"pretrained_dim (--pretrained-dim) must be >= 1, got {expected_dim}")
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    width = None
     for start, block in text_blocks(path, PretrainedFormatError):
         for lineno, raw in enumerate(block, start):
-            fields = raw.rstrip("\n").split(" ")
-            fields = [f for f in fields if f]
+            fields = [f for f in raw.rstrip("\n").split(" ") if f]
             if not fields:
                 continue
-            if lineno == 1 and len(fields) == 2 and _is_int(fields[0]) and _is_int(fields[1]):
-                if int(fields[1]) != expected_dim:
-                    raise PretrainedFormatError(
-                        f"{path}:1: header declares dimension {fields[1]}, expected {expected_dim}"
-                    )
+            if width is None and len(fields) == 2 and all(map(str.isdecimal, fields)):
+                width = int(fields[1])
+                if width < 1:
+                    raise PretrainedFormatError(f"{path}:{lineno}: header declares width {width}")
                 continue
-            word, values = fields[0], fields[1:]
-            if len(values) != expected_dim:
-                raise PretrainedFormatError(
-                    f"{path}:{lineno}: expected {expected_dim} values, found {len(values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise PretrainedFormatError(f"{path}:{lineno}: non-numeric field") from exc
-            if not np.all(np.isfinite(vec)):
-                raise PretrainedFormatError(f"{path}:{lineno}: non-finite value")
-            if word not in index:
-                index[word] = len(rows)
-                rows.append(vec)
-    matrix = np.vstack(rows) if rows else np.zeros((0, expected_dim))
-    return PretrainedTable(index, matrix)
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+            values = vector_row(fields[1:], width, path, lineno, PretrainedFormatError)
+            width = len(values)
+            if fields[0] not in index:
+                index[fields[0]] = len(rows)
+                rows.append(values)
+    if width is None:
+        raise PretrainedFormatError(f"{path}: no header and no rows, so no width")
+    return PretrainedTable(index, np.array(rows, dtype=np.float64).reshape(len(rows), width))
 
 
 class TokenEmbedder:

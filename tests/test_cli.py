@@ -192,7 +192,7 @@ class TestPipeline:
         assert run(
             "train", "--train", str(train_file), "--model", "crf",
             "--save", str(model_file), "--epochs", "2",
-            "--pretrained", str(vec_file), "--pretrained-dim", "2",
+            "--pretrained", str(vec_file),
             "--hidden", "8", "--embed-dim", "8", "--char-dim", "0", "--char-rnn-dim", "0",
         ) == 0
         pred_file = tmp_path / "pred.conll"
@@ -204,7 +204,7 @@ class TestPipeline:
         assert run(
             "predict", "--model-file", str(model_file),
             "--input", str(train_file), "--output", str(pred_file),
-            "--pretrained", str(vec_file), "--pretrained-dim", "2",
+            "--pretrained", str(vec_file),
         ) == 0
 
     def test_other_pretrained_table_exits_1(self, tmp_path, capsys):
@@ -219,15 +219,40 @@ class TestPipeline:
         small = ("--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0")
         assert run(
             "train", "--train", str(train_file), "--save", str(model_file), "--epochs", "1",
-            "--pretrained", str(vec_file), "--pretrained-dim", "2", *small,
+            "--pretrained", str(vec_file), *small,
         ) == 0
         predict = ("predict", "--model-file", str(model_file), "--input", str(train_file),
-                   "--output", str(tmp_path / "pred.conll"), "--pretrained-dim", "2")
+                   "--output", str(tmp_path / "pred.conll"))
         capsys.readouterr()
         assert run(*predict, "--pretrained", str(other_vec)) == 1
         err = capsys.readouterr().err
         assert f"error: {model_file}: pretrained table" in err
         assert run(*predict, "--pretrained", str(vec_file)) == 0
+
+    @pytest.mark.parametrize(
+        "flag, text", [("--pretrained", "a 1.0 2.0\n"), ("--contextual", None)],
+        ids=["pretrained", "contextual"],
+    )
+    def test_vectors_for_a_model_trained_without_them_exit_1(self, tmp_path, capsys, flag, text):
+        corpus = synthgrammar.generate(3, seed=9)
+        train_file, vec_file = tmp_path / "train.conll", tmp_path / "vectors.txt"
+        write_conll(corpus, train_file)
+        if text is None:  # a sidecar row per token
+            text = "\n\n".join("\n".join("0.5 0.5" for _ in s.tokens) for s in corpus) + "\n"
+        vec_file.write_text(text, encoding="utf-8")
+        model_file, pred_file = tmp_path / "model.json", tmp_path / "pred.conll"
+        assert run(
+            "train", "--train", str(train_file), "--save", str(model_file), "--epochs", "1",
+            "--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0",
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "predict", "--model-file", str(model_file), "--input", str(train_file),
+            "--output", str(pred_file), flag, str(vec_file),
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag}: {model_file} was trained without" in err
+        assert not pred_file.exists()
 
     def test_logged_dev_f1_is_the_f1_of_the_saved_checkpoint(self, tmp_path, capsys):
         train_file, dev_file = tmp_path / "train.conll", tmp_path / "dev.conll"
@@ -264,13 +289,13 @@ class TestPipeline:
         small = ("--hidden", "4", "--embed-dim", "4", "--char-dim", "0", "--char-rnn-dim", "0")
         assert run(
             "train", "--train", str(train_file), "--save", str(model_file), "--epochs", "1",
-            "--pretrained", str(vec_file), "--pretrained-dim", "2", *small,
+            "--pretrained", str(vec_file), *small,
         ) == 0
         capsys.readouterr()
         assert run(
             "predict", "--model-file", str(model_file), "--input", str(train_file),
             "--output", str(tmp_path / "pred.conll"),
-            "--pretrained", str(bad_vec), "--pretrained-dim", "2",
+            "--pretrained", str(bad_vec),
         ) == 1
         assert f"{bad_vec}:1: non-finite" in capsys.readouterr().err
 
@@ -564,7 +589,7 @@ class TestErrors:
             argv = (
                 "train", "--train", str(conll), "--save", str(tmp_path / "model"),
                 "--epochs", "1", "--hidden", "4", "--embed-dim", "4", "--char-dim", "0",
-                "--char-rnn-dim", "0", "--pretrained-dim", "2", flag, str(bad),
+                "--char-rnn-dim", "0", flag, str(bad),
             )
         assert run(*argv) == 1
         err = capsys.readouterr().err
@@ -645,19 +670,23 @@ class TestErrors:
         assert "argument --seed: must be a non-negative integer, got -1" in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_pretrained_dim_below_one_exits_1_naming_it(self, tmp_path, capsys):
-        """A zero width would read every line of any text file as a word."""
-        train_file = tmp_path / "train.conll"
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+    def test_pretrained_file_without_width_exits_1_naming_it(self, tmp_path, capsys, text):
+        """A vector file sets its own width; one with no header and no row has none."""
+        train_file, vec_file = tmp_path / "train.conll", tmp_path / "empty.vec"
         write_conll(synthgrammar.generate(4, seed=21), train_file)
+        vec_file.write_text(text, encoding="utf-8")
         argv = (
             "train", "--train", str(train_file), "--save", str(tmp_path / "model"),
             "--epochs", "1", "--hidden", "4", "--embed-dim", "4", "--char-dim", "0",
-            "--char-rnn-dim", "0", "--pretrained", str(train_file), "--pretrained-dim", "0",
+            "--char-rnn-dim", "0", "--pretrained", str(vec_file),
         )
         assert run(*argv) == 1
         err = capsys.readouterr().err
-        assert "--pretrained-dim" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [train_file]  # nothing saved
+        assert f"error: {vec_file}: no header and no rows" in err and "Traceback" not in err
+        assert run(*argv, "--pretrained-dim", "2") == 1
+        assert "unrecognized arguments: --pretrained-dim 2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [vec_file, train_file]  # nothing saved
 
 
 class TestContextualSidecars:

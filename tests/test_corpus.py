@@ -570,7 +570,7 @@ def test_contextual_vectors_must_be_matrices(shape):
 
 
 def _pretrained_values(path):
-    table = load_pretrained(path, 2)
+    table = load_pretrained(path)
     return table.index, table.matrix.tolist()
 
 
@@ -622,9 +622,9 @@ class TestBlankLineRule:
 
     def test_pretrained_skips_blank_and_whitespace_only_lines(self, tmp_path):
         path = tmp_path / "f.vec"
-        path.write_bytes(b"2 2\r\n\r\n \na 1 2\n  \rb 3 4\n\n")
-        table = load_pretrained(path, 2)
-        assert table.index == {"a": 0, "b": 1}
-        path.write_text("2 2\n\n \na 1 2 3\n", encoding="utf-8")
-        with pytest.raises(PretrainedFormatError, match=r"f\.vec:4: expected 2 values, found 3"):
-            load_pretrained(path, 2)
+        path.write_bytes(b"\r\n \n2 2\r\n\r\n \na 1 2\n  \rb 3 4\n\n")
+        table = load_pretrained(path)
+        assert table.index == {"a": 0, "b": 1} and table.dim == 2
+        path.write_text("\n2 2\n\n \na 1 2 3\n", encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"f\.vec:5: expected 2 values, found 3"):
+            load_pretrained(path)

@@ -36,14 +36,14 @@ class TestLoadPretrained:
     def test_plain_rows(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1.0 2.0\nb 3.0 4.0\n", encoding="utf-8")
-        table = load_pretrained(path, 2)
+        table = load_pretrained(path)
         assert len(table) == 2
         np.testing.assert_array_equal(table.vector("b"), [3.0, 4.0])
 
     def test_header_line_skipped(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 2\na 1.0 2.0\nb 3.0 4.0\n", encoding="utf-8")
-        table = load_pretrained(path, 2)
+        table = load_pretrained(path)
         assert len(table) == 2
         np.testing.assert_array_equal(table.vector("a"), [1.0, 2.0])
 
@@ -51,32 +51,67 @@ class TestLoadPretrained:
         path = tmp_path / "vec.txt"
         path.write_text("a 1.0 2.0\nb 1.0 2.0 3.0\n", encoding="utf-8")
         with pytest.raises(PretrainedFormatError) as err:
-            load_pretrained(path, 2)
+            load_pretrained(path)
         assert ":2" in str(err.value)
 
     def test_non_numeric_field(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a x y\n", encoding="utf-8")
         with pytest.raises(PretrainedFormatError):
-            load_pretrained(path, 2)
+            load_pretrained(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, value):
         path = tmp_path / "vec.txt"
         path.write_text(f"a 1.0 2.0\nb {value} 2.0\n", encoding="utf-8")
         with pytest.raises(PretrainedFormatError, match=r"vec\.txt:2: non-finite"):
-            load_pretrained(path, 2)
+            load_pretrained(path)
 
-    def test_header_dim_mismatch(self, tmp_path):
+    def test_header_sets_the_width(self, tmp_path):
         path = tmp_path / "vec.txt"
-        path.write_text("5 3\n", encoding="utf-8")
-        with pytest.raises(PretrainedFormatError):
-            load_pretrained(path, 2)
+        path.write_text("5 3\na 1.0 2.0 3.0\nb 1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"vec\.txt:3: expected 3 values, found 2"):
+            load_pretrained(path)
+
+    def test_first_row_sets_the_width(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.0 2.0 3.0\nb 1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"vec\.txt:2: expected 3 values, found 2"):
+            load_pretrained(path)
+        path.write_text("a\nb 1.0\n", encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"vec\.txt:1: no values"):
+            load_pretrained(path)
+
+    def test_a_signed_pair_is_a_row_not_a_header(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("5 -1\na 2.0\n", encoding="utf-8")
+        table = load_pretrained(path)
+        assert table.index == {"5": 0, "a": 1} and table.dim == 1
+
+    def test_header_alone_is_an_empty_table_of_its_width(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("0 2\n", encoding="utf-8")
+        table = load_pretrained(path)
+        assert len(table) == 0 and table.matrix.shape == (0, 2)
+
+    @pytest.mark.parametrize("text", ["5 0\n", "\n5 00\na 1.0\n"], ids=["zero", "00"])
+    def test_header_width_below_one(self, tmp_path, text):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"vec\.txt:\d: header declares width"):
+            load_pretrained(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank"])
+    def test_no_header_and_no_row_has_no_width(self, tmp_path, text):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PretrainedFormatError, match=r"vec\.txt: no header and no rows"):
+            load_pretrained(path)
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1.0 2.0\na 9.0 9.0\n", encoding="utf-8")
-        table = load_pretrained(path, 2)
+        table = load_pretrained(path)
         np.testing.assert_array_equal(table.vector("a"), [1.0, 2.0])
 
 
@@ -132,7 +167,7 @@ class TestTokenVector:
             for w in ("court", "us")
         )
         path.write_text(rows + "\n", encoding="utf-8")
-        table = load_pretrained(path, 300)
+        table = load_pretrained(path)
         config = EmbeddingConfig(
             pretrained_dim=300, trainable_dim=256, char_dim=128, char_rnn_dim=128
         )

@@ -22,7 +22,7 @@ READERS = {
     "conll-four-columns": lambda p: read_conll(p, columns="form,lemma,pos,label"),
     "spans": read_spans,
     "contextual": read_contextual,
-    "pretrained": lambda p: load_pretrained(p, 2),
+    "pretrained": load_pretrained,
 }
 
 
