@@ -245,11 +245,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     pretrained = load_pretrained(args.pretrained) if args.pretrained else None
-    model = models.load_model(args.model_file, pretrained=pretrained)
-    if pretrained is not None and not model.config.embedding.pretrained_dim:
+    try:
+        model = models.load_model(args.model_file, pretrained=pretrained)
+    except models.UnusedTableError as exc:
         raise NestnerError(
             f"--pretrained: {args.model_file} was trained without pretrained vectors"
-        )
+        ) from exc
     columns = ColumnSpec.parse(args.columns)
     token_columns = ColumnSpec(tuple(n for n in columns.names if n != "label"))
     input_columns = columns if columns.has_label else token_columns

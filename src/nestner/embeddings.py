@@ -231,9 +231,10 @@ class TokenEmbedder:
         ``lookup_forms``, one per token, replace the forms for the
         pretrained and trainable lookups (word dropout); characters always
         come from the raw forms. ``contextual`` is the sentence's
-        (T, contextual_dim) matrix of precomputed vectors. Each table is
-        looked up once with every id, and the char BiGRU runs once per
-        direction over the distinct forms.
+        (T, contextual_dim) matrix of precomputed vectors; without it the
+        vectors end before the contextual columns. Each table is looked up
+        once with every id, and the char BiGRU runs once per direction over
+        the distinct forms.
         """
         cfg = self.config
         forms = [token.form for token in tokens] if lookup_forms is None else list(lookup_forms)
@@ -255,13 +256,13 @@ class TokenEmbedder:
             parts.append(tape.const(onehot))
         if cfg.char_dim:
             parts.extend(self._char_states(tape, tokens))
-        if cfg.contextual_dim:
-            if contextual is None:
-                raise ValueError("config enables contextual vectors but none were supplied")
+        if cfg.contextual_dim and contextual is not None:
             expected = (len(tokens), cfg.contextual_dim)
             if contextual.shape != expected:
                 raise ValueError(
                     f"contextual vectors have shape {contextual.shape}, expected {expected}"
                 )
             parts.append(tape.const(contextual))
+        if not parts:  # contextual columns only, and none given
+            return tape.const(np.zeros((len(tokens), 0)))
         return tape.concat(parts) if len(parts) > 1 else parts[0]

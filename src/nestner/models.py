@@ -23,6 +23,15 @@ its label part for every label. A greedy step is then one ``h @ dec.wh``
 product plus two row gathers, and the sentences of a block decode in
 lockstep, one product per step over those still running.
 
+A model that :func:`load_model` returns or :func:`saved_copy` makes is
+read-only, and training starts from ``training.build_model`` instead. It
+keeps an input memo (:class:`_TypeMemo`): a token's BiLSTM input projection
+depends only on its type (form, lemma, POS), so on a ``ForwardTape`` each
+type's is computed once, with the char BiGRU, and later blocks read it with
+one row gather; sidecar columns are projected per block and added. The memo
+holds no more values than the model has parameters, and is emptied before
+a block that would take it past that.
+
 A model parses its alphabet's labels when it is built or loaded, into the
 label table of :mod:`nestner.core`, so a bad label is an error then. Decoding
 turns each label id into its alphabet string and takes the label the table
@@ -61,6 +70,7 @@ from .core import (
     Multilabel,
     NestnerError,
     Sentence,
+    Token,
 )
 from .corpus import Vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable, TokenEmbedder
@@ -72,6 +82,10 @@ PREDICT_BLOCK = 32
 
 class ModelFormatError(NestnerError):
     """A serialized model cannot be loaded."""
+
+
+class UnusedTableError(ModelFormatError):
+    """A pretrained table was given for a model trained without one."""
 
 
 def _require_positive(config, names: Sequence[str]) -> None:
@@ -276,6 +290,71 @@ def _stacked(blocks: Sequence[np.ndarray | None]) -> np.ndarray | None:
     return None if blocks[0] is None else np.concatenate(blocks)
 
 
+class ContextualError(NestnerError, ValueError):
+    """Sidecar vectors given to ``predict_batch`` do not fit the model or
+    the sentences."""
+
+
+_DIRECTIONS = ("enc.fw", "enc.bw")
+
+
+class _TypeMemo:
+    """The encoder's input projection of each token type a read-only model
+    has seen (the pre-computed hidden layer of Devlin et al. 2014).
+
+    A token's input to the BiLSTM is a function of its type (form, lemma,
+    POS), apart from sidecar columns, so its pre-activations ``x @
+    enc.{fw,bw}.wx + enc.{fw,bw}.b`` over the type's columns of ``x`` are
+    kept, one row per type in each direction's array. The memo holds at most
+    ``max_rows`` types: a call whose unseen types would take it past that
+    empties it first and then keeps all of its own types.
+    """
+
+    def __init__(self, max_rows: int):
+        self.max_rows = max_rows
+        self.rows: dict[Token, int] = {}
+        self.values: list[np.ndarray] = []  # one (capacity, 4*hidden) array per direction
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def gather(self, tokens: Sequence[Token], project) -> list[np.ndarray]:
+        """Each direction's rows for ``tokens``. ``project`` maps a list of
+        types the memo lacks to their rows, one array per direction."""
+        new = list(dict.fromkeys(t for t in tokens if t not in self.rows))
+        if new:
+            if len(self.rows) + len(new) > self.max_rows:
+                self.rows.clear()
+                new = list(dict.fromkeys(tokens))
+            self._add(new, project(new))
+        ids = np.fromiter(map(self.rows.__getitem__, tokens), np.intp, len(tokens))
+        return [arr.take(ids, axis=0) for arr in self.values]
+
+    def _add(self, types: list[Token], blocks: list[np.ndarray]) -> None:
+        start = len(self.rows)
+        stop = start + len(types)
+        if not self.values or stop > len(self.values[0]):
+            capacity = max(stop, min(2 * stop, self.max_rows))
+            grown = [np.empty((capacity, block.shape[1]), block.dtype) for block in blocks]
+            for new, old in zip(grown, self.values):
+                new[:start] = old[:start]
+            self.values = grown
+        for arr, block in zip(self.values, blocks):
+            arr[start:stop] = block
+        self.rows.update(zip(types, range(start, stop)))
+
+
+def _read_only(model: CrfTagger | Seq2seqTagger) -> CrfTagger | Seq2seqTagger:
+    """``model`` with every parameter array read-only and a new, empty
+    :class:`_TypeMemo` that holds no more values than it has parameters."""
+    size = 0
+    for _, arr in model.params.items():
+        arr.setflags(write=False)
+        size += arr.size
+    model._memo = _TypeMemo(size // (2 * 4 * model.hidden_dim))
+    return model
+
+
 class _NeuralTagger:
     """Embedding + BiLSTM encoder shared by both model kinds."""
 
@@ -291,6 +370,7 @@ class _NeuralTagger:
         self.hidden_dim = hidden_dim
         self.embedder = TokenEmbedder(embedding, vocab, pretrained)
         self.params = Parameters(dtype)
+        self._memo: _TypeMemo | None = None  # a read-only model's, see _read_only
 
     def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name and shape of every parameter this model registers, in order."""
@@ -302,7 +382,7 @@ class _NeuralTagger:
         self.embedder.register(params, rng)
         input_dim = self.embedder.config.token_dim
         h = self.hidden_dim
-        for prefix in ("enc.fw", "enc.bw"):
+        for prefix in _DIRECTIONS:
             params.uniform(f"{prefix}.wx", (input_dim, 4 * h), rng)
             params.uniform(f"{prefix}.wh", (h, 4 * h), rng)
             bias = params.zeros(f"{prefix}.b", (4 * h,))
@@ -332,30 +412,65 @@ class _NeuralTagger:
         packed pass; returns the (ΣT, 2*hidden) outputs, the sentences' rows
         one after another, and the (ΣT, hidden) states of each direction
         before dropout, in the same rows: a sentence's final forward state
-        is at its last row and its final backward state at its first."""
+        is at its last row and its final backward state at its first.
+
+        A read-only model on a :class:`~nestner.autodiff.ForwardTape` reads
+        each token's input projection from its memo, which computes token
+        vectors only for the types it lacks; sidecar columns are projected
+        per call and added."""
         tokens = [token for ex in examples for token in ex.sentence.tokens]
-        lookup_forms = [
-            form for ex in examples
-            for form in (ex.sentence.forms() if ex.lookup_forms is None else ex.lookup_forms)
-        ]
         contextual = None
         if self.embedder.config.contextual_dim:
             contextual = _stacked([ex.contextual for ex in examples])
-        xs = self.embedder.token_vector(tape, tokens, lookup_forms, contextual)
-        input_mask = _stacked([ex.input_mask for ex in examples])
-        if input_mask is not None:
-            xs = tape.dropout(xs, input_mask)
+            if contextual is None:
+                raise ValueError("config enables contextual vectors but none were supplied")
+        if self._memo is not None and isinstance(tape, ForwardTape):
+            pres = [tape.const(pre) for pre in self._memoized_pre(tape, tokens, contextual)]
+        else:
+            lookup_forms = [
+                form for ex in examples
+                for form in (ex.sentence.forms() if ex.lookup_forms is None else ex.lookup_forms)
+            ]
+            xs = self.embedder.token_vector(tape, tokens, lookup_forms, contextual)
+            input_mask = _stacked([ex.input_mask for ex in examples])
+            if input_mask is not None:
+                xs = tape.dropout(xs, input_mask)
+            pres = [
+                tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
+                for prefix in _DIRECTIONS
+            ]
         lengths = [len(ex.sentence.tokens) for ex in examples]
-        states = []
-        for prefix, reverse in (("enc.fw", False), ("enc.bw", True)):
-            pre = tape.affine(xs, tape.param(f"{prefix}.wx"), tape.param(f"{prefix}.b"))
-            hidden, _ = tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=reverse, lengths=lengths)
-            states.append(hidden)
+        states = [
+            tape.lstm(pre, tape.param(f"{prefix}.wh"), reverse=prefix == "enc.bw",
+                      lengths=lengths)[0]
+            for prefix, pre in zip(_DIRECTIONS, pres)
+        ]
         outputs = tape.concat(states)
         output_mask = _stacked([ex.output_mask for ex in examples])
         if output_mask is not None:
             outputs = tape.dropout(outputs, output_mask)
         return outputs, *states
+
+    def _memoized_pre(
+        self, tape: Tape, tokens: Sequence[Token], contextual: np.ndarray | None
+    ) -> list[np.ndarray]:
+        """Each direction's (ΣT, 4*hidden) encoder pre-activations of
+        ``tokens``: their types' rows of the memo, plus the projection of
+        ``contextual`` through the last ``contextual_dim`` rows of ``wx``."""
+
+        def project(types: list[Token]) -> list[np.ndarray]:
+            x = self.embedder.token_vector(tape, types).value
+            return [
+                x @ self.params[f"{prefix}.wx"][: x.shape[1]] + self.params[f"{prefix}.b"]
+                for prefix in _DIRECTIONS
+            ]
+
+        pres = self._memo.gather(tokens, project)
+        if contextual is not None:
+            sidecar = tape.const(contextual).value
+            for prefix, pre in zip(_DIRECTIONS, pres):
+                pre += sidecar @ self.params[f"{prefix}.wx"][-sidecar.shape[1] :]
+        return pres
 
     def loss(self, tape: Tape, sentence: Sentence) -> Var:
         """The loss of one sentence without dropout: :meth:`batch_loss` of a
@@ -369,7 +484,14 @@ class _NeuralTagger:
         """The mentions of each sentence. ``contextual`` holds each sentence's
         sidecar block. Blocks of up to :data:`PREDICT_BLOCK` consecutive
         sentences each go through the network as one packed pass on a tape
-        that records nothing."""
+        that records nothing.
+
+        Before any sentence is encoded, a :class:`ContextualError` naming a
+        sentence index is raised for blocks given to a model trained
+        without them, none given to a model trained with them, a list whose
+        length is not the sentences', or a block that is not that
+        sentence's (T, contextual_dim)."""
+        self._check_contextual(sentences, contextual)
         examples = [
             Example(s, None if contextual is None else contextual[i])
             for i, s in enumerate(sentences)
@@ -380,6 +502,33 @@ class _NeuralTagger:
             for encoded in self._decode_block(ForwardTape(self.params), block):
                 mentions.append(codec.decode(encoded, policy="repair"))
         return mentions
+
+    def _check_contextual(
+        self, sentences: Sequence[Sentence], contextual: Sequence[np.ndarray] | None
+    ) -> None:
+        dim = self.embedder.config.contextual_dim
+        if not sentences or (contextual is None and not dim):
+            return
+        if contextual is None:
+            raise ContextualError(
+                f"sentence 0: the model needs contextual vectors of width {dim}; none given"
+            )
+        if not dim:
+            raise ContextualError(
+                "sentence 0: contextual vectors given to a model trained without them"
+            )
+        if len(contextual) != len(sentences):
+            raise ContextualError(
+                f"sentence {min(len(contextual), len(sentences))}: {len(contextual)} "
+                f"contextual blocks for {len(sentences)} sentences"
+            )
+        for i, (sentence, block) in enumerate(zip(sentences, contextual)):
+            expected = (len(sentence.tokens), dim)
+            if np.shape(block) != expected:
+                raise ContextualError(
+                    f"sentence {i}: contextual vectors have shape {np.shape(block)}, "
+                    f"expected {expected}"
+                )
 
     def predict(
         self, sentence: Sentence, contextual: np.ndarray | None = None
@@ -708,14 +857,15 @@ def _vocab_from_dict(d: dict) -> Vocabulary:
 
 def saved_copy(model: CrfTagger | Seq2seqTagger) -> CrfTagger | Seq2seqTagger:
     """The model that :func:`load_model` returns for ``model``'s checkpoint,
-    whatever dtype ``model`` computes in: float32 parameters holding its
-    values as :func:`save_model` stores them. Everything else is shared with
+    whatever dtype ``model`` computes in: read-only float32 parameters
+    holding its values as :func:`save_model` stores them, and a new, empty
+    input memo (see :func:`load_model`). Everything else is shared with
     ``model``."""
     saved = copy.copy(model)
     saved.params = Parameters(np.float32)
     for name, arr in model.params.items():
         saved.params.add(name, arr)
-    return saved
+    return _read_only(saved)
 
 
 def save_model(model: CrfTagger | Seq2seqTagger, path: str | Path) -> None:
@@ -775,7 +925,9 @@ def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None):
             "model was trained with pretrained vectors; supply the same table to load it"
         )
     trained_with = envelope["pretrained"]
-    if trained_with is not None and pretrained is not None:
+    if pretrained is not None:
+        if trained_with is None:
+            raise UnusedTableError("model was trained without pretrained vectors")
         if pretrained.fingerprint != trained_with:
             raise ModelFormatError(
                 f"pretrained table {pretrained.fingerprint} is not the one the model "
@@ -832,7 +984,7 @@ def _load_zip(handle, pretrained: PretrainedTable | None):
                     raise ModelFormatError(f"parameter {name!r}: non-finite values") from exc
             if member.read(1):  # the read that reached the end checked the CRC
                 raise ModelFormatError(f"{_PARAMETERS_MEMBER} holds bytes past the last parameter")
-        return model
+        return _read_only(model)
 
 
 # what zipfile raises on a damaged archive: bad records or CRC, cut data,
@@ -849,11 +1001,23 @@ def load_model(
     float32 model, the precision the checkpoint stores, so loading only
     copies the values out of the read buffer.
 
+    The model is for prediction. Its parameter arrays are read-only, so
+    :func:`~nestner.training.train` refuses it: training starts from
+    :func:`~nestner.training.build_model`. Prediction fills an input memo:
+    the encoder's input projection of each token type (form, lemma, POS)
+    is computed once, with the char BiGRU and one product per direction
+    over the types a call has not seen, and read back with one row gather.
+    The memo holds no more values than the model has parameters; it is
+    emptied before a call that would take it past that, and keeps that
+    call's types. Since prediction writes to the memo, one model must not
+    predict in two threads at once.
+
     The envelope must list exactly the parameters a fresh model of the
     stored kind and config registers, in registration order, and the
     parameters member must hold exactly their float32 values; a model
     trained with pretrained vectors needs the same table (by row count and
-    content hash). A file that is not a zip archive, a damaged archive, any
+    content hash), and a table given for a model trained without one is an
+    :class:`UnusedTableError`. A file that is not a zip archive, a damaged archive, any
     member but the two, a missing or malformed envelope key (an alphabet
     entry that is not a label among them), a parameters member too short
     or too long, or a non-finite value raises :class:`ModelFormatError`
@@ -870,4 +1034,4 @@ def load_model(
             except _ARCHIVE_ERRORS as exc:
                 raise ModelFormatError(f"damaged checkpoint archive ({exc!r})") from exc
         except ModelFormatError as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
+            raise type(exc)(f"{path}: {exc}") from exc

@@ -287,8 +287,15 @@ def train(
     :func:`build_model`): a gold label outside its alphabet stops the run
     before any step. A rejected optimizer step stops the run with an
     :class:`OptimizerError` naming the epoch, the batch and the parameter,
-    and leaves the last checkpoint written in place.
+    and leaves the last checkpoint written in place. A model with read-only
+    parameters, as :func:`models.load_model` returns, is refused before any
+    step: training starts from :func:`build_model`.
     """
+    if not all(arr.flags.writeable for _, arr in model.params.items()):
+        raise NestnerError(
+            "model parameters are read-only (a loaded checkpoint or a saved copy); "
+            "start training from build_model"
+        )
     if not corpus.sentences:
         raise NestnerError("training corpus is empty")
     regularization = regularization or RegularizationConfig()

@@ -245,8 +245,9 @@ class TestTokenVector:
         rows = np.array([[7.0, 8.0, 9.0]])
         vec = embedder.token_vector(Tape(params), [Token("Court")], contextual=rows)
         np.testing.assert_array_equal(vec.value[:, 2:], rows)
-        with pytest.raises(ValueError):
-            embedder.token_vector(Tape(params), [Token("Court")])
+        # without them the vectors end before the contextual columns
+        alone = embedder.token_vector(Tape(params), [Token("Court")])
+        np.testing.assert_array_equal(alone.value, vec.value[:, :2])
 
 
 class TestSentenceVectors:

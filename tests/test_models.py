@@ -838,6 +838,17 @@ class TestSerialization:
             with pytest.raises(ModelFormatError, match="is not the one the model was trained"):
                 load_model(path, pretrained=other)
 
+    def test_table_for_a_model_trained_without_one_rejected(self, tmp_path):
+        """A table given for a checkpoint trained without one would never be
+        read: it is an error naming the checkpoint."""
+        path = tmp_path / "model.ckpt"
+        save_model(build("crf"), path)
+        table = PretrainedTable({"aa": 0}, np.array([[0.5, 1.0]]))
+        with pytest.raises(models.UnusedTableError, match="trained without pretrained") as err:
+            load_model(path, pretrained=table)
+        assert isinstance(err.value, ModelFormatError)
+        assert str(err.value).startswith(f"{path}: ")
+
     # Case ids kept from format v2 name the same lie told in format v3. Three
     # v2 cases are gone, as v3 has no field for them to lie in: "pickled"
     # and "float64" (a member's dtype) and "fortran-order" (its order). A

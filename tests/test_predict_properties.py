@@ -170,3 +170,19 @@ def test_loaded_checkpoint_predicts_what_saved_copy_predicts(loaded, block):
     assert emissions.tobytes() == copied.tobytes()
     for sentence in block:
         assert greedy_ids(seq2seq, sentence) == greedy_ids(seq2seq_copy, sentence)
+
+
+@SETTINGS
+@given(block=blocks)
+def test_loaded_model_predicts_a_block_alike_in_any_order(loaded, block):
+    """A loaded model's input memo carries rows from call to call: the
+    block predicted a sentence at a time, in reverse order and as one
+    block gives the same mentions, and emissions within float32 rounding."""
+    for kind, (model, _) in loaded.items():
+        one_by_one = [model.predict(s) for s in block]
+        reverse = [model.predict(s) for s in reversed(block)][::-1]
+        assert one_by_one == reverse == model.predict_batch(block), kind
+    crf = loaded["crf"][0]
+    alone = [crf._emissions(ForwardTape(crf.params), [Example(s)]).value for s in reversed(block)]
+    packed = crf._emissions(ForwardTape(crf.params), [Example(s) for s in block]).value
+    np.testing.assert_allclose(packed, np.concatenate(alone[::-1]), rtol=1e-5, atol=1e-6)

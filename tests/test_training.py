@@ -282,6 +282,22 @@ class TestTrainLoop:
         with pytest.raises(NestnerError):
             train(model, TaggedCorpus(()), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("source", ["load_model", "saved_copy"])
+    def test_read_only_model_refused_before_any_step(self, tmp_path, monkeypatch, source):
+        corpus = small_corpus()
+        model = build_model("crf", corpus, embedding=TINY, hidden_dim=4)
+        if source == "load_model":
+            training.models.save_model(model, tmp_path / "model.ckpt")
+            model = training.models.load_model(tmp_path / "model.ckpt")
+        else:
+            model = training.models.saved_copy(model)
+        steps = []
+        monkeypatch.setattr(LazyAdam, "step", lambda self, grads: steps.append(grads))
+        with pytest.raises(NestnerError, match="read-only.*start training from build_model"):
+            train(model, corpus, TrainConfig(epochs=1), checkpoint_path=tmp_path / "out.ckpt")
+        assert steps == []
+        assert not (tmp_path / "out.ckpt").exists()
+
     def test_empty_dev_corpus_rejected(self):
         """No epoch could beat the first on an empty dev corpus."""
         corpus = small_corpus()
