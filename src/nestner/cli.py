@@ -169,14 +169,15 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _with_sidecar(corpus: TaggedCorpus, path: str, dim: int | None = None) -> TaggedCorpus:
+def _with_sidecar(corpus: TaggedCorpus, path: str, dim: int = 0) -> TaggedCorpus:
     """``corpus`` with the contextual vectors of the sidecar file at ``path``
-    attached; a count that does not match the corpus is an error naming the file."""
-    vectors = read_contextual(path, dim=dim)
+    attached, each row ``dim`` wide unless ``dim`` is 0; blocks that do not
+    fit the corpus are an error naming the file."""
+    vectors = read_contextual(path, dim=dim or None)
     try:
         return corpus_io.attach_contextual(corpus, vectors)
-    except corpus_io.CorpusError as exc:
-        raise corpus_io.CorpusError(f"{path}: {exc}") from exc
+    except corpus_io.ContextualError as exc:
+        raise corpus_io.ContextualError(f"{path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -184,15 +185,13 @@ def cmd_train(args) -> int:
         raise NestnerError("--dev-contextual needs --dev")
     if args.include_dev and not args.dev_path:
         raise NestnerError("--include-dev needs --dev")
-    if args.dev_path and bool(args.contextual) != bool(args.dev_contextual):
-        raise NestnerError("with --dev, give both --contextual and --dev-contextual or neither")
     train_corpus = read_conll(args.train_path, columns=args.columns, scheme=args.scheme)
     if not train_corpus.sentences:
         raise NestnerError(f"{args.train_path}: training corpus is empty")
     contextual_dim = 0
     if args.contextual:
         train_corpus = _with_sidecar(train_corpus, args.contextual)
-        contextual_dim = train_corpus.contextual[0].shape[1] if train_corpus.contextual else 0
+        contextual_dim = train_corpus.contextual[0].shape[1]
     dev_corpus = None
     if args.dev_path:
         dev_corpus = read_conll(args.dev_path, columns=args.columns, scheme=args.scheme)
@@ -200,8 +199,6 @@ def cmd_train(args) -> int:
             raise NestnerError(f"{args.dev_path}: dev corpus is empty")
         if args.dev_contextual:
             dev_corpus = _with_sidecar(dev_corpus, args.dev_contextual, contextual_dim)
-    if args.include_dev:  # the vocabulary and alphabet come from train + dev
-        train_corpus, dev_corpus = corpus_io.merge(train_corpus, dev_corpus), None
     pretrained = load_pretrained(args.pretrained) if args.pretrained else None
     embedding = EmbeddingConfig(
         pretrained_dim=pretrained.dim if pretrained else 0,
@@ -212,27 +209,34 @@ def cmd_train(args) -> int:
         use_pos_onehot=args.pos_onehot,
         contextual_dim=contextual_dim,
     )
-    model = training.build_model(
-        args.model,
-        train_corpus,
-        embedding=embedding,
-        hidden_dim=args.hidden,
-        pretrained=pretrained,
-        min_freq=args.min_freq,
-        seed=args.seed,
-        dtype=np.float32,
-    )
-    metrics = training.train(
-        model,
-        train_corpus,
-        config=training.TrainConfig(epochs=args.epochs, seed=args.seed, batch_size=args.batch),
-        optimizer=training.OptimizerConfig(learning_rate=args.lr),
-        regularization=training.RegularizationConfig(
-            dropout_rate=args.dropout, word_dropout_rate=args.word_dropout
-        ),
-        dev=dev_corpus,
-        checkpoint_path=args.save,
-    )
+    # the model's sidecar width is the training sidecar's, so a mismatch
+    # that merge or train meets is dev's
+    try:
+        if args.include_dev:  # the vocabulary and alphabet come from train + dev
+            train_corpus, dev_corpus = corpus_io.merge(train_corpus, dev_corpus), None
+        model = training.build_model(
+            args.model,
+            train_corpus,
+            embedding=embedding,
+            hidden_dim=args.hidden,
+            pretrained=pretrained,
+            min_freq=args.min_freq,
+            seed=args.seed,
+            dtype=np.float32,
+        )
+        metrics = training.train(
+            model,
+            train_corpus,
+            config=training.TrainConfig(epochs=args.epochs, seed=args.seed, batch_size=args.batch),
+            optimizer=training.OptimizerConfig(learning_rate=args.lr),
+            regularization=training.RegularizationConfig(
+                dropout_rate=args.dropout, word_dropout_rate=args.word_dropout
+            ),
+            dev=dev_corpus,
+            checkpoint_path=args.save,
+        )
+    except corpus_io.ContextualError as exc:
+        raise corpus_io.ContextualError(f"--dev-contextual: {args.dev_path}: {exc}") from exc
     lines = [json.dumps(record) for record in metrics]
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
@@ -257,18 +261,12 @@ def cmd_predict(args) -> int:
     corpus = read_conll(args.input, columns=input_columns) if columns.has_label else read_spans(
         args.input, columns=token_columns
     )
-    contextual_dim = model.config.embedding.contextual_dim
-    if args.contextual and not contextual_dim:
-        raise NestnerError(
-            f"--contextual: {args.model_file} was trained without contextual vectors"
-        )
-    if contextual_dim and not args.contextual:
-        raise NestnerError(
-            f"{args.model_file} needs --contextual vectors of width {contextual_dim}"
-        )
     if args.contextual:
-        corpus = _with_sidecar(corpus, args.contextual, contextual_dim)
-    mentions = model.predict_batch(corpus.sentences, corpus.contextual)
+        corpus = _with_sidecar(corpus, args.contextual, model.config.embedding.contextual_dim)
+    try:
+        mentions = model.predict_batch(corpus.sentences, corpus.contextual)
+    except corpus_io.ContextualError as exc:
+        raise corpus_io.ContextualError(f"--contextual: {args.model_file}: {exc}") from exc
     predicted = tuple(Sentence(s.tokens, m) for s, m in zip(corpus.sentences, mentions))
     out = TaggedCorpus(predicted, scheme="bilou")
     out_columns = ColumnSpec(token_columns.names + ("label",))

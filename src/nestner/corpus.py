@@ -12,6 +12,10 @@ decode strictly; flat BIO corpora are converted on read.
 Mention span files (for the encode/decode commands) use the token columns
 plus one optional trailing column listing mentions that start at that token
 as ``TYPE START END`` triples joined by ``;``.
+
+Whether sidecar blocks of contextual vectors fit their sentences is
+decided by :func:`check_contextual` alone, at the first block's width or
+at a model's.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ SCHEMES = ("bilou", "bio")
 
 class CorpusError(NestnerError):
     """A corpus file is malformed; the message carries file/line coordinates."""
+
+
+class ContextualError(CorpusError, ValueError):
+    """Sidecar vectors do not fit their sentences (:func:`check_contextual`)
+    or the model they are given to."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,7 @@ class TaggedCorpus:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
         if self.contextual is not None:
             object.__setattr__(self, "contextual", tuple(self.contextual))
-            _check_contextual(self.sentences, self.contextual)
+            check_contextual(self.sentences, self.contextual)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -116,33 +125,36 @@ class TaggedCorpus:
         return tuple(codec.encode(sentence) for sentence in self.sentences)
 
 
-def _check_contextual(sentences: Sequence[Sentence], rows: Sequence[np.ndarray]) -> None:
-    """Every sentence has a 2-d (tokens, width) matrix of contextual vectors,
-    and all have one width, that of the first; a mismatch is a
-    :class:`CorpusError` naming the first sentence that breaks it."""
-    if len(rows) != len(sentences):
-        raise CorpusError(
-            f"contextual vectors cover {len(rows)} sentences, corpus has {len(sentences)}"
-        )
-    width = None
-    for i, (sentence, mat) in enumerate(zip(sentences, rows)):
-        if np.ndim(mat) != 2:
-            raise CorpusError(
+def check_contextual(
+    sentences: Sequence[Sentence], blocks: Sequence[np.ndarray], width: int | None = None
+) -> None:
+    """The sidecar contract: one block per sentence, each a 2-d (tokens,
+    width) matrix, all of one width, ``width`` if given, else the first
+    block's. A :class:`ContextualError` names the first sentence that breaks
+    it; a sentence without a block, or a block without a sentence, breaks it
+    at the index where the shorter list ends."""
+    for i, (sentence, block) in enumerate(zip(sentences, blocks)):
+        shape = np.shape(block)
+        if len(shape) != 2:
+            raise ContextualError(
                 f"sentence {i}: contextual vectors must be a 2-d (tokens, width) matrix, "
-                f"got shape {np.shape(mat)}"
+                f"got shape {shape}"
             )
         if width is None:
-            width = mat.shape[1]
-        elif mat.shape[1] != width:
-            raise CorpusError(
-                f"sentence {i}: contextual vectors have width {mat.shape[1]}, "
-                f"sentence 0 has width {width}"
+            width = shape[1]
+        if shape[1] != width:
+            raise ContextualError(
+                f"sentence {i}: contextual vectors have width {shape[1]}, expected {width}"
             )
-        if mat.shape[0] != len(sentence.tokens):
-            raise CorpusError(
-                f"sentence {i}: {mat.shape[0]} contextual rows for "
-                f"{len(sentence.tokens)} tokens"
+        if shape[0] != len(sentence.tokens):
+            raise ContextualError(
+                f"sentence {i}: {shape[0]} contextual rows for {len(sentence.tokens)} tokens"
             )
+    if len(blocks) != len(sentences):
+        raise ContextualError(
+            f"sentence {min(len(blocks), len(sentences))}: {len(blocks)} contextual blocks "
+            f"for {len(sentences)} sentences"
+        )
 
 
 def text_blocks(path: str | Path, error: type[NestnerError]) -> Iterator[tuple[int, list[str]]]:
@@ -605,6 +617,6 @@ def merge(a: TaggedCorpus, b: TaggedCorpus) -> TaggedCorpus:
     both carry contextual vectors or neither does: a corpus cannot have
     vectors for only some of its sentences."""
     if (a.contextual is None) != (b.contextual is None):
-        raise CorpusError("cannot merge a corpus with contextual vectors and one without")
+        raise ContextualError("cannot merge a corpus with contextual vectors and one without")
     contextual = None if a.contextual is None else a.contextual + b.contextual
     return TaggedCorpus(a.sentences + b.sentences, scheme=a.scheme, contextual=contextual)

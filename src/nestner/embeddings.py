@@ -230,7 +230,7 @@ class TokenEmbedder:
 
         ``lookup_forms``, one per token, replace the forms for the
         pretrained and trainable lookups (word dropout); characters always
-        come from the raw forms. ``contextual`` is the sentence's
+        come from the raw forms. ``contextual`` is the sentence's checked
         (T, contextual_dim) matrix of precomputed vectors; without it the
         vectors end before the contextual columns. Each table is looked up
         once with every id, and the char BiGRU runs once per direction over
@@ -256,12 +256,7 @@ class TokenEmbedder:
             parts.append(tape.const(onehot))
         if cfg.char_dim:
             parts.extend(self._char_states(tape, tokens))
-        if cfg.contextual_dim and contextual is not None:
-            expected = (len(tokens), cfg.contextual_dim)
-            if contextual.shape != expected:
-                raise ValueError(
-                    f"contextual vectors have shape {contextual.shape}, expected {expected}"
-                )
+        if contextual is not None:
             parts.append(tape.const(contextual))
         if not parts:  # contextual columns only, and none given
             return tape.const(np.zeros((len(tokens), 0)))

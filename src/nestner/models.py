@@ -32,6 +32,10 @@ one row gather; sidecar columns are projected per block and added. The memo
 holds no more values than the model has parameters, and is emptied before
 a block that would take it past that.
 
+``check_contextual`` rejects the sidecar blocks a model cannot read, before
+``predict_batch`` encodes a sentence or ``training.train`` takes a step;
+the layers below read them as given.
+
 A model parses its alphabet's labels when it is built or loaded, into the
 label table of :mod:`nestner.core`, so a bad label is an error then. Decoding
 turns each label id into its alphabet string and takes the label the table
@@ -72,7 +76,7 @@ from .core import (
     Sentence,
     Token,
 )
-from .corpus import Vocabulary
+from .corpus import ContextualError, Vocabulary, check_contextual
 from .embeddings import EmbeddingConfig, PretrainedTable, TokenEmbedder
 
 
@@ -290,11 +294,6 @@ def _stacked(blocks: Sequence[np.ndarray | None]) -> np.ndarray | None:
     return None if blocks[0] is None else np.concatenate(blocks)
 
 
-class ContextualError(NestnerError, ValueError):
-    """Sidecar vectors given to ``predict_batch`` do not fit the model or
-    the sentences."""
-
-
 _DIRECTIONS = ("enc.fw", "enc.bw")
 
 
@@ -419,11 +418,7 @@ class _NeuralTagger:
         vectors only for the types it lacks; sidecar columns are projected
         per call and added."""
         tokens = [token for ex in examples for token in ex.sentence.tokens]
-        contextual = None
-        if self.embedder.config.contextual_dim:
-            contextual = _stacked([ex.contextual for ex in examples])
-            if contextual is None:
-                raise ValueError("config enables contextual vectors but none were supplied")
+        contextual = _stacked([ex.contextual for ex in examples])
         if self._memo is not None and isinstance(tape, ForwardTape):
             pres = [tape.const(pre) for pre in self._memoized_pre(tape, tokens, contextual)]
         else:
@@ -482,16 +477,11 @@ class _NeuralTagger:
         self, sentences: Sequence[Sentence], contextual: Sequence[np.ndarray] | None = None
     ) -> list[frozenset[Mention]]:
         """The mentions of each sentence. ``contextual`` holds each sentence's
-        sidecar block. Blocks of up to :data:`PREDICT_BLOCK` consecutive
-        sentences each go through the network as one packed pass on a tape
-        that records nothing.
-
-        Before any sentence is encoded, a :class:`ContextualError` naming a
-        sentence index is raised for blocks given to a model trained
-        without them, none given to a model trained with them, a list whose
-        length is not the sentences', or a block that is not that
-        sentence's (T, contextual_dim)."""
-        self._check_contextual(sentences, contextual)
+        sidecar block, checked by :meth:`check_contextual` before any
+        sentence is encoded. Blocks of up to :data:`PREDICT_BLOCK`
+        consecutive sentences each go through the network as one packed pass
+        on a tape that records nothing."""
+        self.check_contextual(sentences, contextual)
         examples = [
             Example(s, None if contextual is None else contextual[i])
             for i, s in enumerate(sentences)
@@ -503,11 +493,15 @@ class _NeuralTagger:
                 mentions.append(codec.decode(encoded, policy="repair"))
         return mentions
 
-    def _check_contextual(
+    def check_contextual(
         self, sentences: Sequence[Sentence], contextual: Sequence[np.ndarray] | None
     ) -> None:
+        """Raise a :class:`ContextualError` naming the first sentence whose
+        sidecar block this model cannot read: blocks for a model without
+        contextual columns, none for a model with them, or blocks that break
+        :func:`~nestner.corpus.check_contextual` at ``contextual_dim``."""
         dim = self.embedder.config.contextual_dim
-        if not sentences or (contextual is None and not dim):
+        if contextual is None and (not dim or not sentences):
             return
         if contextual is None:
             raise ContextualError(
@@ -517,18 +511,7 @@ class _NeuralTagger:
             raise ContextualError(
                 "sentence 0: contextual vectors given to a model trained without them"
             )
-        if len(contextual) != len(sentences):
-            raise ContextualError(
-                f"sentence {min(len(contextual), len(sentences))}: {len(contextual)} "
-                f"contextual blocks for {len(sentences)} sentences"
-            )
-        for i, (sentence, block) in enumerate(zip(sentences, contextual)):
-            expected = (len(sentence.tokens), dim)
-            if np.shape(block) != expected:
-                raise ContextualError(
-                    f"sentence {i}: contextual vectors have shape {np.shape(block)}, "
-                    f"expected {expected}"
-                )
+        check_contextual(sentences, contextual, dim)
 
     def predict(
         self, sentence: Sentence, contextual: np.ndarray | None = None

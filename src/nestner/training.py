@@ -20,7 +20,7 @@ from . import codec, models
 from .autodiff import Gradients, Parameters, Tape
 from .codec import EOW
 from .core import NestnerError, build_alphabet
-from .corpus import UNK, TaggedCorpus, Vocabulary, build_vocabulary
+from .corpus import UNK, ContextualError, TaggedCorpus, Vocabulary, build_vocabulary
 from .embeddings import EmbeddingConfig, PretrainedTable
 from .metrics import score_mentions
 
@@ -285,11 +285,13 @@ def train(
     error, as no epoch could beat the first on it. ``model`` must be built
     from ``corpus`` (to train on dev too, merge it in before
     :func:`build_model`): a gold label outside its alphabet stops the run
-    before any step. A rejected optimizer step stops the run with an
-    :class:`OptimizerError` naming the epoch, the batch and the parameter,
-    and leaves the last checkpoint written in place. A model with read-only
-    parameters, as :func:`models.load_model` returns, is refused before any
-    step: training starts from :func:`build_model`.
+    before any step, as do sidecar blocks that the model cannot read
+    (``model.check_contextual``; dev's message starts with ``dev:``). A
+    rejected optimizer step stops the run with an :class:`OptimizerError`
+    naming the epoch, the batch and the parameter, and leaves the last
+    checkpoint written in place. A model with read-only parameters, as
+    :func:`models.load_model` returns, is refused before any step: training
+    starts from :func:`build_model`.
     """
     if not all(arr.flags.writeable for _, arr in model.params.items()):
         raise NestnerError(
@@ -301,6 +303,12 @@ def train(
     regularization = regularization or RegularizationConfig()
     if dev is not None and not dev.sentences:
         raise NestnerError("dev corpus is empty")
+    model.check_contextual(corpus.sentences, corpus.contextual)
+    if dev is not None:
+        try:
+            model.check_contextual(dev.sentences, dev.contextual)
+        except ContextualError as exc:
+            raise ContextualError(f"dev: {exc}") from exc
     encoded = corpus.encoded
     if model.kind == "seq2seq":
         _check_nesting_depth(encoded, model.config.max_components_per_token)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nestner
@@ -444,6 +444,10 @@ def _reference_gru(xs, wx, wh, b, h):
     return np.array(hs).reshape(-1, hidden)
 
 
+# 1-6 packed sequences of 0-12 rows each
+PACKINGS = st.lists(st.integers(0, 12), min_size=1, max_size=6)
+
+
 class TestRecurrentCells:
     def _params(self, entries, seed):
         return make_params(entries + [("xs", (4, 3)), ("h", (2,)), ("c", (2,))], seed=seed)
@@ -522,77 +526,79 @@ class TestRecurrentCells:
         empty = tape.gru(tape.affine(tape.const(np.zeros((0, 3))), wx, b), wh)
         assert empty.shape == (0, 2)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_packed_gru_matches_separate_calls(self, reverse):
-        for lengths in ([2, 4, 0, 3], [1, 1, 1]):
-            n = sum(lengths)
-            p = make_params([("xs", (n, 3)), ("wx", (3, 6)), ("wh", (2, 6)), ("b", (6,))], seed=8)
-            tape = Tape(p)
-            wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
-            packed = tape.gru(
-                tape.affine(tape.param("xs"), wx, b), wh, reverse=reverse, lengths=lengths
-            )
-            bounds = np.cumsum([0, *lengths])
-            separate = [
-                tape.gru(tape.affine(tape.const(p["xs"][lo:hi]), wx, b), wh, reverse=reverse).value
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            assert packed.shape == (n, 2)
-            np.testing.assert_allclose(packed.value, np.concatenate(separate), rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_packed_lstm_matches_separate_calls(self, reverse):
-        """Hidden and cell states and every gradient of one packed call
-        equal those of one call per sequence; an empty sequence adds no
-        row, and its initial state takes no gradient."""
-        for lengths in ([2, 4, 0, 3], [1, 1, 1]):
-            self._check_packed_lstm(reverse, lengths)
-
-    def _check_packed_lstm(self, reverse, lengths):
-        n = sum(lengths)
-        p = make_params(
-            [("xs", (n, 3)), ("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,)),
-             ("h0", (len(lengths), 2)), ("c0", (len(lengths), 2))],
-            seed=8,
-        )
+    @staticmethod
+    def _check_packed(lstm, lengths, reverse, seed):
+        """One packed ``lstm`` (else ``gru``) call over sequences of
+        ``lengths`` rows at width 4, in float64, gives the state rows (and,
+        for ``lstm``, cell states) and every gradient that one call per
+        sequence gives. Every output row goes into one row of logits scored
+        against a drawn class, so each reaches the loss. Returns the packed
+        call's gradients."""
+        n, hidden, gates = sum(lengths), 3, 4 if lstm else 3
+        entries = [("xs", (n, 4)), ("wx", (4, gates * hidden)),
+                   ("wh", (hidden, gates * hidden)), ("b", (gates * hidden,))]
+        if lstm:  # one initial state per sequence
+            entries += [("h0", (len(lengths), hidden)), ("c0", (len(lengths), hidden))]
+        p = make_params(entries, seed=seed)
+        target = np.random.default_rng(seed).integers(0, 1 + n * hidden)
         bounds = np.cumsum([0, *lengths])
-        finals = [lo if reverse else hi - 1 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
-        def loss(tape, rows):
-            # every output row and every sequence's final state reach the loss,
-            # each a (1, 2) row, end to end
-            picked = [rows[f] for f in np.resize(finals, n)]
-            return tape.softmax_cross_entropy(tape.tanh(tape.concat([*rows, *picked])), [3])
+        def cell(tape, rows, states, lengths):
+            wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
+            pre = tape.affine(tape.gather(tape.param("xs"), rows), wx, b)
+            if lstm:
+                return tape.lstm(pre, wh, *states, reverse=reverse, lengths=lengths)
+            return tape.gru(pre, wh, reverse=reverse, lengths=lengths), np.empty((len(rows), 0))
 
-        tape = Tape(p)
-        wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
-        out, cells = tape.lstm(
-            tape.affine(tape.param("xs"), wx, b), wh, tape.param("h0"), tape.param("c0"),
-            reverse=reverse, lengths=lengths,
-        )
-        packed = tape.backward(loss(tape, [tape.gather(out, [r]) for r in range(n)]))
-        assert out.shape == cells.shape == (n, 2)
+        def run(separate):
+            tape = Tape(p)
+            states = [tape.param("h0"), tape.param("c0")] if lstm else []
+            if separate:
+                outs = [
+                    cell(tape, list(range(lo, hi)), [tape.gather(s, [i]) for s in states], None)
+                    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                ]
+            else:
+                outs = [cell(tape, list(range(n)), states, lengths)]
+            # every row, end to end in one (1, 1 + n*hidden) row of logits
+            rows = [tape.gather(out, [t]) for out, _ in outs for t in range(out.shape[0])]
+            logits = tape.tanh(tape.concat([tape.const(np.zeros((1, 1))), *rows]))
+            grads = tape.backward(tape.softmax_cross_entropy(logits, [target]))
+            values = np.concatenate([np.hstack([out.value, cells]) for out, cells in outs])
+            return values, {name: grads.materialize(name, arr.shape) for name, arr in p.items()}
+
+        (packed, packed_grads), (separate, separate_grads) = run(False), run(True)
+        assert packed.shape == (n, 2 * hidden if lstm else hidden)
+        np.testing.assert_allclose(packed, separate, rtol=0, atol=1e-12)
+        for name, grad in packed_grads.items():
+            np.testing.assert_allclose(grad, separate_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+        return packed_grads
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=PACKINGS, reverse=st.booleans(), seed=st.integers(0, 2**16))
+    @example(lengths=[7], reverse=False, seed=1)
+    @example(lengths=[7], reverse=True, seed=1)
+    @example(lengths=[1] * 6, reverse=False, seed=1)
+    @example(lengths=[1] * 6, reverse=True, seed=1)
+    def test_packed_gru_matches_separate_calls(self, lengths, reverse, seed):
+        """The state rows and every gradient of one packed call equal those
+        of one call per sequence; an empty sequence adds no row."""
+        self._check_packed(False, lengths, reverse, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=PACKINGS, reverse=st.booleans(), seed=st.integers(0, 2**16))
+    @example(lengths=[7], reverse=False, seed=1)
+    @example(lengths=[7], reverse=True, seed=1)
+    @example(lengths=[1] * 6, reverse=False, seed=1)
+    @example(lengths=[1] * 6, reverse=True, seed=1)
+    def test_packed_lstm_matches_separate_calls(self, lengths, reverse, seed):
+        """Hidden and cell states and every gradient of one packed call,
+        ``h0`` and ``c0`` included, equal those of one call per sequence; an
+        empty sequence adds no row, and its initial state takes no gradient."""
+        grads = self._check_packed(True, lengths, reverse, seed)
         for i, length in enumerate(lengths):
-            assert packed.materialize("h0", p["h0"].shape)[i].any() == (length > 0)
-
-        tape = Tape(p)
-        wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
-        rows = []
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            one_out, one_cells = tape.lstm(
-                tape.affine(tape.gather(tape.param("xs"), list(range(lo, hi))), wx, b), wh,
-                tape.gather(tape.param("h0"), [i]), tape.gather(tape.param("c0"), [i]),
-                reverse=reverse,
-            )
-            np.testing.assert_allclose(one_out.value, out.value[lo:hi], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(one_cells, cells[lo:hi], rtol=0, atol=1e-15)
-            rows.extend(tape.gather(one_out, [t]) for t in range(hi - lo))
-        separate = tape.backward(loss(tape, rows))
-        for name, arr in p.items():
-            np.testing.assert_allclose(
-                packed.materialize(name, arr.shape), separate.materialize(name, arr.shape),
-                rtol=0, atol=1e-15, err_msg=name,
-            )
+            assert grads["h0"][i].any() == (length > 0)
 
     def test_identity_packings_are_read_in_place(self):
         """One sequence, or sequences of one row each, are laid out as

@@ -251,7 +251,7 @@ class TestPipeline:
             "--output", str(pred_file), flag, str(vec_file),
         ) == 1
         err = capsys.readouterr().err
-        assert f"error: {flag}: {model_file} was trained without" in err
+        assert f"error: {flag}: {model_file}" in err and "trained without" in err
         assert not pred_file.exists()
 
     def test_logged_dev_f1_is_the_f1_of_the_saved_checkpoint(self, tmp_path, capsys):
@@ -751,6 +751,19 @@ class TestContextualSidecars:
         assert "--dev-contextual" in err and "--dev" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--contextual", "--dev-contextual"])
+    def test_include_dev_with_one_sidecar(self, tmp_path, files, capsys, flag):
+        conll, sidecar, _ = files
+        ctx = sidecar("ctx", [2, 2, 2])
+        assert self._train(
+            tmp_path, conll, flag, str(ctx), "--dev", str(conll), "--include-dev"
+        ) == 1
+        assert (
+            f"--dev-contextual: {conll}: cannot merge a corpus with contextual vectors "
+            "and one without" in capsys.readouterr().err
+        )
+        assert not (tmp_path / "m.json").exists()
+
     def test_predict_checks_the_model_width(self, tmp_path, files, capsys):
         conll, sidecar, _ = files
         ctx, wide = sidecar("train.ctx", [2, 2, 2]), sidecar("wide.ctx", [3, 3, 3])
@@ -760,13 +773,16 @@ class TestContextualSidecars:
         assert run(*predict, "--contextual", str(wide)) == 1
         assert f"{wide}:1: expected 2 values, found 3" in capsys.readouterr().err
         assert run(*predict) == 1
-        assert "needs --contextual vectors of width 2" in capsys.readouterr().err
+        assert (
+            f"--contextual: {tmp_path / 'm.json'}: sentence 0: the model needs contextual "
+            "vectors of width 2; none given" in capsys.readouterr().err
+        )
 
     def test_sidecar_with_a_sentence_too_few_names_the_file(self, tmp_path, files, capsys):
         conll, sidecar, _ = files
         ctx = sidecar("train.ctx", [2, 2])
         assert self._train(tmp_path, conll, "--contextual", str(ctx)) == 1
-        assert f"{ctx}: contextual vectors cover 2 sentences, corpus has 3" in (
+        assert f"{ctx}: sentence 2: 2 contextual blocks for 3 sentences" in (
             capsys.readouterr().err
         )
         assert not (tmp_path / "m.json").exists()

@@ -12,6 +12,7 @@ from nestner.corpus import (
     PAD,
     UNK,
     ColumnSpec,
+    ContextualError,
     CorpusError,
     TaggedCorpus,
     attach_contextual,
@@ -548,7 +549,7 @@ def test_merge_refuses_contextual_vectors_on_one_side_only():
     b = corpus_of(Sentence((Token("b"), Token("c"))))
     with_vectors = attach_contextual(a, [np.zeros((1, 2))])
     for pair in ((with_vectors, b), (b, with_vectors)):
-        with pytest.raises(CorpusError, match="contextual vectors and one without"):
+        with pytest.raises(ContextualError, match="contextual vectors and one without"):
             merge(*pair)
     both = merge(with_vectors, attach_contextual(b, [np.ones((2, 2))]))
     assert [m.shape for m in both.contextual] == [(1, 2), (2, 2)]
@@ -557,8 +558,8 @@ def test_merge_refuses_contextual_vectors_on_one_side_only():
 def test_merge_refuses_contextual_vectors_of_two_widths():
     a = attach_contextual(corpus_of(Sentence((Token("a"),))), [np.zeros((1, 2))])
     b = attach_contextual(corpus_of(Sentence((Token("b"), Token("c")))), [np.ones((2, 3))])
-    with pytest.raises(CorpusError, match="sentence 1: contextual vectors have width 3, "
-                                          "sentence 0 has width 2"):
+    with pytest.raises(ContextualError, match="sentence 1: contextual vectors have width 3, "
+                                              "expected 2"):
         merge(a, b)
 
 

@@ -326,12 +326,6 @@ class TestSentenceVectors:
         assert len(char_ids) == 1
         np.testing.assert_array_equal(char_ids[0], expected)
 
-    def test_contextual_shape_checked(self, setup):
-        embedder, params, contextual = setup
-        for bad in (contextual[:, :1], contextual[:3], contextual[0]):
-            with pytest.raises(ValueError, match="contextual vectors have shape"):
-                embedder.token_vector(Tape(params), self.TOKENS, self.LOOKUP, bad)
-
 
 class TestCharBiGru:
     def test_direction_symmetry(self, vocab):

@@ -1,18 +1,22 @@
 import collections
+import contextlib
 import gc
 import re
+import types
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthgrammar
 from conftest import mention
 from nestner import autodiff, codec, training
 from nestner.autodiff import Gradients, Parameters, RowGradient, Tape, dropout_mask
 from nestner.core import NestnerError, Sentence, Token
-from nestner.corpus import UNK, TaggedCorpus, build_vocabulary, merge
+from nestner.corpus import UNK, ContextualError, TaggedCorpus, build_vocabulary, merge
 from nestner.embeddings import EmbeddingConfig
 from nestner.training import (
     LazyAdam,
@@ -556,24 +560,31 @@ class TestPackedBatch:
     same loss and gradients as its sentences one at a time, from the same
     random stream."""
 
-    @pytest.mark.parametrize("kind", ["crf", "seq2seq"])
-    def test_batch_loss_equals_batches_of_one(self, kind):
-        corpus = synthgrammar.generate(6, seed=17)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["crf", "seq2seq"]),
+        corpus_seed=st.integers(0, 2**16),
+        n_sentences=st.integers(1, 6),
+        dropout=st.sampled_from([0.0, 0.5]),
+        word_rate=st.sampled_from([0.0, 0.2]),
+    )
+    @example(kind="crf", corpus_seed=17, n_sentences=6, dropout=0.5, word_rate=0.2)
+    @example(kind="seq2seq", corpus_seed=17, n_sentences=6, dropout=0.5, word_rate=0.2)
+    def test_batch_loss_equals_batches_of_one(
+        self, kind, corpus_seed, n_sentences, dropout, word_rate
+    ):
+        corpus = synthgrammar.generate(n_sentences, seed=corpus_seed)
         lengths = [len(s.tokens) for s in corpus]
-        assert len(set(lengths)) > 1
-        forms = [[t.form for t in s.tokens] for s in corpus]
-        assert any(set(a) & set(b) for a, b in zip(forms, forms[1:]))  # a repeated form
-        rng = np.random.default_rng(4)
+        rng = np.random.default_rng(corpus_seed)
         contextual = [rng.standard_normal((n, 3)) for n in lengths]
         embedding = EmbeddingConfig(trainable_dim=4, char_dim=3, char_rnn_dim=2, contextual_dim=3)
         model = build_model(
             kind, corpus, embedding=embedding, hidden_dim=4, decoder_dim=4, label_embed_dim=3,
             seed=6,
         )
-        dropout, word_rate = 0.5, 0.2
 
         # the packed pass, with every sentence's draws made first, in turn
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng(corpus_seed + 1)
         examples = []
         for sentence, ctx in zip(corpus, contextual):
             lookup_forms = word_dropout(sentence.forms(), word_rate, rng)
@@ -585,10 +596,13 @@ class TestPackedBatch:
 
         # the draws, sentence by sentence, in the order of a per-sentence
         # forward pass: word dropout, the token-vector mask, the encoder-output mask
-        ref_rng = np.random.default_rng(8)
+        ref_rng = np.random.default_rng(corpus_seed + 1)
         for sentence, example in zip(corpus, examples):
             n = len(sentence.tokens)
             assert word_dropout(sentence.forms(), word_rate, ref_rng) == example.lookup_forms
+            if not dropout:  # no masks, and nothing drawn for them
+                assert example.input_mask is example.output_mask is None
+                continue
             widths = (embedding.token_dim, 2 * model.hidden_dim)
             for mask, width in zip((example.input_mask, example.output_mask), widths):
                 np.testing.assert_array_equal(mask, dropout_mask(ref_rng, (n, width), dropout))
@@ -645,3 +659,123 @@ class TestPackedBatch:
         assert len(weights) == (9 if kind == "crf" else 13)
         assert sorted(node_names.values()) == sorted(weights)
         assert set(calls.values()) == {1}, {node_names[i]: n for i, n in calls.items()}
+
+
+SIDECAR = EmbeddingConfig(trainable_dim=2, char_dim=0, char_rnn_dim=0, contextual_dim=2)
+
+
+@contextlib.contextmanager
+def counted_steps():
+    """A list that gets one entry per ``LazyAdam.step`` made inside."""
+    steps = []
+    real = LazyAdam.step
+
+    def counting(self, grads):
+        steps.append(self.step_count)
+        real(self, grads)
+
+    LazyAdam.step = counting
+    try:
+        yield steps
+    finally:
+        LazyAdam.step = real
+
+
+def _blocks(sentences, width=2):
+    return [np.full((len(s.tokens), width), 0.5) for s in sentences]
+
+
+class TestSidecarContract:
+    """``train`` checks the sidecar blocks of its corpus and of dev against
+    the model before any optimizer step, with the check ``predict_batch``
+    and ``TaggedCorpus`` use, and names the sentence, and dev for dev."""
+
+    CORPUS = synthgrammar.generate(4, seed=21)
+
+    def _train(self, tmp_path, embedding, corpus, dev=None):
+        model = build_model("crf", self.CORPUS, embedding=embedding, hidden_dim=2, seed=1)
+        checkpoint = tmp_path / "model.ckpt"
+        with counted_steps() as steps, pytest.raises(ContextualError) as err:
+            train(model, corpus, TrainConfig(epochs=1), dev=dev, checkpoint_path=checkpoint)
+        assert steps == [] and not checkpoint.exists()
+        return str(err.value)
+
+    def test_vectors_for_a_model_built_without_them(self, tmp_path):
+        corpus = TaggedCorpus(self.CORPUS.sentences, contextual=_blocks(self.CORPUS))
+        message = self._train(tmp_path, TINY, corpus)
+        assert message == "sentence 0: contextual vectors given to a model trained without them"
+
+    def test_no_vectors_for_a_model_that_needs_them(self, tmp_path):
+        message = self._train(tmp_path, SIDECAR, self.CORPUS)
+        assert message == "sentence 0: the model needs contextual vectors of width 2; none given"
+
+    def test_vectors_of_another_width(self, tmp_path):
+        corpus = TaggedCorpus(self.CORPUS.sentences, contextual=_blocks(self.CORPUS, 3))
+        message = self._train(tmp_path, SIDECAR, corpus)
+        assert message == "sentence 0: contextual vectors have width 3, expected 2"
+
+    def test_dev_without_vectors_for_a_model_that_needs_them(self, tmp_path):
+        corpus = TaggedCorpus(self.CORPUS.sentences, contextual=_blocks(self.CORPUS))
+        message = self._train(tmp_path, SIDECAR, corpus, dev=self.CORPUS)
+        assert message == (
+            "dev: sentence 0: the model needs contextual vectors of width 2; none given"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["crf", "seq2seq"]),
+        # each sentence's block: its (tokens, 2) matrix, one row off, or None
+        picks=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(["ok"] * 6 + ["short", "long", "none"])),
+            min_size=1, max_size=4,
+        ),
+        # the index of a block left out of the list
+        missing=st.sampled_from([None] * 4 + [0, 1, 2, 3]),
+    )
+    def test_one_contract(self, tmp_path_factory, kind, picks, missing):
+        """``TaggedCorpus``, ``predict_batch`` and ``train`` (on the corpus
+        and on dev) accept the same blocks, or reject them with one message
+        naming the same first sentence, and ``train`` rejects them before
+        any optimizer step or checkpoint."""
+        sentences = tuple(self.CORPUS.sentences[i] for i, _ in picks)
+        blocks = []
+        for sentence, (_, fault) in zip(sentences, picks):
+            rows = len(sentence.tokens) + {"short": -1, "long": 1}.get(fault, 0)
+            blocks.append(None if fault == "none" else np.full((rows, 2), 0.5))
+        if missing is not None:
+            del blocks[missing % len(blocks)]
+        # the first sentence whose block is not its (tokens, 2) matrix
+        bad = [i for i, (s, b) in enumerate(zip(sentences, blocks))
+               if b is None or len(b) != len(s.tokens)]
+        first = bad[0] if bad else (None if len(blocks) == len(sentences) else len(blocks))
+
+        messages = []
+        try:
+            corpus = TaggedCorpus(sentences, contextual=blocks)
+        except ContextualError as exc:
+            messages.append(str(exc))
+            corpus = types.SimpleNamespace(sentences=sentences, contextual=blocks)
+        model = build_model(kind, self.CORPUS, embedding=SIDECAR, hidden_dim=2, decoder_dim=2,
+                            label_embed_dim=2, seed=1)
+        try:
+            model.predict_batch(sentences, blocks)
+        except ContextualError as exc:
+            messages.append(str(exc))
+        good = TaggedCorpus(self.CORPUS.sentences, contextual=_blocks(self.CORPUS))
+        for train_corpus, dev, prefix in ((corpus, None, ""), (good, corpus, "dev: ")):
+            checkpoint = tmp_path_factory.mktemp("contract") / "model.ckpt"
+            with counted_steps() as steps:
+                try:
+                    train(model, train_corpus, TrainConfig(epochs=1), dev=dev,
+                          checkpoint_path=checkpoint)
+                except ContextualError as exc:
+                    assert steps == [] and not checkpoint.exists()
+                    assert str(exc).startswith(prefix)
+                    messages.append(str(exc).removeprefix(prefix))
+                else:
+                    assert steps and checkpoint.exists()
+        if first is None:
+            assert messages == []
+        else:
+            assert len(messages) == 4 and len(set(messages)) == 1, messages
+            assert messages[0].startswith(f"sentence {first}: ")
