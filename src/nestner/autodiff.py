@@ -40,13 +40,25 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 
+class Init(NamedTuple):
+    """How one parameter starts: an array of ``shape`` drawn uniform in
+    ±sqrt(1/fan_in) when ``fan_in`` is set, else zeros, with its ``ones``
+    slice then set to 1."""
+
+    shape: tuple[int, ...]
+    fan_in: int | None = None
+    ones: slice | None = None
+
+
 class Parameters:
     """Named, shaped arrays of reals; the full state of a model.
 
     64-bit by default: the finite-difference checks and the pinned float64
     loss build through this default. ``nestner train`` and
     :func:`~nestner.models.load_model` choose 32-bit, the precision a
-    checkpoint stores. Names are unique and shapes fixed once added.
+    checkpoint stores. A model's arrays are the entries of its parameter
+    table, in the table's order. Names are unique and shapes fixed once
+    added.
     """
 
     def __init__(self, dtype=np.float64):
@@ -54,8 +66,8 @@ class Parameters:
         self.dtype = np.dtype(dtype)
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        """Register a copy of ``value`` in this store's dtype. The values
-        come from outside (a checkpoint, a caller), so a non-finite one is a
+        """Add a copy of ``value`` in this store's dtype. The values come
+        from outside (a checkpoint, a caller), so a non-finite one is a
         ``ValueError``."""
         self._check_new(name)
         arr = np.array(value, dtype=self.dtype)
@@ -64,28 +76,28 @@ class Parameters:
         self._arrays[name] = arr
         return arr
 
-    def uniform(
-        self, name: str, shape: tuple[int, ...], rng: np.random.Generator, fan_in: int | None = None
-    ) -> np.ndarray:
-        """uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)); fan_in defaults to shape[0].
+    def initialize(self, table: dict[str, Init], rng: np.random.Generator) -> None:
+        """Add every parameter of ``table`` as its :class:`Init` says, in
+        the table's order, drawing from ``rng``.
 
-        The float64 draw is stored as drawn, or cast once to a narrower
-        dtype, with no copy and no finiteness pass: a draw bounded by at most
-        1 is finite by construction."""
-        fan = fan_in if fan_in is not None else shape[0]
-        bound = (1.0 / max(fan, 1)) ** 0.5
-        self._check_new(name)
-        drawn = rng.uniform(-bound, bound, size=shape)
-        arr = drawn if drawn.dtype == self.dtype else drawn.astype(self.dtype)
-        self._arrays[name] = arr
-        return arr
+        A float64 draw is stored as drawn, or cast once to a narrower dtype,
+        with no copy and no finiteness pass: a draw bounded by at most 1 is
+        finite by construction."""
+        for name, init in table.items():
+            self._check_new(name)
+            if init.fan_in is None:
+                arr = np.zeros(init.shape, self.dtype)
+            else:
+                bound = (1.0 / init.fan_in) ** 0.5
+                drawn = rng.uniform(-bound, bound, size=init.shape)
+                arr = drawn if drawn.dtype == self.dtype else drawn.astype(self.dtype)
+            if init.ones is not None:
+                arr[init.ones] = 1.0
+            self._arrays[name] = arr
 
     def _check_new(self, name: str) -> None:
         if name in self._arrays:
             raise ValueError(f"duplicate parameter name: {name}")
-
-    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        return self.add(name, np.zeros(shape))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]

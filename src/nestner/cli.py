@@ -257,8 +257,7 @@ def cmd_predict(args) -> int:
         ) from exc
     columns = ColumnSpec.parse(args.columns)
     token_columns = ColumnSpec(tuple(n for n in columns.names if n != "label"))
-    input_columns = columns if columns.has_label else token_columns
-    corpus = read_conll(args.input, columns=input_columns) if columns.has_label else read_spans(
+    corpus = read_conll(args.input, columns=columns) if columns.has_label else read_spans(
         args.input, columns=token_columns
     )
     if args.contextual:

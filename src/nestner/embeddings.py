@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Parameters, Tape, Var
+from .autodiff import Init, Tape, Var
 from .core import NestnerError, Token
 from .corpus import UNK, Vocabulary, text_blocks, vector_row
 
@@ -149,7 +149,7 @@ def load_pretrained(path: str | Path) -> PretrainedTable:
 
 
 class TokenEmbedder:
-    """Registers embedding parameters and assembles token vectors on a tape."""
+    """Declares the embedding parameters and assembles token vectors on a tape."""
 
     FORM_TABLE = "embed.form"
     LEMMA_TABLE = "embed.lemma"
@@ -179,24 +179,19 @@ class TokenEmbedder:
         self.vocab = vocab
         self.pretrained = pretrained
 
-    def register(self, params: Parameters, rng: np.random.Generator) -> None:
-        cfg = self.config
+    def parameter_table(self) -> dict[str, Init]:
+        """The embedding entries of the model's parameter table, in order."""
+        cfg, vocab, table = self.config, self.vocab, {}
         if cfg.trainable_dim:
-            params.uniform(
-                self.FORM_TABLE, (self.vocab.n_forms, cfg.trainable_dim), rng, cfg.trainable_dim
-            )
+            table[self.FORM_TABLE] = Init((vocab.n_forms, cfg.trainable_dim), cfg.trainable_dim)
         if cfg.lemma_dim:
-            params.uniform(
-                self.LEMMA_TABLE, (self.vocab.n_lemmas, cfg.lemma_dim), rng, cfg.lemma_dim
-            )
+            table[self.LEMMA_TABLE] = Init((vocab.n_lemmas, cfg.lemma_dim), cfg.lemma_dim)
         if cfg.char_dim:
-            params.uniform(
-                self.CHAR_TABLE, (self.vocab.n_chars, cfg.char_dim), rng, cfg.char_dim
-            )
+            c, r = cfg.char_dim, cfg.char_rnn_dim
+            table[self.CHAR_TABLE] = Init((vocab.n_chars, c), c)
             for wx, wh, b in (self.CHAR_FW, self.CHAR_BW):
-                params.uniform(wx, (cfg.char_dim, 3 * cfg.char_rnn_dim), rng)
-                params.uniform(wh, (cfg.char_rnn_dim, 3 * cfg.char_rnn_dim), rng)
-                params.zeros(b, (3 * cfg.char_rnn_dim,))
+                table.update({wx: Init((c, 3 * r), c), wh: Init((r, 3 * r), r), b: Init((3 * r,))})
+        return table
 
     def _char_states(self, tape: Tape, tokens: Sequence[Token]) -> list[Var]:
         """Final states of the forward and backward char GRUs, one

@@ -44,9 +44,13 @@ only when the seq2seq decoder first emits a combination the table has never
 held. Decoded label sequences from either model go through the repair
 decoder, so any label sequence the models can emit yields a valid mention set.
 
-:func:`save_model` writes a checkpoint as a zip archive of a JSON envelope
-and one member of every parameter's float32 values in registration order
-(format v3), and :func:`load_model` reads it into float32, the precision it stores.
+A tagger lists its parameters once, in its ``parameter_table``: each name,
+in order, with its shape and its :class:`~nestner.autodiff.Init`. Only
+``training.build_model`` draws from it; a tagger's constructor allocates
+none. :func:`save_model` writes a checkpoint as a zip archive of a
+JSON envelope and one member of every parameter's float32 values in the
+order of the model's parameter table (format v3), and :func:`load_model`
+reads it into float32, the precision it stores, split by that table.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import codec
-from .autodiff import ForwardTape, Parameters, Tape, Var, dropout_mask
+from .autodiff import ForwardTape, Init, Parameters, Tape, Var, dropout_mask
 from .codec import EOW, EncodedSentence
 from .core import (
     OUTSIDE,
@@ -245,30 +249,6 @@ def viterbi(
 # ------------------------------------------------------------ shared encoder
 
 
-class _Discard:
-    """Stands in for a parameter array that registration writes to (a
-    bias's forget-gate slice): the write goes nowhere."""
-
-    def __setitem__(self, index, value) -> None:
-        pass
-
-
-class _ShapeRecorder:
-    """Takes a model's parameter registration in place of :class:`Parameters`,
-    keeping only each name and shape: it allocates no parameter and draws no
-    random numbers."""
-
-    def __init__(self):
-        self.shapes: dict[str, tuple[int, ...]] = {}
-
-    def zeros(self, name: str, shape: tuple[int, ...]) -> _Discard:
-        self.shapes[name] = tuple(shape)
-        return _Discard()
-
-    def uniform(self, name: str, shape: tuple[int, ...], rng, fan_in: int | None = None):
-        return self.zeros(name, shape)
-
-
 @dataclass(frozen=True)
 class Example:
     """One sentence as a forward pass reads it.
@@ -371,21 +351,17 @@ class _NeuralTagger:
         self.params = Parameters(dtype)
         self._memo: _TypeMemo | None = None  # a read-only model's, see _read_only
 
-    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Name and shape of every parameter this model registers, in order."""
-        recorder = _ShapeRecorder()
-        self._register(recorder, None)
-        return recorder.shapes
-
-    def _register_encoder(self, params, rng: np.random.Generator | None) -> None:
-        self.embedder.register(params, rng)
-        input_dim = self.embedder.config.token_dim
-        h = self.hidden_dim
+    def parameter_table(self) -> dict[str, Init]:
+        """Name, shape and initializer of every parameter of this model, in
+        the order they are drawn and stored: the embedder's entries, the
+        encoder's, then the tagger's own."""
+        table = self.embedder.parameter_table()
+        input_dim, h = self.embedder.config.token_dim, self.hidden_dim
         for prefix in _DIRECTIONS:
-            params.uniform(f"{prefix}.wx", (input_dim, 4 * h), rng)
-            params.uniform(f"{prefix}.wh", (h, 4 * h), rng)
-            bias = params.zeros(f"{prefix}.b", (4 * h,))
-            bias[h : 2 * h] = 1.0  # forget gate starts open
+            table[f"{prefix}.wx"] = Init((input_dim, 4 * h), input_dim)
+            table[f"{prefix}.wh"] = Init((h, 4 * h), h)
+            table[f"{prefix}.b"] = Init((4 * h,), ones=slice(h, 2 * h))  # forget gate starts open
+        return table
 
     def example(
         self,
@@ -534,7 +510,6 @@ class CrfTagger(_NeuralTagger):
         vocab: Vocabulary,
         alphabet: LabelAlphabet,
         pretrained: PretrainedTable | None = None,
-        rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
         if alphabet.reserved != OUTSIDE:
@@ -544,15 +519,15 @@ class CrfTagger(_NeuralTagger):
         self.alphabet = alphabet
         for label in alphabet.strings:  # into the label table, where decoding finds them
             Multilabel.parse(label)
-        if rng is not None:
-            self._register(self.params, rng)
 
-    def _register(self, params, rng: np.random.Generator | None) -> None:
-        self._register_encoder(params, rng)
-        k = len(self.alphabet)
-        params.uniform("crf.emit.w", (2 * self.hidden_dim, k), rng)
-        params.zeros("crf.emit.b", (k,))
-        params.uniform("crf.trans", (k + 2, k + 2), rng, fan_in=k + 2)
+    def parameter_table(self) -> dict[str, Init]:
+        k, enc_out = len(self.alphabet), 2 * self.hidden_dim
+        return {
+            **super().parameter_table(),
+            "crf.emit.w": Init((enc_out, k), enc_out),
+            "crf.emit.b": Init((k,)),
+            "crf.trans": Init((k + 2, k + 2), k + 2),
+        }
 
     def _emissions(self, tape: Tape, examples: Sequence[Example]) -> Var:
         """(ΣT, k) emission scores of a batch."""
@@ -616,7 +591,6 @@ class Seq2seqTagger(_NeuralTagger):
         vocab: Vocabulary,
         components: LabelAlphabet,
         pretrained: PretrainedTable | None = None,
-        rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
         if components.reserved != EOW:
@@ -628,26 +602,23 @@ class Seq2seqTagger(_NeuralTagger):
             LabelComponent.parse(component)
         # extra label-table row embeds the beginning-of-sentence "previous label"
         self.bos_id = len(components)
-        if rng is not None:
-            self._register(self.params, rng)
 
-    def _register(self, params, rng: np.random.Generator | None) -> None:
-        self._register_encoder(params, rng)
-        cfg = self.config
-        n_out = len(self.components)
-        enc_out = 2 * cfg.hidden_dim
-        d = cfg.decoder_dim
-        params.uniform("dec.labels", (n_out + 1, cfg.label_embed_dim), rng, cfg.label_embed_dim)
-        params.uniform("dec.wx", (enc_out + cfg.label_embed_dim, 4 * d), rng)
-        params.uniform("dec.wh", (d, 4 * d), rng)
-        bias = params.zeros("dec.b", (4 * d,))
-        bias[d : 2 * d] = 1.0
-        params.uniform("dec.init_h.w", (enc_out, d), rng)
-        params.zeros("dec.init_h.b", (d,))
-        params.uniform("dec.init_c.w", (enc_out, d), rng)
-        params.zeros("dec.init_c.b", (d,))
-        params.uniform("dec.out.w", (d, n_out), rng)
-        params.zeros("dec.out.b", (n_out,))
+    def parameter_table(self) -> dict[str, Init]:
+        n_out, enc_out = len(self.components), 2 * self.hidden_dim
+        d, e = self.config.decoder_dim, self.config.label_embed_dim
+        return {
+            **super().parameter_table(),
+            "dec.labels": Init((n_out + 1, e), e),
+            "dec.wx": Init((enc_out + e, 4 * d), enc_out + e),
+            "dec.wh": Init((d, 4 * d), d),
+            "dec.b": Init((4 * d,), ones=slice(d, 2 * d)),
+            "dec.init_h.w": Init((enc_out, d), enc_out),
+            "dec.init_h.b": Init((d,)),
+            "dec.init_c.w": Init((enc_out, d), enc_out),
+            "dec.init_c.b": Init((d,)),
+            "dec.out.w": Init((d, n_out), d),
+            "dec.out.b": Init((n_out,)),
+        }
 
     def _init_state(self, tape: Tape, final_fw: Var, final_bw: Var) -> tuple[Var, Var]:
         """The decoder's initial ``(h, c)``: one per row of (N, hidden)
@@ -801,9 +772,9 @@ class Seq2seqTagger(_NeuralTagger):
 #
 # Format v3: a zip archive of two uncompressed members, ``envelope.json``
 # (format_version, model_kind, config, alphabets, vocabulary, the
-# pretrained-table fingerprint and the parameter names in registration
-# order), then ``parameters.f32``, every parameter's little-endian float32
-# values in C order, one after another in the order the model registers them.
+# pretrained-table fingerprint and the parameter names in the order of the
+# model's parameter table), then ``parameters.f32``, every parameter's
+# little-endian float32 values in C order, one after another in that order.
 
 FORMAT_VERSION = 3
 _ZIP_MAGIC = b"PK\x03\x04"
@@ -898,7 +869,7 @@ _ENVELOPE_KEYS = ("model_kind", "config", "alphabets", "vocabulary", "pretrained
 
 
 def _unloaded_model(envelope: dict, pretrained: PretrainedTable | None):
-    """The model an envelope describes, with no parameters registered yet."""
+    """The model an envelope describes, with no parameters yet."""
     kind = envelope["model_kind"]
     vocab = _vocab_from_dict(envelope["vocabulary"])
     config = dict(envelope["config"])
@@ -950,19 +921,19 @@ def _load_zip(handle, pretrained: PretrainedTable | None):
                 raise ModelFormatError(f"checkpoint has no {key!r}")
         try:
             model = _unloaded_model(envelope, pretrained)
-            expected = model.parameter_shapes()
+            table = model.parameter_table()
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ModelFormatError(f"malformed checkpoint envelope ({exc!r})") from exc
-        if envelope["parameters"] != list(expected):
-            raise ModelFormatError(f"'parameters' is not this model's {list(expected)}")
+        if envelope["parameters"] != list(table):
+            raise ModelFormatError(f"'parameters' is not this model's {list(table)}")
         with archive.open(_PARAMETERS_MEMBER) as member:
-            for name, shape in expected.items():
-                size = _STORED.itemsize * math.prod(shape)
+            for name, init in table.items():
+                size = _STORED.itemsize * math.prod(init.shape)
                 raw = member.read(size)
                 if len(raw) != size:
                     raise ModelFormatError(f"parameter {name!r}: {_PARAMETERS_MEMBER} is too short")
                 try:  # the one copy, out of the read-only buffer, checks finiteness
-                    model.params.add(name, np.frombuffer(raw, _STORED).reshape(shape))
+                    model.params.add(name, np.frombuffer(raw, _STORED).reshape(init.shape))
                 except ValueError as exc:
                     raise ModelFormatError(f"parameter {name!r}: non-finite values") from exc
             if member.read(1):  # the read that reached the end checked the CRC
@@ -995,9 +966,10 @@ def load_model(
     call's types. Since prediction writes to the memo, one model must not
     predict in two threads at once.
 
-    The envelope must list exactly the parameters a fresh model of the
-    stored kind and config registers, in registration order, and the
-    parameters member must hold exactly their float32 values; a model
+    The envelope must list exactly the names of the model's parameter
+    table for the stored kind and config, in the table's order, and the
+    parameters member must hold exactly the float32 values of the shapes
+    that table gives; a model
     trained with pretrained vectors needs the same table (by row count and
     content hash), and a table given for a model trained without one is an
     :class:`UnusedTableError`. A file that is not a zip archive, a damaged archive, any

@@ -197,14 +197,13 @@ def build_model(
     if embedding is None:
         embedding = EmbeddingConfig()
     if embedding.use_pos_onehot and embedding.pos_dim == 0:
+        if not vocab.n_pos:
+            raise NestnerError("use_pos_onehot is set, but the training corpus has no POS tags")
         embedding = replace(embedding, pos_dim=vocab.n_pos)
-    rng = np.random.default_rng(seed)
     if kind == "crf":
         config = models.CrfConfig(embedding=embedding, hidden_dim=hidden_dim)
-        return models.CrfTagger(
-            config, vocab, multilabel_alphabet(corpus), pretrained, rng=rng, dtype=dtype
-        )
-    if kind == "seq2seq":
+        model = models.CrfTagger(config, vocab, multilabel_alphabet(corpus), pretrained, dtype)
+    elif kind == "seq2seq":
         _check_nesting_depth(corpus.encoded, max_components_per_token)
         config = models.Seq2seqConfig(
             embedding=embedding,
@@ -213,10 +212,11 @@ def build_model(
             label_embed_dim=label_embed_dim,
             max_components_per_token=max_components_per_token,
         )
-        return models.Seq2seqTagger(
-            config, vocab, component_alphabet(corpus), pretrained, rng=rng, dtype=dtype
-        )
-    raise ValueError(f"unknown model kind {kind!r}; valid: crf, seq2seq")
+        model = models.Seq2seqTagger(config, vocab, component_alphabet(corpus), pretrained, dtype)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}; valid: crf, seq2seq")
+    model.params.initialize(model.parameter_table(), np.random.default_rng(seed))
+    return model
 
 
 # --------------------------------------------------------------- training loop

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import nestner
 from nestner.autodiff import (
-    ForwardTape, Gradients, Parameters, RowGradient, Tape, _pack, _scaled_span, dropout_mask,
-    grad_check,
+    ForwardTape, Gradients, Init, Parameters, RowGradient, Tape, _pack, _scaled_span,
+    dropout_mask, grad_check,
 )
 from nestner.models import CrfTagger, Seq2seqTagger
 
@@ -24,12 +24,20 @@ def make_params(entries, seed=0):
     return params
 
 
+def zeros(entries):
+    """A float64 store of all-zero parameters: ``entries`` maps each name to
+    its shape."""
+    params = Parameters()
+    table = {name: Init(shape) for name, shape in entries.items()}
+    params.initialize(table, np.random.default_rng(0))
+    return params
+
+
 class TestParameters:
     def test_duplicate_name_rejected(self):
-        params = Parameters()
-        params.zeros("w", (2,))
+        params = zeros({"w": (2,)})
         with pytest.raises(ValueError):
-            params.zeros("w", (2,))
+            params.initialize({"w": Init((2,))}, np.random.default_rng(0))
 
     def test_non_finite_rejected(self):
         params = Parameters()
@@ -45,24 +53,23 @@ class TestParameters:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_uniform_stores_the_draw_itself(self, dtype):
         params = Parameters(dtype)
-        arr = params.uniform("w", (5, 3), np.random.default_rng(4), fan_in=7)
+        params.initialize({"w": Init((5, 3), fan_in=7)}, np.random.default_rng(4))
+        arr = params["w"]
         expected = np.random.default_rng(4).uniform(-(1 / 7) ** 0.5, (1 / 7) ** 0.5, size=(5, 3))
-        assert arr.dtype == dtype and params["w"] is arr
+        assert arr.dtype == dtype
         np.testing.assert_array_equal(arr, expected.astype(dtype))
         if dtype == np.float64:
             assert np.array_equal(arr, expected)  # float64: the draw as drawn
 
     def test_uniform_rejects_a_duplicate_name(self):
-        params = Parameters()
-        params.zeros("w", (2,))
+        params = zeros({"w": (2,)})
         with pytest.raises(ValueError, match="duplicate parameter name: w"):
-            params.uniform("w", (2,), np.random.default_rng(0))
+            params.initialize({"w": Init((2,), fan_in=2)}, np.random.default_rng(0))
 
     def test_uniform_bound_follows_fan_in(self):
         params = Parameters()
-        rng = np.random.default_rng(1)
-        arr = params.uniform("w", (100, 3), rng)
-        assert np.all(np.abs(arr) <= math.sqrt(1 / 100))
+        params.initialize({"w": Init((3, 100), fan_in=100)}, np.random.default_rng(1))
+        assert 0.09 < np.abs(params["w"]).max() <= math.sqrt(1 / 100)
 
     def test_load_state(self):
         params = make_params([("w", (3,))])
@@ -453,11 +460,7 @@ class TestRecurrentCells:
         return make_params(entries + [("xs", (4, 3)), ("h", (2,)), ("c", (2,))], seed=seed)
 
     def test_lstm_zero_weights_zero_state_fixed_point(self):
-        params = Parameters()
-        params.zeros("wx", (2, 8))
-        params.zeros("wh", (2, 8))
-        params.zeros("b", (8,))
-        tape = Tape(params)
+        tape = Tape(zeros({"wx": (2, 8), "wh": (2, 8), "b": (8,)}))
         pre = tape.affine(tape.const([[1.0, -1.0]]), tape.param("wx"), tape.param("b"))
         out, cells = tape.lstm(pre, tape.param("wh"))
         np.testing.assert_array_equal(out.value, np.zeros((1, 2)))
@@ -622,7 +625,7 @@ class TestRecurrentCells:
         wx[1, :hidden] = 50.0  # the second input feature saturates the update gate at 1
         params.add("wx", wx)
         params.add("wh", rng.standard_normal((hidden, 3 * hidden)) * 0.1)
-        params.zeros("b", (3 * hidden,))
+        params.initialize({"b": Init((3 * hidden,))}, rng)
         tape = Tape(params)
         wx, wh, b = (tape.param(name) for name in ("wx", "wh", "b"))
         first = tape.gru(tape.affine(tape.const([[1.0, 0.0]]), wx, b), wh)

@@ -606,6 +606,7 @@ class TestErrors:
             (("--hidden", "0"), "hidden_dim"),
             (("--hidden", "-1"), "hidden_dim"),
             (("--min-freq", "-5"), "min_freq"),
+            (("--pos-onehot",), "use_pos_onehot is set, but the training corpus has no POS tags"),
             (("gradcheck", "--tolerance", "nan"), "tolerance"),
             (("gradcheck", "--tolerance", "0"), "tolerance"),
             (("gradcheck", "--tolerance", "-1"), "tolerance"),

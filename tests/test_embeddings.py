@@ -28,7 +28,7 @@ def vocab():
 def make_embedder(vocab, config, pretrained=None, seed=0):
     embedder = TokenEmbedder(config, vocab, pretrained)
     params = Parameters()
-    embedder.register(params, np.random.default_rng(seed))
+    params.initialize(embedder.parameter_table(), np.random.default_rng(seed))
     return embedder, params
 
 

@@ -656,8 +656,8 @@ def _byte_range(name):
     """Where parameter ``name`` of ``build("crf")`` lies in its saved
     ``parameters.f32``: the (start, stop) of its float32 bytes."""
     start = 0
-    for found, shape in build("crf").parameter_shapes().items():
-        stop = start + 4 * math.prod(shape)
+    for found, init in build("crf").parameter_table().items():
+        stop = start + 4 * math.prod(init.shape)
         if found == name:
             return start, stop
         start = stop
@@ -768,7 +768,7 @@ class TestSerialization:
     ):
         """Whatever the widths, sources and dtype of the saved model, every
         loaded array is its original rounded to float32: ``parameters.f32``
-        is split where the loaded model's registration says, and nothing
+        is split where the loaded model's parameter table says, and nothing
         lands in a neighbour."""
         trainable, lemma, char, char_rnn, pos_onehot, pretrained = sources
         assume(trainable or lemma or char or pos_onehot or pretrained)
@@ -877,7 +877,7 @@ class TestSerialization:
              "malformed checkpoint envelope"),
             (lambda env, members: env["config"].update(hidden_dim=-4),
              "hidden_dim must be >= 1, got -4"),
-            # recording the shapes allocates nothing, so the member is short
+            # a parameter table allocates nothing, so the member is short
             (lambda env, members: env["config"].update(hidden_dim=100_000_000),
              "parameter 'enc.fw.wx': parameters.f32 is too short"),
             (lambda env, members: env.update(format_version=1),
@@ -1092,7 +1092,7 @@ class TestSerialization:
             envelope = json.loads(archive.read("envelope.json"))
             blob = archive.read("parameters.f32")
         assert envelope["format_version"] == 3
-        assert envelope["parameters"] == list(model.parameter_shapes())
+        assert envelope["parameters"] == list(model.parameter_table())
         assert blob == b"".join(arr.astype("<f4").tobytes() for _, arr in model.params.items())
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
@@ -1138,7 +1138,9 @@ class TestSerialization:
     def test_expected_shapes_match_a_trained_model(self):
         for kind in ("crf", "seq2seq"):
             model = build(kind)
-            assert model.parameter_shapes() == {n: a.shape for n, a in model.params.items()}
+            assert [(n, init.shape) for n, init in model.parameter_table().items()] == [
+                (n, a.shape) for n, a in model.params.items()
+            ]
 
 
 @pytest.fixture(scope="module")
